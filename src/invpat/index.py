@@ -210,13 +210,14 @@ class CategoricalModel:
         self.stored: list[frozenset[int]] = []
 
     def _check(self, present, training: bool) -> None:
+        """Validate every category, then (training, grow mode) widen K."""
         for k in present:
             if k < 1:
                 raise ValidationError(f"category index {k} must be >= 1")
             if k > self.K and not self.grow:
                 raise ValidationError(f"category index {k} outside [1, {self.K}]")
-            if k > self.K and training:
-                self.K = int(k)
+        if training and self.grow:
+            self.K = max([self.K, *(int(k) for k in present)])
 
     def classify(self, present) -> ClassHistogram:
         """Vote histogram: counts[n] = |stored set of n ∩ present|."""
@@ -228,13 +229,10 @@ class CategoricalModel:
                 counts[n] = get(n, 0) + 1
         return ClassHistogram.from_counts(counts)
 
-    def train_step(self, present) -> tuple[int, bool]:
-        """Recognize or append; returns (class id, created flag)."""
-        self._check(present, training=True)
-        hist = self.classify(present)
-        if hist.max_count >= self.recognition_threshold:
-            return hist.argmax, False
-        pattern = frozenset(int(k) for k in present)
+    def insert_class(self, pattern) -> int:
+        """Store a category set as a new class and return its id (ids are dense, 1..N)."""
+        self._check(pattern, training=True)
+        pattern = frozenset(int(k) for k in pattern)
         if not pattern:
             raise ValidationError("cannot create a class from an empty pattern")
         self.N += 1
@@ -242,4 +240,12 @@ class CategoricalModel:
         for k in sorted(pattern):
             self.postings.setdefault(k, []).append(n)
         self.stored.append(pattern)
-        return n, True
+        return n
+
+    def train_step(self, present) -> tuple[int, bool]:
+        """Recognize or append; returns (class id, created flag)."""
+        self._check(present, training=True)
+        hist = self.classify(present)
+        if hist.max_count >= self.recognition_threshold:
+            return hist.argmax, False
+        return self.insert_class(present), True

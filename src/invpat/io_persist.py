@@ -9,19 +9,20 @@ Model files are a small binary envelope around a canonical JSON payload:
 magic, little-endian version and payload length, payload, CRC32 trailer.
 Saving the same object twice yields identical bytes; truncation, bit
 corruption and unknown future versions are all detected before any model
-state is built.
+state is built, and a payload that does not describe a valid model raises
+FormatError too. Models are rebuilt only through their public constructors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import warnings
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, InvpatError
 from .index import CategoricalModel, Model
 from .levels import Level, LabelTable, LevelStack
 from .predictor import ParamIndex
@@ -113,11 +114,14 @@ def load_csv(path) -> list[tuple[float, ...]]:
     for lineno, line in enumerate(lines, start=1):
         parts = line.split(",") if "," in line else line.split()
         try:
-            rows.append(tuple(float(p) for p in parts))
+            row = tuple(map(float, parts))
         except ValueError as exc:
             if lineno == 1:
                 continue  # header row
             raise DataError(f"{path}: non-numeric cell on line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"{path}: non-finite cell on line {lineno}")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
@@ -229,24 +233,11 @@ def _restore(body: dict):
     elif kind == "categorical":
         m = CategoricalModel(body["K"], body["threshold"], grow=body["grow"])
         for stored in body["stored"]:
-            m.N += 1
-            pattern = frozenset(stored)
-            for k in sorted(pattern):
-                m.postings.setdefault(k, []).append(m.N)
-            m.stored.append(pattern)
+            m.insert_class(stored)
         obj = m
     elif kind == "param_index":
-        idx = ParamIndex(body["K"], body["X"])
-        for k, table in enumerate(body["tables"]):
-            for v, pairs in table:
-                counter = idx._tables[k].setdefault(int(v), Counter())
-                for t, c in pairs:
-                    counter[int(t)] += int(c)
-                    idx.t_min = t if idx.t_min is None else min(idx.t_min, t)
-                    idx.t_max = t if idx.t_max is None else max(idx.t_max, t)
-        idx.rows = body["rows"]
-        idx.freeze()
-        obj = idx
+        obj = ParamIndex([[(v, t, c) for v, pairs in table for t, c in pairs]
+                          for table in body["tables"]], body["X"])
     elif kind == "stack":
         levels = []
         for lvl in body["levels"]:
@@ -281,15 +272,15 @@ def load_model(path):
     if version > FORMAT_VERSION:
         raise FormatError(f"{path}: format version {version} is newer than "
                           f"supported {FORMAT_VERSION}")
+    if len(data) < _HEADER.size + length + _TRAILER.size:
+        raise FormatError(f"{path}: truncated file ({len(data)} bytes for a "
+                          f"{length}-byte payload)")
     payload = data[_HEADER.size:_HEADER.size + length]
-    if len(payload) < length:
-        raise FormatError(f"{path}: truncated payload "
-                          f"({len(payload)} of {length} bytes)")
     (crc,) = _TRAILER.unpack_from(data, _HEADER.size + length)
     if zlib.crc32(payload) != crc:
         raise FormatError(f"{path}: checksum mismatch, file is corrupted")
     try:
-        body = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: undecodable payload: {exc}") from exc
-    return _restore(body)
+        return _restore(json.loads(payload))
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError,
+            InvpatError) as exc:
+        raise FormatError(f"{path}: malformed payload: {exc!r}") from exc

@@ -12,12 +12,11 @@ No generalization radius is applied here; the index is exact-value.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoEvidenceError, ValidationError
+from .errors import ConfigError, NoEvidenceError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -45,20 +44,35 @@ class ParamHistogram:
 class ParamIndex:
     """Per (dimension, feature value) count tables over the parameter t.
 
-    Built once from training rows, then immutable; prediction uses frozen
-    numpy arrays so summing K tables is a handful of vector adds.
+    Built once, then immutable. All K tables share one layout: the
+    (cell = k * X + v, t, count) triples sorted by cell and then t, in flat
+    arrays, where the triples of cell c are ``offsets[c]:offsets[c + 1]``.
+    t is stored as its rank among the distinct values seen, so prediction
+    memory follows how many values t takes, not their span.
     """
 
-    def __init__(self, K: int, X: int):
-        self.K = int(K)
-        self.X = int(X)
-        self.rows = 0
-        self.t_min: int | None = None
-        self.t_max: int | None = None
-        # building form: tables[k][x] is Counter(t -> occurrences)
-        self._tables: list[dict[int, Counter]] = [{} for _ in range(K)]
-        # frozen form: per (k, x) a pair of arrays (t offsets, counts)
-        self._frozen: list[dict[int, tuple[np.ndarray, np.ndarray]]] | None = None
+    def __init__(self, tables, X: int):
+        """Index over ``tables[k]``: dimension k's (v, t, count) rows, sorted
+        by (v, t) without repeats; value v was seen ``count`` times with t."""
+        tables = [np.asarray(tab, dtype=np.int64).reshape(-1, 3) for tab in tables]
+        self.K, self.X = len(tables), int(X)
+        if self.K < 1 or self.X < 1:
+            raise ConfigError(f"ParamIndex needs K >= 1 and X >= 1, got K={self.K}, X={X}")
+        for v, t, count in (tab.T for tab in tables):
+            step = np.diff(v)
+            if (((step < 0) | ((step == 0) & (np.diff(t) <= 0))).any() or (count < 1).any()
+                    or v.size and not 0 <= v[0] <= v[-1] < self.X):
+                raise ValidationError("table rows must be unique, sorted by (v, t), with "
+                                      f"v in [0, {self.X}) and count >= 1")
+        self._t_values = np.unique(np.concatenate([np.unique(tab[:, 1]) for tab in tables]))
+        self._t_rank = np.concatenate([np.searchsorted(self._t_values, tab[:, 1])
+                                       for tab in tables])
+        self._count = np.concatenate([tab[:, 2] for tab in tables])
+        self._offsets = np.cumsum(np.concatenate(
+            [[0], *(np.bincount(tab[:, 0], minlength=self.X) for tab in tables)]))
+        self.rows = int(tables[0][:, 2].sum())
+        self.t_min = int(self._t_values[0]) if self._t_values.size else None
+        self.t_max = int(self._t_values[-1]) if self._t_values.size else None
 
     def _check(self, x) -> None:
         if len(x) != self.K:
@@ -67,48 +81,25 @@ class ParamIndex:
             if not 0 <= v < self.X:
                 raise ValidationError(f"feature value {v} outside [0, {self.X})")
 
-    def add_row(self, x, t: int) -> None:
-        if self._frozen is not None:
-            raise ValidationError("index already frozen")
-        self._check(x)
-        t = int(t)
-        for k, v in enumerate(x):
-            table = self._tables[k].setdefault(int(v), Counter())
-            table[t] += 1
-        self.rows += 1
-        self.t_min = t if self.t_min is None else min(self.t_min, t)
-        self.t_max = t if self.t_max is None else max(self.t_max, t)
-
-    def freeze(self) -> None:
-        """Convert count tables to arrays indexed by t - t_min."""
-        if self._frozen is not None:
-            return
-        base = self.t_min or 0
-        frozen: list[dict[int, tuple[np.ndarray, np.ndarray]]] = []
-        for table in self._tables:
-            out = {}
-            for v, counter in table.items():
-                ts = np.array(sorted(counter), dtype=np.int64)
-                cs = np.array([counter[t] for t in ts], dtype=np.int64)
-                out[v] = (ts - base, cs)
-            frozen.append(out)
-        self._frozen = frozen
-
     def tables(self) -> list[dict[int, dict[int, int]]]:
         """Plain-dict view of the count tables (for persistence and tests)."""
-        return [{v: dict(c) for v, c in table.items()} for table in self._tables]
+        t = self._t_values[self._t_rank].tolist()
+        count, at = self._count.tolist(), self._offsets.tolist()
+        out: list[dict[int, dict[int, int]]] = [{} for _ in range(self.K)]
+        for c in np.flatnonzero(np.diff(self._offsets)).tolist():
+            out[c // self.X][c % self.X] = dict(zip(t[at[c]:at[c + 1]], count[at[c]:at[c + 1]]))
+        return out
 
     def _accumulate(self, x) -> np.ndarray:
+        """Summed counts of the K tables addressed by x, indexed by t rank."""
         self._check(x)
-        if self.rows == 0:
-            return np.zeros(0, dtype=np.int64)
-        self.freeze()
-        acc = np.zeros(self.t_max - self.t_min + 1, dtype=np.int64)
-        for k, v in enumerate(x):
-            hit = self._frozen[k].get(int(v))
-            if hit is not None:
-                acc[hit[0]] += hit[1]
-        return acc
+        cells = np.arange(0, self.K * self.X, self.X) + np.asarray(x, dtype=np.int64)
+        lo, size = self._offsets[cells], self._offsets[cells + 1] - self._offsets[cells]
+        # positions lo[k] .. lo[k] + size[k] - 1 of every k, as one index array
+        pick = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+        acc = np.bincount(self._t_rank[pick], weights=self._count[pick],
+                          minlength=len(self._t_values))
+        return acc.astype(np.int64)
 
 
 def build_param_index(rows, X: int) -> ParamIndex:
@@ -116,27 +107,35 @@ def build_param_index(rows, X: int) -> ParamIndex:
     rows = list(rows)
     if not rows:
         raise ValidationError("cannot build a parameter index from no rows")
-    idx = ParamIndex(K=len(rows[0][0]), X=X)
-    for x, t in rows:
-        idx.add_row(x, t)
-    idx.freeze()
-    return idx
+    if len({len(x) for x, _ in rows}) > 1:
+        raise ValidationError("feature vectors differ in length")
+    t_values, t_rank = np.unique(np.array([t for _, t in rows], dtype=np.int64),
+                                 return_inverse=True)
+    T = len(t_values)
+    tables = []
+    for k in range(len(rows[0][0])):
+        v = np.array([x[k] for x, _ in rows], dtype=np.int64)
+        if v.min() < 0 or v.max() >= X:  # checked before v * T can overflow
+            raise ValidationError(f"feature value outside [0, {X}) in dimension {k}")
+        # one key per (v, t) pair, so sorted keys are the sorted (v, t) pairs
+        key, count = np.unique(v * T + t_rank, return_counts=True)
+        tables.append(np.column_stack((key // T, t_values[key % T], count)))
+    return ParamIndex(tables, X)
 
 
 def predict_histogram(idx: ParamIndex, x) -> ParamHistogram:
     """Parameter histogram for x: counts[t] = sum over k of table hits."""
     acc = idx._accumulate(x)
-    nz = np.nonzero(acc)[0]
-    base = idx.t_min or 0
-    return ParamHistogram({int(base + i): int(acc[i]) for i in nz})
+    nz = np.flatnonzero(acc)
+    return ParamHistogram(dict(zip(idx._t_values[nz].tolist(), acc[nz].tolist())))
 
 
 def predict_value(idx: ParamIndex, x) -> int:
     """Most probable t for x; smallest t on ties; error when no evidence."""
     acc = idx._accumulate(x)
-    if acc.size == 0 or not acc.any():
+    if not acc.any():
         raise NoEvidenceError("no training evidence for this query")
-    return int(idx.t_min + int(np.argmax(acc)))
+    return int(idx._t_values[np.argmax(acc)])
 
 
 def histogram_spread(h: ParamHistogram) -> tuple[int, float, int]:

@@ -288,3 +288,20 @@ class TestCategorical:
             m.classify({6})
         with pytest.raises(ValidationError):
             m.classify({0})
+
+    def test_rejected_input_leaves_model_unchanged(self):
+        m = CategoricalModel(3, 1, grow=True)
+        with pytest.raises(ValidationError):
+            m.train_step([7, -1])
+        with pytest.raises(ValidationError):
+            m.insert_class([7, 0])
+        assert (m.K, m.N, m.postings, m.stored) == (3, 0, {}, [])
+
+    def test_insert_class_matches_train_step(self):
+        # a threshold above every overlap makes each training step create a class
+        trained, inserted = CategoricalModel(4, 5, grow=True), CategoricalModel(4, 5, grow=True)
+        for p in ({1, 2}, {2, 9}, {3}):
+            assert trained.train_step(p) == (inserted.insert_class(p), True)
+        assert (trained.K, trained.postings, trained.stored) == (
+            inserted.K, inserted.postings, inserted.stored)
+        assert inserted.K == 9

@@ -1,7 +1,14 @@
 """Ingestion and persistence tests: CSV, normalization, Netpbm, model files."""
 
+import json
+import os
+import struct
+import tempfile
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from invpat import (
     CategoricalModel,
@@ -20,11 +27,49 @@ from invpat import (
     load_pnm,
     normalize_columns,
     predict_histogram,
+    predict_value,
     save_histogram,
     save_model,
     save_pnm,
 )
+from invpat.cli import main
 from invpat.io_persist import extract_parameter, save_schema, load_schema, uniform_schema
+
+# A fixed parameter index and the exact file bytes the format has always
+# written for it: pins file compatibility across index layouts.
+GOLDEN_ROWS = [((0, 1, 2), 5), ((0, 1, 3), 7), ((0, 1, 2), 5), ((3, 0, 0), 100), ((2, 3, 1), -4)]
+GOLDEN_BYTES = (
+    b'IPAT\x01\x00\xc9\x00\x00\x00\x00\x00\x00\x00'
+    b'{"K":3,"X":4,"kind":"param_index","rows":5,"tables":'
+    b'[[[0,[[5,2],[7,1]]],[2,[[-4,1]]],[3,[[100,1]]]],'
+    b'[[0,[[100,1]]],[1,[[5,2],[7,1]]],[3,[[-4,1]]]],'
+    b'[[0,[[100,1]]],[1,[[-4,1]]],[2,[[5,2]]],[3,[[7,1]]]]]}'
+    b'\x0b\x15tz')
+
+
+def roundtrip(obj):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.ipat")
+        save_model(obj, path)
+        return load_model(path)
+
+
+def envelope(body) -> bytes:
+    """A model file with a valid header and checksum around any JSON body."""
+    payload = json.dumps(body).encode()
+    return (struct.pack("<4sHQ", b"IPAT", 1, len(payload)) + payload
+            + struct.pack("<I", zlib.crc32(payload)))
+
+
+MALFORMED_BODIES = [
+    {"kind": "numeric"},
+    {"kind": "numeric", "K": 2, "X": 16, "R": 0, "prototypes": [[1]]},
+    {"kind": "categorical", "K": "three", "threshold": 1, "grow": False, "stored": []},
+    {"kind": "param_index", "K": 1, "X": 4, "rows": 1, "tables": [[[0, [[5]]]]]},
+    {"kind": "param_index", "K": 1, "X": 4, "rows": 1, "tables": [[[0, [[5, 1], [5, 1]]]]]},
+    {"kind": "stack", "levels": [{"model": 3}]},
+    [1, 2],
+]
 
 
 class TestNormalize:
@@ -103,6 +148,15 @@ class TestCsv:
         p.write_text("1,2\n1,zap\n")
         with pytest.raises(DataError, match="line 2"):
             load_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reported(self, tmp_path, cell):
+        p = tmp_path / "a.csv"
+        p.write_text(f"1,2\n3,4\n1,{cell}\n")
+        with pytest.raises(DataError, match="line 3"):
+            load_csv(p)
+        code = main(["train", str(p), "--x", "16"])
+        assert code == 2
 
     def test_ragged_rows(self, tmp_path):
         p = tmp_path / "a.csv"
@@ -212,6 +266,61 @@ class TestModelFiles:
         p.write_bytes(p.read_bytes()[:-10])
         with pytest.raises(FormatError):
             load_model(p)
+
+    def test_missing_trailer_detected(self, tmp_path):
+        p = tmp_path / "m.ipat"
+        save_model(self.numeric(), p)
+        p.write_bytes(p.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="truncated"):
+            load_model(p)
+        data = tmp_path / "d.csv"
+        data.write_text("1,2,3,4\n")
+        assert main(["classify", str(data), "--model", str(p)]) == 2
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
+    def test_malformed_payload_detected(self, tmp_path, body):
+        p = tmp_path / "m.ipat"
+        p.write_bytes(envelope(body))
+        with pytest.raises(FormatError, match="malformed"):
+            load_model(p)
+        data = tmp_path / "d.csv"
+        data.write_text("1,2\n")
+        assert main(["classify", str(data), "--model", str(p)]) == 2
+
+    def test_param_index_bytes_pinned(self, tmp_path):
+        p = tmp_path / "g.ipat"
+        save_model(build_param_index(GOLDEN_ROWS, X=4), p)
+        assert p.read_bytes() == GOLDEN_BYTES
+        p.write_bytes(GOLDEN_BYTES)
+        back, idx = load_model(p), build_param_index(GOLDEN_ROWS, X=4)
+        assert back.tables() == idx.tables()
+        assert (back.K, back.X, back.rows, back.t_min, back.t_max) == (3, 4, 5, -4, 100)
+        for q in np.ndindex(4, 4, 4):
+            assert predict_histogram(back, q).counts == predict_histogram(idx, q).counts
+
+    @given(st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * 3),
+                              st.one_of(st.integers(-9, 40), st.just(10**9))),
+                    min_size=1, max_size=40))
+    def test_param_index_roundtrip_property(self, rows):
+        idx = build_param_index(rows, X=6)
+        back = roundtrip(idx)
+        assert back.tables() == idx.tables()
+        assert (back.K, back.X, back.rows, back.t_min, back.t_max) == (
+            idx.K, idx.X, idx.rows, idx.t_min, idx.t_max)
+        for vec, _ in rows:
+            assert predict_value(back, vec) == predict_value(idx, vec)
+            assert predict_histogram(back, vec).counts == predict_histogram(idx, vec).counts
+
+    @given(st.lists(st.frozensets(st.integers(1, 12), min_size=1, max_size=5), max_size=20),
+           st.integers(1, 3), st.booleans())
+    def test_categorical_roundtrip_property(self, patterns, threshold, grow):
+        m = CategoricalModel(1 if grow else 12, threshold, grow=grow)
+        for p in patterns:
+            m.train_step(p)
+        back = roundtrip(m)
+        assert (back.K, back.N, back.stored, back.postings) == (m.K, m.N, m.stored, m.postings)
+        for p in patterns:
+            assert back.classify(p).counts == m.classify(p).counts
 
     def test_categorical_roundtrip(self, tmp_path):
         m = CategoricalModel(12, 2)

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from invpat import (
     NoEvidenceError,
     ParamHistogram,
+    ParamIndex,
     ValidationError,
     build_param_index,
     histogram_spread,
@@ -22,6 +24,27 @@ def row_scan(rows, x):
             if v == x[k]:
                 counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def table_scan(rows):
+    """Brute-force count tables: tables[k][v][t] = rows with x[k] == v and t."""
+    tables = [{} for _ in rows[0][0]]
+    for vec, t in rows:
+        for k, v in enumerate(vec):
+            cell = tables[k].setdefault(v, {})
+            cell[t] = cell.get(t, 0) + 1
+    return tables
+
+
+@st.composite
+def rows_and_queries(draw):
+    """Training rows with repeats and a wide t span, plus query vectors."""
+    K, X = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(0, X - 1)] * K)
+    t = st.one_of(st.integers(-20, 20), st.sampled_from([0, 10**9]))
+    rows = draw(st.lists(st.tuples(vec, t), min_size=1, max_size=40))
+    rows += rows[:draw(st.integers(0, len(rows)))]
+    return rows, X, draw(st.lists(vec, min_size=1, max_size=5))
 
 
 class TestBuild:
@@ -50,6 +73,41 @@ class TestBuild:
             build_param_index([((0, 9), 1)], X=4)
         with pytest.raises(ValidationError):
             build_param_index([], X=4)
+
+    def test_out_of_range_values_rejected(self):
+        for bad in (-1, 4, 10**17):
+            with pytest.raises(ValidationError):
+                build_param_index([((0, 0), 1), ((0, bad), 2)], X=4)
+
+    @pytest.mark.parametrize("tables", [
+        [[(1, 5, 1), (0, 5, 1)]],  # v out of order
+        [[(0, 6, 1), (0, 5, 1)]],  # t out of order
+        [[(0, 5, 1), (0, 5, 2)]],  # repeated (v, t)
+        [[(4, 5, 1)]],             # v outside [0, X)
+        [[(0, 5, 0)]],             # count below 1
+    ])
+    def test_constructor_rejects_malformed_tables(self, tables):
+        with pytest.raises(ValidationError):
+            ParamIndex(tables, X=4)
+
+
+class TestLayoutProperties:
+    @given(rows_and_queries())
+    def test_tables_and_predictions_match_row_scan(self, case):
+        rows, x_range, queries = case
+        idx = build_param_index(rows, X=x_range)
+        ts = [t for _, t in rows]
+        assert idx.tables() == table_scan(rows)
+        assert (idx.rows, idx.t_min, idx.t_max) == (len(rows), min(ts), max(ts))
+        for q in queries + [vec for vec, _ in rows[:3]]:
+            expected = row_scan(rows, q)
+            assert predict_histogram(idx, q).counts == expected
+            if expected:
+                best = max(expected.values())
+                assert predict_value(idx, q) == min(t for t, c in expected.items() if c == best)
+            else:
+                with pytest.raises(NoEvidenceError):
+                    predict_value(idx, q)
 
 
 class TestPredictHistogram:
