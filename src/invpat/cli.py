@@ -68,6 +68,13 @@ def _vectors(rows, schema, x_range):
     return normalize_columns(rows, schema, x_range)
 
 
+def _row(path, i, fn, *args):
+    try:  # a row the model rejects is a data error, named by its index
+        return fn(*args)
+    except ValidationError as exc:
+        raise DataError(f"{path}: row {i}: {exc}") from exc
+
+
 def cmd_train(args) -> int:
     rows = load_csv(args.data)
     schema = load_schema(args.schema) if args.schema else None
@@ -108,7 +115,7 @@ def cmd_classify(args) -> int:
     winners: dict[int, int] = {}
     print(_report_header(args))
     for i, v in enumerate(vectors):
-        hist = model.classify(v)
+        hist = _row(args.data, i, model.classify, v)
         if hist.max_count == model.K:
             print(f"{i} class={hist.argmax} votes={hist.max_count}")
             winners[hist.argmax] = winners.get(hist.argmax, 0) + 1
@@ -134,7 +141,7 @@ def cmd_predict(args) -> int:
     t0 = time.perf_counter()
     for i, v in enumerate(vectors):
         try:
-            t = predict_value(idx, v)
+            t = _row(args.data, i, predict_value, idx, v)
         except NoEvidenceError:
             print(f"{i} no-evidence")
             continue

@@ -10,28 +10,35 @@ appears exactly once per dimension, lists at distinct values are disjoint).
 Classification counts one vote per class per matching dimension; a class
 reaching K votes lies within Chebyshev distance R of the query. Training is
 instant: a query that fails to reach K votes is appended as a new class.
+
+Numeric votes come from one kernel over a snapshot holding, per dimension,
+the class ids sorted by value plus value offsets: a window is one slice and
+the votes are one ``np.bincount`` (Zobel & Moffat). Classes inserted since
+vote from their prototypes; this tail is merged once it outgrows an eighth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .errors import ConfigError, ValidationError
 
 
-@dataclass(frozen=True)
 class ClassHistogram:
     """Vote counts per class id for one query.
 
     ``counts`` maps class id -> vote count; absent ids have zero votes.
     ``argmax`` is the smallest class id attaining ``max_count`` (ties break
     toward the smaller id so results are insertion-order stable), or None
-    for an empty histogram.
+    for an empty histogram. A histogram made from a dense vote array builds
+    ``counts`` only when it is first read.
     """
 
-    counts: dict[int, int]
-    max_count: int
-    argmax: int | None
+    __slots__ = ("_counts", "_votes", "max_count", "argmax")
+
+    def __init__(self, counts: dict[int, int] | None, max_count: int, argmax: int | None,
+                 votes: np.ndarray | None = None):
+        self._counts, self._votes, self.max_count, self.argmax = counts, votes, max_count, argmax
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "ClassHistogram":
@@ -41,8 +48,23 @@ class ClassHistogram:
         winner = min(n for n, c in counts.items() if c == best)
         return cls(counts, best, winner)
 
+    @classmethod
+    def from_votes(cls, votes: np.ndarray) -> "ClassHistogram":
+        """Histogram of a dense array with ``votes[n]`` for class n (index 0 unused)."""
+        winner = int(votes.argmax())
+        if votes[winner] == 0:
+            return cls({}, 0, None)
+        return cls(None, int(votes[winner]), winner, votes)
+
+    @property
+    def counts(self) -> dict[int, int]:
+        if self._counts is None:
+            ids = np.flatnonzero(self._votes)
+            self._counts = dict(zip(ids.tolist(), self._votes[ids].tolist()))
+        return self._counts
+
     def __bool__(self) -> bool:
-        return bool(self.counts)
+        return self.max_count > 0
 
 
 class Model:
@@ -53,7 +75,8 @@ class Model:
     kept alongside the index for persistence and invariant checking.
 
     Thread safety: any number of concurrent readers may classify; training
-    mutates and must be serialized by the caller.
+    mutates and must be serialized by the caller. A reader that refreshes
+    the snapshot publishes it in one assignment, never half-built.
     """
 
     def __init__(self, K: int, X: int, R: int):
@@ -69,22 +92,33 @@ class Model:
         self.N = 0
         self.postings: list[dict[int, list[int]]] = [{} for _ in range(K)]
         self.prototypes: list[tuple[int, ...]] = []
+        self._base = [k * (self.X + 1) for k in range(self.K)]  # offsets index of (k, 0)
+        # (classes covered, prototype array, snapshot size nf, ids, offsets)
+        self._state = (0, np.empty((0, self.K), np.min_scalar_type(self.X - 1)), 0,
+                       memoryview(np.empty(0, np.uint8)),
+                       memoryview(np.zeros(self.K * (self.X + 1), np.int64)))
 
     # -- validation ---------------------------------------------------------
 
-    def _check(self, x) -> None:
+    def _vector(self, x) -> tuple[int, ...]:
+        """x as K Python ints in [0, X); bools, floats and other types are rejected."""
         if len(x) != self.K:
             raise ValidationError(f"expected {self.K} features, got {len(x)}")
+        exact = True
         for v in x:
+            if type(v) is not int:  # the exact type test keeps plain ints on the fast path
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                    raise ValidationError(f"feature value {v!r} is not an integer")
+                exact = False
             if not 0 <= v < self.X:
                 raise ValidationError(f"feature value {v} outside [0, {self.X})")
+        return tuple(x) if exact else tuple(map(int, x))
 
     # -- training -----------------------------------------------------------
 
     def insert_class(self, x) -> int:
         """Store x as a new class and return its id (ids are dense, 1..N)."""
-        self._check(x)
-        proto = tuple(int(v) for v in x)
+        proto = self._vector(x)
         self.N += 1
         n = self.N
         for k, v in enumerate(proto):
@@ -104,85 +138,80 @@ class Model:
             return hist.argmax, False
         return self.insert_class(x), True
 
+    # -- voting kernel ------------------------------------------------------
+
+    def _refresh(self):
+        """Fill the prototype array up to N; rebuild the snapshot once the tail
+        outgrows it. ``offsets[_base[k] + v]`` is the position in ``ids`` of
+        dimension k's first id with value >= v. Memoryviews slice and join
+        faster than numpy views at small heights."""
+        covered, protos, nf, ids, offsets = self._state
+        n = self.N
+        if len(protos) < n:  # grow by doubling; rows past N are never read
+            protos = np.resize(protos, (max(n, 2 * len(protos)), self.K))
+        protos[covered:n] = self.prototypes[covered:n]
+        if n - nf > nf // 8:  # the tail outgrew an eighth: merge (O'Neil et al.'s LSM tree)
+            nf = n
+            values = np.arange(self.X + 1)
+            order = np.empty((self.K, n), np.min_scalar_type(n))  # uint16 up to 65535 classes
+            offsets = np.empty((self.K, self.X + 1), np.int64)
+            for k in range(self.K):  # one column at a time keeps the temporaries small
+                by_value = np.argsort(protos[:n, k], kind="stable")
+                order[k] = by_value + 1
+                offsets[k] = k * n + np.searchsorted(protos[by_value, k], values)
+            ids, offsets = memoryview(order.ravel()), memoryview(offsets.ravel())
+        self._state = state = (n, protos, nf, ids, offsets)
+        return state
+
+    def _votes(self, x, radius: int | None):
+        """(votes, touched): ``votes[n]`` counts the dimensions where class n is
+        within the radius of x; ``touched`` counts the entries of the K windows."""
+        x = self._vector(x)
+        r = self.R if radius is None else radius
+        if isinstance(r, (bool, np.bool_)) or not isinstance(r, (int, np.integer)) or r < 0:
+            raise ValidationError(f"radius must be a non-negative integer, got {r!r}")
+        r, top = int(r), self.X - int(r)  # windows are [max(v - r, 0), min(v + r + 1, X))
+        state = self._state
+        if state[0] != self.N:
+            state = self._refresh()
+        n, protos, nf, ids, offsets = state
+        starts = [offsets[o + (v - r if v > r else 0)] for o, v in zip(self._base, x)]
+        ends = [offsets[o + (v + r + 1 if v < top else self.X)] for o, v in zip(self._base, x)]
+        window = np.frombuffer(b"".join([ids[a:b] for a, b in zip(starts, ends)]), ids.format)
+        votes = np.bincount(window, minlength=n + 1)
+        touched = len(window)
+        if n > nf:
+            votes[nf + 1:] = (np.abs(protos[nf:n] - np.array(x)) <= r).sum(axis=1)
+            touched += int(votes[nf + 1:].sum())
+        return votes, touched
+
     # -- classification -----------------------------------------------------
 
     def classify(self, x, radius: int | None = None) -> ClassHistogram:
         """Vote histogram for x; ``radius`` overrides the stored R."""
-        hist, _ = self.classify_counted(x, radius)
-        return hist
+        return ClassHistogram.from_votes(self._votes(x, radius)[0])
 
     def classify_counted(self, x, radius: int | None = None):
         """Like classify, but also returns the posting entries visited."""
-        self._check(x)
-        r_max = self.R if radius is None else radius
-        counts: dict[int, int] = {}
-        touched = 0
-        get = counts.get
-        for k in range(self.K):
-            post = self.postings[k]
-            lo = max(0, x[k] - r_max)
-            hi = min(self.X - 1, x[k] + r_max)
-            for v in range(lo, hi + 1):
-                ids = post.get(v)
-                if not ids:
-                    continue
-                touched += len(ids)
-                for n in ids:
-                    counts[n] = get(n, 0) + 1
-        return ClassHistogram.from_counts(counts), touched
+        votes, touched = self._votes(x, radius)
+        return ClassHistogram.from_votes(votes), touched
 
     def classify_exact_fast(self, x, radius: int | None = None) -> int | None:
-        """Return the smallest fully matching class id, or None.
-
-        Candidate filtering: seed candidates from dimension 0's radius
-        window, intersect with each later window, stop as soon as the set
-        empties. Agrees with classify's full-match verdict by construction.
-        """
-        self._check(x)
-        r_max = self.R if radius is None else radius
-        candidates: set[int] | None = None
-        for k in range(self.K):
-            post = self.postings[k]
-            lo = max(0, x[k] - r_max)
-            hi = min(self.X - 1, x[k] + r_max)
-            window: set[int] = set()
-            for v in range(lo, hi + 1):
-                ids = post.get(v)
-                if ids:
-                    window.update(ids)
-            candidates = window if candidates is None else candidates & window
-            if not candidates:
-                return None
-        return min(candidates) if candidates else None
+        """Return the smallest fully matching class id, or None."""
+        full = np.flatnonzero(self._votes(x, radius)[0] == self.K)
+        return int(full[0]) if len(full) else None
 
     # -- instrumentation ----------------------------------------------------
 
     def avg_height(self) -> float:
-        """Mean size of the non-empty posting lists across all dimensions."""
-        total = 0
-        lists = 0
-        for post in self.postings:
-            for ids in post.values():
-                total += len(ids)
-                lists += 1
-        if lists == 0:
+        """Mean size of the non-empty posting lists (each class is in one per dimension)."""
+        if self.N == 0:
             raise ValidationError("empty model has no posting lists")
-        return total / lists
+        return self.K * self.N / sum(map(len, self.postings))
 
     def touched_mass(self, x, radius: int | None = None) -> int:
         """Posting entries a classification of x visits (analytic count)."""
-        self._check(x)
-        r_max = self.R if radius is None else radius
-        total = 0
-        for k in range(self.K):
-            post = self.postings[k]
-            lo = max(0, x[k] - r_max)
-            hi = min(self.X - 1, x[k] + r_max)
-            for v in range(lo, hi + 1):
-                ids = post.get(v)
-                if ids:
-                    total += len(ids)
-        return total
+        return self._votes(x, radius)[1]
 
 
 class CategoricalModel:

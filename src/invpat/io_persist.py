@@ -102,11 +102,19 @@ def uniform_schema(n_columns: int) -> ColumnSchema:
 # -- CSV / whitespace tables ----------------------------------------------------
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def load_csv(path) -> list[tuple[float, ...]]:
     """Numeric rows from a comma- or whitespace-separated file.
 
-    The delimiter is sniffed from the first data line; a first row with
-    any non-numeric token is treated as a header and skipped.
+    The delimiter is sniffed from the first data line; a first row in
+    which no token parses as a number is treated as a header and skipped.
     """
     rows: list[tuple[float, ...]] = []
     with open(path) as fh:
@@ -116,7 +124,7 @@ def load_csv(path) -> list[tuple[float, ...]]:
         try:
             row = tuple(map(float, parts))
         except ValueError as exc:
-            if lineno == 1:
+            if lineno == 1 and not any(map(_is_number, parts)):
                 continue  # header row
             raise DataError(f"{path}: non-numeric cell on line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, row)):

@@ -149,11 +149,13 @@ def _match_winners(model: Model, colors: np.ndarray, radius: int | None = None,
 
 def _winner_map(model: Model, img: RasterImage, radius: int | None = None,
                 masked=None) -> np.ndarray:
-    """Per-pixel winner ids via unique-color classification."""
-    flat = img.pixels.reshape(-1, img.channels)
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    winners = _match_winners(model, uniq, radius, masked)
-    return winners[inverse.ravel()].reshape(img.height, img.width)
+    """Per-pixel winner ids via unique-color classification; a pixel's key
+    packs its channels big-endian, so the keys sort like the colors."""
+    shifts = 8 * np.arange(img.channels - 1, -1, -1)
+    keys = (img.pixels.reshape(-1, img.channels).astype(np.int64) << shifts).sum(axis=1)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    winners = _match_winners(model, (uniq[:, None] >> shifts) & 0xFF, radius, masked)
+    return winners[inverse].reshape(img.height, img.width)
 
 
 def build_class_mask(model: Model, background: RasterImage, freq_threshold: int,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from invpat import Model, RasterImage, save_model, save_pnm
+from invpat import Model, RasterImage, build_param_index, save_model, save_pnm
 from invpat.cli import main
 
 
@@ -75,6 +75,17 @@ class TestTrainClassify:
         assert code == 0 and "0 unrecognized" in out
 
 
+    def test_out_of_range_row_is_data_error(self, capsys, tmp_path):
+        train = tmp_path / "t.csv"
+        train.write_text("1 2\n3 4\n")
+        test = tmp_path / "q.csv"
+        test.write_text("1 2\n1 99\n")
+        model = tmp_path / "m.ipat"
+        run(capsys, "train", str(train), "--x", "16", "--model", str(model))
+        code, _, err = run(capsys, "classify", str(test), "--model", str(model))
+        assert code == 2 and "row 1" in err and "99" in err
+
+
 class TestPredict:
     def test_param_flow(self, capsys, tmp_path):
         schema = tmp_path / "s.json"
@@ -89,6 +100,15 @@ class TestPredict:
         assert code == 0 and "param-index rows=3" in out
         code, out, _ = run(capsys, "predict", str(data), "--model", str(model))
         assert code == 0 and "0 t=7" in out
+
+
+    def test_out_of_range_row_is_data_error(self, capsys, tmp_path):
+        model = tmp_path / "p.ipat"
+        save_model(build_param_index([((0, 1), 7)], X=4), model)
+        data = tmp_path / "q.csv"
+        data.write_text("0,1\n0,9\n")
+        code, _, err = run(capsys, "predict", str(data), "--model", str(model))
+        assert code == 2 and "row 1" in err
 
 
 class TestDetectSegment:

@@ -1,9 +1,13 @@
 """Core index tests: construction, voting, instant training, fast path."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from invpat import CategoricalModel, ConfigError, Model, ValidationError
+from invpat import CategoricalModel, ConfigError, Model, ValidationError, load_model, save_model
 
 
 def brute_force_counts(model, x, radius=None):
@@ -305,3 +309,114 @@ class TestCategorical:
         assert (trained.K, trained.postings, trained.stored) == (
             inserted.K, inserted.postings, inserted.stored)
         assert inserted.K == 9
+
+
+class TestIntegerValidation:
+    @pytest.mark.parametrize("bad", [(3.5, 2), (3.0, 2), (True, False), (np.True_, 2),
+                                     (np.float64(3), 2), ("3", 2), (None, 2)])
+    def test_non_integers_rejected(self, bad):
+        m = Model(2, 10, 1)
+        m.insert_class((3, 2))
+        for call in (m.insert_class, m.train_step, m.classify, m.classify_counted,
+                     m.classify_exact_fast, m.touched_mass):
+            with pytest.raises(ValidationError):
+                call(bad)
+        assert m.N == 1 and m.prototypes == [(3, 2)] and m.postings[0] == {3: [1]}
+
+    def test_numpy_integers_accepted(self):
+        m = Model(2, 10, 0)
+        assert m.insert_class(np.array([3, 2])) == 1
+        assert m.prototypes == [(3, 2)] and type(m.prototypes[0][0]) is int
+        assert m.classify(np.array([3, 2], dtype=np.uint8)).argmax == 1
+
+    @pytest.mark.parametrize("radius", [-1, 1.5, True])
+    def test_bad_radius_rejected(self, radius):
+        m = Model(2, 10, 1)
+        m.insert_class((3, 2))
+        with pytest.raises(ValidationError):
+            m.classify((3, 2), radius=radius)
+
+
+def check_query(m, q, radius):
+    """Every kernel entry point against the brute-force scan."""
+    expected = brute_force_counts(m, q, radius)
+    hist, touched = m.classify_counted(q, radius)
+    assert hist.counts == expected
+    best = max(expected.values(), default=0)
+    assert hist.max_count == best and bool(hist) == bool(expected)
+    assert hist.argmax == min((n for n, c in expected.items() if c == best), default=None)
+    assert m.classify(q, radius).counts == expected
+    assert touched == sum(expected.values()) == m.touched_mass(q, radius)
+    assert m.classify_exact_fast(q, radius) == (hist.argmax if best == m.K else None)
+
+
+@st.composite
+def interleaved(draw):
+    """A model shape, a radius override and a stream of inserts and queries."""
+    k = draw(st.integers(1, 5))
+    x_range = draw(st.sampled_from([2, 3, 7, 16, 40, 256, 300]))
+    r = draw(st.integers(0, x_range - 1))
+    radius = draw(st.sampled_from([None, 0, x_range - 1]))
+    vec = st.lists(st.integers(0, x_range - 1), min_size=k, max_size=k)
+    ops = draw(st.lists(st.tuples(st.booleans(), vec), max_size=80))
+    return Model(k, x_range, r), radius, ops
+
+
+class TestVotingKernel:
+    @given(interleaved())
+    def test_oracle_with_interleaved_inserts(self, case):
+        m, radius, ops = case
+        for insert, v in ops:
+            if insert:
+                m.insert_class(v)
+            else:
+                check_query(m, v, radius)
+
+    def test_tail_then_merge(self):
+        rng = np.random.default_rng(31)
+        m = Model(3, 20, 2)
+        rows = rng.integers(0, 20, size=(80, 3)).tolist()
+        queries = rng.integers(0, 20, size=(10, 3)).tolist()
+        for row in rows[:64]:
+            m.insert_class(row)
+        check_query(m, queries[0], None)
+        assert m._state[2] == 64  # snapshot covers every class
+        for row in rows[64:72]:
+            m.insert_class(row)
+        for q in queries:
+            check_query(m, q, None)
+        assert m._state[2] == 64  # eight classes vote from the tail
+        m.insert_class(rows[72])
+        for q in queries:
+            check_query(m, q, 0)
+        assert m._state[2] == 73  # the ninth outgrew an eighth: merged
+
+    def test_concurrent_readers_on_fresh_model(self, tmp_path):
+        rng = np.random.default_rng(37)
+        m = Model(4, 32, 3)
+        for row in rng.integers(0, 32, size=(1500, 4)).tolist():
+            m.insert_class(row)
+        save_model(m, tmp_path / "m.ipat")
+        queries = rng.integers(0, 32, size=(12, 4)).tolist()
+        expected = [brute_force_counts(m, q) for q in queries]
+
+        def reader(model, start, results, i):
+            start.wait()
+            results[i] = [model.classify(q).counts for q in queries]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):  # every round races four readers on a fresh snapshot
+                fresh = load_model(tmp_path / "m.ipat")
+                start, results = threading.Barrier(4), [None] * 4
+                threads = [threading.Thread(target=reader, args=(fresh, start, results, i))
+                           for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert results == [expected] * 4
+        finally:
+            sys.setswitchinterval(interval)

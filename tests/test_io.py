@@ -143,6 +143,14 @@ class TestCsv:
         p.write_text("a,b\n1,2\n")
         assert load_csv(p) == [(1.0, 2.0)]
 
+    def test_header_needs_every_token_non_numeric(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("unit,cycle,s1\n1,2,3\n")
+        assert load_csv(p) == [(1.0, 2.0, 3.0)]
+        p.write_text("1,zap\n2,3\n")
+        with pytest.raises(DataError, match="line 1"):
+            load_csv(p)
+
     def test_bad_cell_reported(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1,2\n1,zap\n")

@@ -21,6 +21,7 @@ from invpat import (
     select_pixels,
     train_pixels,
 )
+from invpat.vision import _match_winners, _winner_map
 
 
 def img(arr):
@@ -352,3 +353,19 @@ class TestDetectPipeline:
         assert detect_objects(level1, level2, masked, background, 2, 1) is None
         hit = detect_objects(level1, level2, masked, object_frame, 2, 1)
         assert hit is not None and hit[0] == 1
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("radius", [0, 6])
+def test_winner_map_matches_row_unique(channels, radius):
+    """Packed-key unique colours give the same map as np.unique over rows."""
+    rng = np.random.default_rng(channels)
+    px = rng.integers(0, 256, size=(24, 24, channels)).astype(np.uint8)
+    px[:4] = 255
+    m = Model(channels, 256, radius)
+    for row in px.reshape(-1, channels)[::5]:
+        m.insert_class(row.tolist())
+    masked = frozenset({2, 5})
+    uniq, inverse = np.unique(px.reshape(-1, channels), axis=0, return_inverse=True)
+    expected = _match_winners(m, uniq, None, masked)[inverse.ravel()].reshape(24, 24)
+    assert np.array_equal(_winner_map(m, RasterImage(px), masked=masked), expected)
