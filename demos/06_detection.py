@@ -2,25 +2,15 @@
 
 Training: difference of the background frame and the object frame gives a
 mask; the pixel model trains on the masked pixels; classes that also fire
-all over the background get masked out. Recognition: unmasked pixels are
-clustered by a propagating wave and each cluster's class histogram is
-recognized at a categorical second level.
+all over the background get masked out; the biggest cluster of the
+remaining pixels trains a categorical second level. ``train_detector`` does
+all of this. Recognition: unmasked pixels are clustered by a propagating
+wave and each cluster's class histogram is recognized at the second level.
 """
 
 import numpy as np
 
-from invpat import (
-    CategoricalModel,
-    Model,
-    RasterImage,
-    build_class_mask,
-    cluster_pixels,
-    detect_objects,
-    diff_mask,
-    histogram_to_metapattern,
-    select_pixel_classes,
-    train_pixels,
-)
+from invpat import RasterImage, detect_objects, train_detector
 
 rng = np.random.default_rng(4)
 palette = np.array([[12, 12, 12], [32, 32, 32], [52, 52, 52]], dtype=np.uint8)
@@ -30,20 +20,13 @@ frame[30:60, 30:60] = (220, 40, 40)   # striped toy object
 frame[38:52, 38:52] = (40, 220, 40)
 background, object_frame = RasterImage(bg), RasterImage(frame)
 
-level1 = Model(K=3, X=256, R=10)
-mask = diff_mask(background, object_frame, window=3, threshold=12)
-created = train_pixels(level1, object_frame, mask)
-masked = build_class_mask(level1, background, freq_threshold=3)
-print(f"trained {created} pixel classes from the difference image, "
+level1, level2, masked = train_detector(
+    background, object_frame, radius=10, window=3, threshold=12, freq_threshold=3,
+    cluster_dist=1, meta_threshold=2, meta_votes=1)
+print(f"trained {level1.N} pixel classes from the difference image, "
       f"{len(masked)} masked as background")
-
-classes = select_pixel_classes(level1, object_frame, masked)
-clusters = cluster_pixels(set(classes), d=1, classes=classes)
-level2 = CategoricalModel(level1.N, recognition_threshold=1, grow=True)
-biggest = max(clusters, key=lambda cl: len(cl.members))
-obj_class, _ = level2.train_step(histogram_to_metapattern(biggest.class_histogram, 2))
-print(f"object learned as second-level class {obj_class} "
-      f"from a {len(biggest.members)}-pixel cluster")
+print(f"object learned as second-level class {level2.N}, "
+      f"a meta-pattern of {len(level2.stored[-1])} pixel classes")
 
 for name, img in [("background frame", background), ("object frame", object_frame)]:
     hit = detect_objects(level1, level2, masked, img, meta_threshold=2, cluster_dist=1)

@@ -45,6 +45,7 @@ from .vision import (
     segment_image,
     select_pixel_classes,
     select_pixels,
+    train_detector,
     train_pixels,
 )
 from .netpbm import load_pnm, save_label_map, save_pnm

@@ -15,9 +15,8 @@ import time
 from . import __version__
 from .bench import run_bench
 from .errors import ConfigError, DataError, InvpatError, NoEvidenceError, ValidationError
-from .index import CategoricalModel, Model
+from .index import Model
 from .io_persist import (
-    ColumnSchema,
     FORMAT_VERSION,
     extract_parameter,
     load_csv,
@@ -27,18 +26,10 @@ from .io_persist import (
     save_histogram,
     save_model,
 )
-from .levels import UNLABELED, histogram_to_metapattern
+from .levels import UNLABELED
 from .netpbm import load_pnm, save_label_map
 from .predictor import build_param_index, predict_value
-from .vision import (
-    build_class_mask,
-    cluster_pixels,
-    detect_objects,
-    diff_mask,
-    segment_image,
-    select_pixel_classes,
-    train_pixels,
-)
+from .vision import detect_objects, segment_image, train_detector
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,9 +40,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _resolve_radius(args) -> int:
-    if getattr(args, "r_pct", None) is not None:
-        return round(args.r_pct / 100.0 * args.x)
+def _resolve_radius(args, x: int) -> int:
+    if args.r_pct is not None:
+        return round(args.r_pct / 100.0 * x)
     return args.r
 
 
@@ -91,8 +82,7 @@ def cmd_train(args) -> int:
             save_model(idx, args.model, schema=schema)
         return 0
     vectors = _vectors(rows, schema, args.x)
-    r = _resolve_radius(args)
-    model = Model(len(vectors[0]), args.x, r)
+    model = Model(len(vectors[0]), args.x, _resolve_radius(args, args.x))
     created = 0
     for v in vectors:
         _, new = model.train_step(v)
@@ -111,7 +101,7 @@ def cmd_classify(args) -> int:
     if not isinstance(model, Model):
         raise DataError(f"{args.model}: not a numeric model")
     rows = load_csv(args.data)
-    vectors = _vectors(rows, getattr(model, "schema", None), model.X)
+    vectors = _vectors(rows, model.schema, model.X)
     winners: dict[int, int] = {}
     print(_report_header(args))
     for i, v in enumerate(vectors):
@@ -129,7 +119,7 @@ def cmd_classify(args) -> int:
 def cmd_predict(args) -> int:
     idx = load_model(args.model)
     rows = load_csv(args.data)
-    schema = getattr(idx, "schema", None)
+    schema = idx.schema
     if (schema is not None and schema.parameter_index() is not None
             and len(rows[0]) == len(schema.columns) - 1):
         # test split without the parameter column: pad a placeholder
@@ -157,15 +147,10 @@ def cmd_segment(args) -> int:
     model = load_model(args.model)
     if not isinstance(model, Model):
         raise DataError(f"{args.model}: not a numeric pixel model")
-    table = getattr(model, "labels", None)
-    if table is None:
+    if model.labels is None:
         raise DataError(f"{args.model}: model carries no label table")
     img = load_pnm(args.image)
-    radius = None
-    if args.r is not None or args.r_pct is not None:
-        args.x = model.X
-        radius = _resolve_radius(args)
-    label_map = segment_image(model, table, img, radius=radius)
+    label_map = segment_image(model, model.labels, img, radius=_resolve_radius(args, model.X))
     labels = sorted({str(v) for v in label_map.ravel()})
     # deterministic palette: well-spread colors in label sort order
     base = [(230, 60, 60), (60, 160, 60), (60, 90, 220), (230, 200, 40),
@@ -182,24 +167,15 @@ def cmd_segment(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    background = load_pnm(args.background)
-    object_frame = load_pnm(args.object_frame)
-    model = Model(background.channels, 256, _resolve_radius(args))
-    mask = diff_mask(background, object_frame, args.window, args.threshold)
-    train_pixels(model, object_frame, mask)
-    masked = build_class_mask(model, background, args.freq_threshold)
-    # second level learns the object's cluster signature
-    level2 = CategoricalModel(max(model.N, 1), args.meta_votes, grow=True)
-    classes = select_pixel_classes(model, object_frame, masked)
-    clusters = cluster_pixels(set(classes), args.cluster_dist, classes)
-    for cl in sorted(clusters, key=lambda c: len(c.members), reverse=True)[:1]:
-        meta = histogram_to_metapattern(cl.class_histogram, args.meta_threshold)
-        if meta:
-            level2.train_step(meta)
+    level1, level2, masked = train_detector(
+        load_pnm(args.background), load_pnm(args.object_frame),
+        radius=_resolve_radius(args, 256), window=args.window, threshold=args.threshold,
+        freq_threshold=args.freq_threshold, cluster_dist=args.cluster_dist,
+        meta_threshold=args.meta_threshold, meta_votes=args.meta_votes)
     print(_report_header(args))
     for path in args.queries:
         img = load_pnm(path)
-        hit = detect_objects(model, level2, masked, img,
+        hit = detect_objects(level1, level2, masked, img,
                              args.meta_threshold, args.cluster_dist)
         if hit is None:
             print(f"{path} no-object")
@@ -210,7 +186,7 @@ def cmd_detect(args) -> int:
 
 def cmd_bench(args) -> int:
     n_list = [int(s) for s in args.n_list.split(",")]
-    report = run_bench(n_list, args.k, args.x, _resolve_radius(args), args.seed)
+    report = run_bench(n_list, args.k, args.x, _resolve_radius(args, args.x), args.seed)
     print(_report_header(args))
     print(report.table())
     if args.out:
@@ -219,12 +195,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(p, x_default=256):
-    p.add_argument("--x", type=int, default=x_default, help="feature range (exclusive)")
+def _add_radius(p, of: str):
     p.add_argument("--r", type=int, default=0, help="generalization radius")
     p.add_argument("--r-pct", type=float, default=None, dest="r_pct",
-                   help="radius as percentage of X (overrides --r)")
-    p.add_argument("--seed", type=int, default=0)
+                   help=f"radius as percentage of {of} (overrides --r)")
 
 
 def build_parser() -> _Parser:
@@ -235,7 +209,8 @@ def build_parser() -> _Parser:
     p.add_argument("data")
     p.add_argument("--schema", default=None)
     p.add_argument("--model", default=None, help="output model file")
-    _add_common(p)
+    p.add_argument("--x", type=int, default=256, help="feature range (exclusive)")
+    _add_radius(p, "X")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="classify table rows with a saved model")
@@ -269,14 +244,16 @@ def build_parser() -> _Parser:
     p.add_argument("--meta-threshold", type=int, default=2, dest="meta_threshold")
     p.add_argument("--meta-votes", type=int, default=1, dest="meta_votes",
                    help="second-level recognition threshold")
-    _add_common(p)
+    _add_radius(p, "256, the pixel value range")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("bench", help="latency-vs-K*h scaling report")
     p.add_argument("--n-list", default="1000,10000,100000", dest="n_list")
     p.add_argument("--k", type=int, default=26)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--x", type=int, default=256, help="feature range (exclusive)")
+    _add_radius(p, "X")
     p.set_defaults(func=cmd_bench)
     return parser
 

@@ -24,6 +24,21 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 
 
+def _vector(x, K: int, X: int) -> tuple[int, ...]:
+    """x as K Python ints in [0, X); bools, floats and other types are rejected."""
+    if len(x) != K:
+        raise ValidationError(f"expected {K} features, got {len(x)}")
+    exact = True
+    for v in x:
+        if type(v) is not int:  # the exact type test keeps plain ints on the fast path
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"feature value {v!r} is not an integer")
+            exact = False
+        if not 0 <= v < X:
+            raise ValidationError(f"feature value {v} outside [0, {X})")
+    return tuple(x) if exact else tuple(map(int, x))
+
+
 class ClassHistogram:
     """Vote counts per class id for one query.
 
@@ -92,33 +107,19 @@ class Model:
         self.N = 0
         self.postings: list[dict[int, list[int]]] = [{} for _ in range(K)]
         self.prototypes: list[tuple[int, ...]] = []
+        self.labels = None  # optional LabelTable of the classes, saved with the model
+        self.schema = None  # optional ColumnSchema of the training table, saved too
         self._base = [k * (self.X + 1) for k in range(self.K)]  # offsets index of (k, 0)
         # (classes covered, prototype array, snapshot size nf, ids, offsets)
         self._state = (0, np.empty((0, self.K), np.min_scalar_type(self.X - 1)), 0,
                        memoryview(np.empty(0, np.uint8)),
                        memoryview(np.zeros(self.K * (self.X + 1), np.int64)))
 
-    # -- validation ---------------------------------------------------------
-
-    def _vector(self, x) -> tuple[int, ...]:
-        """x as K Python ints in [0, X); bools, floats and other types are rejected."""
-        if len(x) != self.K:
-            raise ValidationError(f"expected {self.K} features, got {len(x)}")
-        exact = True
-        for v in x:
-            if type(v) is not int:  # the exact type test keeps plain ints on the fast path
-                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-                    raise ValidationError(f"feature value {v!r} is not an integer")
-                exact = False
-            if not 0 <= v < self.X:
-                raise ValidationError(f"feature value {v} outside [0, {self.X})")
-        return tuple(x) if exact else tuple(map(int, x))
-
     # -- training -----------------------------------------------------------
 
     def insert_class(self, x) -> int:
         """Store x as a new class and return its id (ids are dense, 1..N)."""
-        proto = self._vector(x)
+        proto = _vector(x, self.K, self.X)
         self.N += 1
         n = self.N
         for k, v in enumerate(proto):
@@ -145,8 +146,10 @@ class Model:
         outgrows it. ``offsets[_base[k] + v]`` is the position in ``ids`` of
         dimension k's first id with value >= v. Memoryviews slice and join
         faster than numpy views at small heights."""
-        covered, protos, nf, ids, offsets = self._state
+        covered, protos, nf, ids, offsets = state = self._state
         n = self.N
+        if covered == n:  # a concurrent reader published it since the caller looked
+            return state
         if len(protos) < n:  # grow by doubling; rows past N are never read
             protos = np.resize(protos, (max(n, 2 * len(protos)), self.K))
         protos[covered:n] = self.prototypes[covered:n]
@@ -166,7 +169,7 @@ class Model:
     def _votes(self, x, radius: int | None):
         """(votes, touched): ``votes[n]`` counts the dimensions where class n is
         within the radius of x; ``touched`` counts the entries of the K windows."""
-        x = self._vector(x)
+        x = _vector(x, self.K, self.X)
         r = self.R if radius is None else radius
         if isinstance(r, (bool, np.bool_)) or not isinstance(r, (int, np.integer)) or r < 0:
             raise ValidationError(f"radius must be a non-negative integer, got {r!r}")
@@ -237,6 +240,7 @@ class CategoricalModel:
         self.N = 0
         self.postings: dict[int, list[int]] = {}
         self.stored: list[frozenset[int]] = []
+        self.schema = None  # optional ColumnSchema, saved with the model
 
     def _check(self, present, training: bool) -> None:
         """Validate every category, then (training, grow mode) widen K."""

@@ -68,12 +68,6 @@ class ColumnSchema:
                 return i
         return None
 
-    def id_index(self) -> int | None:
-        for i, c in enumerate(self.columns):
-            if c.role == ROLE_ID:
-                return i
-        return None
-
     def to_dict(self) -> dict:
         return {"columns": [{"name": c.name, "role": c.role, "min": c.min, "max": c.max}
                             for c in self.columns]}
@@ -204,9 +198,8 @@ def _payload(obj, schema: ColumnSchema | None) -> dict:
     if isinstance(obj, Model):
         body = {"kind": "numeric", "K": obj.K, "X": obj.X, "R": obj.R,
                 "prototypes": [list(p) for p in obj.prototypes]}
-        labels = getattr(obj, "labels", None)
-        if labels is not None:
-            body["labels"] = {str(k): v for k, v in labels.labels().items()}
+        if obj.labels is not None:
+            body["labels"] = {str(k): v for k, v in obj.labels.labels().items()}
     elif isinstance(obj, CategoricalModel):
         body = {"kind": "categorical", "K": obj.K,
                 "threshold": obj.recognition_threshold, "grow": obj.grow,
@@ -224,6 +217,7 @@ def _payload(obj, schema: ColumnSchema | None) -> dict:
                            for lvl in obj.levels]}
     else:
         raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
+    schema = obj.schema if schema is None else schema
     if schema is not None:
         body["schema"] = schema.to_dict()
     return body
@@ -232,17 +226,15 @@ def _payload(obj, schema: ColumnSchema | None) -> dict:
 def _restore(body: dict):
     kind = body.get("kind")
     if kind == "numeric":
-        m = Model(body["K"], body["X"], body["R"])
+        obj = Model(body["K"], body["X"], body["R"])
         for proto in body["prototypes"]:
-            m.insert_class(proto)
+            obj.insert_class(proto)
         if "labels" in body:
-            m.labels = LabelTable({int(k): v for k, v in body["labels"].items()})
-        obj = m
+            obj.labels = LabelTable({int(k): v for k, v in body["labels"].items()})
     elif kind == "categorical":
-        m = CategoricalModel(body["K"], body["threshold"], grow=body["grow"])
+        obj = CategoricalModel(body["K"], body["threshold"], grow=body["grow"])
         for stored in body["stored"]:
-            m.insert_class(stored)
-        obj = m
+            obj.insert_class(stored)
     elif kind == "param_index":
         obj = ParamIndex([[(v, t, c) for v, pairs in table for t, c in pairs]
                           for table in body["tables"]], body["X"])
@@ -261,6 +253,7 @@ def _restore(body: dict):
 
 
 def save_model(obj, path, schema: ColumnSchema | None = None) -> None:
+    """Write obj with ``schema``, or with the schema it carries when none is given."""
     payload = json.dumps(_payload(obj, schema), sort_keys=True,
                          separators=(",", ":")).encode()
     with open(path, "wb") as fh:

@@ -88,6 +88,7 @@ class LevelStack:
             if not isinstance(lvl.model, CategoricalModel):
                 raise ConfigError(f"level {i} must be categorical")
         self.levels = list(levels)
+        self.schema = None  # optional ColumnSchema, saved with the stack
 
     def run(self, inputs, train: bool = False) -> ClassHistogram:
         """Feed a sequence of level-1 patterns through the stack.

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoEvidenceError, ValidationError
+from .index import _vector
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,7 @@ class ParamIndex:
         self.rows = int(tables[0][:, 2].sum())
         self.t_min = int(self._t_values[0]) if self._t_values.size else None
         self.t_max = int(self._t_values[-1]) if self._t_values.size else None
-
-    def _check(self, x) -> None:
-        if len(x) != self.K:
-            raise ValidationError(f"expected {self.K} features, got {len(x)}")
-        for v in x:
-            if not 0 <= v < self.X:
-                raise ValidationError(f"feature value {v} outside [0, {self.X})")
+        self.schema = None  # optional ColumnSchema, saved with the index
 
     def tables(self) -> list[dict[int, dict[int, int]]]:
         """Plain-dict view of the count tables (for persistence and tests)."""
@@ -92,14 +87,22 @@ class ParamIndex:
 
     def _accumulate(self, x) -> np.ndarray:
         """Summed counts of the K tables addressed by x, indexed by t rank."""
-        self._check(x)
-        cells = np.arange(0, self.K * self.X, self.X) + np.asarray(x, dtype=np.int64)
+        x = np.array(_vector(x, self.K, self.X), dtype=np.int64)
+        cells = np.arange(0, self.K * self.X, self.X) + x
         lo, size = self._offsets[cells], self._offsets[cells + 1] - self._offsets[cells]
         # positions lo[k] .. lo[k] + size[k] - 1 of every k, as one index array
         pick = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
         acc = np.bincount(self._t_rank[pick], weights=self._count[pick],
                           minlength=len(self._t_values))
         return acc.astype(np.int64)
+
+
+def _int_column(values, name: str) -> np.ndarray:
+    """values as int64; a bool, float or other non-integer gives another dtype."""
+    column = np.array(values)
+    if column.dtype.kind not in "iu" or not np.can_cast(column.dtype, np.int64):
+        raise ValidationError(f"{name} holds values that are not int64 integers ({column.dtype})")
+    return column.astype(np.int64)
 
 
 def build_param_index(rows, X: int) -> ParamIndex:
@@ -109,12 +112,11 @@ def build_param_index(rows, X: int) -> ParamIndex:
         raise ValidationError("cannot build a parameter index from no rows")
     if len({len(x) for x, _ in rows}) > 1:
         raise ValidationError("feature vectors differ in length")
-    t_values, t_rank = np.unique(np.array([t for _, t in rows], dtype=np.int64),
-                                 return_inverse=True)
+    t_values, t_rank = np.unique(_int_column([t for _, t in rows], "t"), return_inverse=True)
     T = len(t_values)
     tables = []
     for k in range(len(rows[0][0])):
-        v = np.array([x[k] for x, _ in rows], dtype=np.int64)
+        v = _int_column([x[k] for x, _ in rows], f"dimension {k}")
         if v.min() < 0 or v.max() >= X:  # checked before v * T can overflow
             raise ValidationError(f"feature value outside [0, {X}) in dimension {k}")
         # one key per (v, t) pair, so sorted keys are the sorted (v, t) pairs

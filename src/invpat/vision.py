@@ -158,18 +158,15 @@ def _winner_map(model: Model, img: RasterImage, radius: int | None = None,
     return winners[inverse].reshape(img.height, img.width)
 
 
-def build_class_mask(model: Model, background: RasterImage, freq_threshold: int,
-                     fraction: bool = False) -> set[int]:
+def build_class_mask(model: Model, background: RasterImage, freq_threshold: int) -> set[int]:
     """Classes that fully match too many background pixels.
 
     A class enters the mask set when it wins (full match) on more than
-    ``freq_threshold`` background pixels; with ``fraction=True`` the
-    threshold is a fraction of the pixel count instead.
+    ``freq_threshold`` background pixels.
     """
     wins = _winner_map(model, background)
     ids, counts = np.unique(wins[wins > 0], return_counts=True)
-    limit = freq_threshold * background.height * background.width if fraction else freq_threshold
-    return {int(n) for n, c in zip(ids, counts) if c > limit}
+    return {int(n) for n, c in zip(ids, counts) if c > freq_threshold}
 
 
 def select_pixel_classes(model: Model, img: RasterImage,
@@ -270,6 +267,30 @@ def detect_objects(level1: Model, level2: CategoricalModel, masked, img: RasterI
         return None
     clusters = cluster_pixels(set(classes), cluster_dist, classes)
     return recognize_clusters(level2, clusters, meta_threshold)
+
+
+def train_detector(background: RasterImage, object_frame: RasterImage, *, radius: int,
+                   window: int, threshold: int, freq_threshold: int, cluster_dist: int,
+                   meta_threshold: int, meta_votes: int) -> tuple[Model, CategoricalModel, set]:
+    """Train a two-level detector; returns (level1, level2, masked) for ``detect_objects``.
+
+    The pixel model (X=256) trains on the object-frame pixels the difference
+    image marks, its classes winning on more than ``freq_threshold`` background
+    pixels are masked, and the largest cluster of the rest (the first on ties)
+    trains level 2, whose recognition threshold is ``meta_votes``. With no
+    cluster or an empty meta-pattern, level 2 stays empty."""
+    level1 = Model(background.channels, 256, radius)
+    train_pixels(level1, object_frame, diff_mask(background, object_frame, window, threshold))
+    masked = build_class_mask(level1, background, freq_threshold)
+    level2 = CategoricalModel(max(level1.N, 1), meta_votes, grow=True)
+    classes = select_pixel_classes(level1, object_frame, masked)
+    clusters = cluster_pixels(set(classes), cluster_dist, classes)
+    if clusters:
+        biggest = max(clusters, key=lambda cl: len(cl.members))
+        meta = histogram_to_metapattern(biggest.class_histogram, meta_threshold)
+        if meta:
+            level2.train_step(meta)
+    return level1, level2, masked
 
 
 # -- segmentation ---------------------------------------------------------------

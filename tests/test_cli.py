@@ -159,3 +159,36 @@ class TestBench:
                            "--x", "32", "--seed", "1", "--out", str(out_path))
         assert code == 0
         assert "R^2" in out and out_path.exists()
+
+
+class TestRadiusFlags:
+    def scene(self, tmp_path):
+        rng = np.random.default_rng(149)
+        palette = np.array([[10, 10, 10], [30, 30, 30], [50, 50, 50]], dtype=np.uint8)
+        bg = palette[rng.integers(0, 3, size=(32, 32))]
+        frame = bg.copy()
+        frame[8:20, 8:20] = (220, 40, 40)
+        bg_path, fr_path = tmp_path / "bg.ppm", tmp_path / "fr.ppm"
+        save_pnm(RasterImage(bg), bg_path)
+        save_pnm(RasterImage(frame), fr_path)
+        return [str(bg_path), str(fr_path), str(bg_path), str(fr_path)]
+
+    def test_detect_r_pct_is_a_percentage_of_256(self, capsys, tmp_path):
+        paths = self.scene(tmp_path)
+        results = []
+        for radius in (["--r", "10"], ["--r-pct", "4"]):  # 4% of 256 rounds to 10
+            code, out, _ = run(capsys, "detect", *paths, *radius, "--freq-threshold", "3")
+            assert code == 0
+            results.append([ln for ln in out.splitlines() if not ln.startswith("#")])
+        assert results[0] == results[1] and "object=1" in results[0][1]
+
+    def test_detect_has_no_x_flag(self, capsys, tmp_path):
+        code, _, err = run(capsys, "detect", *self.scene(tmp_path), "--x", "100",
+                           "--r-pct", "10")
+        assert code == 1 and "--x" in err
+
+    def test_train_has_no_seed_flag(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("1,2\n3,4\n")
+        code, _, err = run(capsys, "train", str(data), "--x", "16", "--seed", "1")
+        assert code == 1 and "--seed" in err

@@ -420,3 +420,13 @@ class TestVotingKernel:
                 assert results == [expected] * 4
         finally:
             sys.setswitchinterval(interval)
+
+
+def test_refresh_of_a_current_snapshot_keeps_it():
+    """A reader that finds the snapshot already published by another reader
+    (it looked before that reader finished) uses it as it is."""
+    m = Model(2, 8, 1)
+    m.insert_class((1, 2))
+    state = m._refresh()
+    assert m._refresh() is state
+    assert m.classify((2, 3)).counts == {1: 2}

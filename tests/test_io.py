@@ -387,3 +387,35 @@ def test_uniform_schema():
     s = uniform_schema(3)
     assert s.feature_indices() == [0, 1, 2]
     assert s.parameter_index() is None
+
+
+def schema_carriers():
+    numeric = Model(2, 16, 0)
+    numeric.insert_class((1, 2))
+    categorical = CategoricalModel(4, 1)
+    categorical.insert_class({1, 3})
+    return [numeric, categorical, build_param_index([((1, 2), 7)], X=16),
+            LevelStack([Level(numeric, 1, None), Level(categorical, 1, None)])]
+
+
+@pytest.mark.parametrize("obj", schema_carriers(), ids=lambda o: type(o).__name__)
+def test_schema_survives_a_resave(obj, tmp_path):
+    assert obj.schema is None
+    schema = ColumnSchema([ColumnSpec("a", "feature", 0.0, 9.5),
+                           ColumnSpec("b", "feature", -1.0, 1.0)])
+    a, b, c = tmp_path / "a.ipat", tmp_path / "b.ipat", tmp_path / "c.ipat"
+    save_model(obj, a, schema=schema)
+    back = load_model(a)
+    assert back.schema.to_dict() == schema.to_dict()
+    save_model(back, b)
+    assert b.read_bytes() == a.read_bytes()
+    save_model(back, c, schema=uniform_schema(2))  # an explicit schema wins
+    assert load_model(c).schema.to_dict() == uniform_schema(2).to_dict()
+
+
+def test_labels_are_declared():
+    m = Model(2, 16, 0)
+    assert m.labels is None
+    assert roundtrip(m).labels is None
+    m.labels = LabelTable({m.insert_class((1, 2)): "water"})
+    assert roundtrip(m).labels.labels() == {1: "water"}

@@ -173,3 +173,28 @@ class TestSpread:
     def test_empty(self):
         with pytest.raises(NoEvidenceError):
             histogram_spread(ParamHistogram({}))
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("rows", [
+        [((1, 2), 7.9)],    # float t
+        [((1.7, 2), 7)],    # float feature value
+        [((True, 2), 7)],   # bool feature value
+        [((1, 2), True)],   # bool t
+    ])
+    def test_build_rejects_non_integers(self, rows):
+        with pytest.raises(ValidationError):
+            build_param_index(rows, X=4)
+
+    @pytest.mark.parametrize("query", [(1.6, 2), (True, 2), (np.float64(1), 2), ("1", 2)])
+    def test_predict_rejects_non_integers(self, query):
+        idx = build_param_index([((1, 2), 7)], X=4)
+        with pytest.raises(ValidationError):
+            predict_value(idx, query)
+        with pytest.raises(ValidationError):
+            predict_histogram(idx, query)
+
+    def test_numpy_integers_accepted(self):
+        idx = build_param_index([((np.int64(1), np.uint8(2)), np.int32(7))], X=4)
+        assert idx.tables() == [{1: {7: 1}}, {2: {7: 1}}]
+        assert predict_value(idx, np.array([1, 2], dtype=np.uint8)) == 7

@@ -15,10 +15,12 @@ from invpat import (
     cluster_pixels,
     detect_objects,
     diff_mask,
+    histogram_to_metapattern,
     recognize_clusters,
     segment_image,
     select_pixel_classes,
     select_pixels,
+    train_detector,
     train_pixels,
 )
 from invpat.vision import _match_winners, _winner_map
@@ -369,3 +371,65 @@ def test_winner_map_matches_row_unique(channels, radius):
     uniq, inverse = np.unique(px.reshape(-1, channels), axis=0, return_inverse=True)
     expected = _match_winners(m, uniq, None, masked)[inverse.ravel()].reshape(24, 24)
     assert np.array_equal(_winner_map(m, RasterImage(px), masked=masked), expected)
+
+
+def detection_scene(seed, tones, size, outer, inner):
+    """A three-tone background and the same frame with a two-colour square."""
+    rng = np.random.default_rng(seed)
+    palette = np.array([[t] * 3 for t in tones], dtype=np.uint8)
+    bg = palette[rng.integers(0, 3, size=(size, size))]
+    frame = bg.copy()
+    frame[outer[0]:outer[1], outer[0]:outer[1]] = (220, 40, 40)
+    frame[inner[0]:inner[1], inner[0]:inner[1]] = (40, 220, 40)
+    return img(bg), img(frame)
+
+
+CRITERION_10_SCENE = (10, (12, 32, 52), 96, (30, 60), (38, 52))
+PIPELINE_SCENE = (113, (10, 30, 50), 40, (10, 20), (12, 18))  # TestDetectPipeline's
+
+
+def spelled_out_detector(background, object_frame):
+    """The training steps as acceptance criterion 10 and TestDetectPipeline
+    write them (R=10, window 3, threshold 12, mask above 3 wins, d=1,
+    meta-threshold 2, one vote)."""
+    level1 = Model(3, 256, 10)
+    train_pixels(level1, object_frame, diff_mask(background, object_frame, 3, 12))
+    masked = build_class_mask(level1, background, 3)
+    classes = select_pixel_classes(level1, object_frame, masked)
+    clusters = cluster_pixels(set(classes), 1, classes)
+    level2 = CategoricalModel(level1.N, 1, grow=True)
+    biggest = max(clusters, key=lambda cl: len(cl.members))
+    level2.train_step(histogram_to_metapattern(biggest.class_histogram, 2))
+    return level1, level2, masked
+
+
+def trained_detector(background, object_frame, meta_threshold):
+    return train_detector(background, object_frame, radius=10, window=3, threshold=12,
+                          freq_threshold=3, cluster_dist=1, meta_threshold=meta_threshold,
+                          meta_votes=1)
+
+
+class TestTrainDetector:
+    @pytest.mark.parametrize("scene", [CRITERION_10_SCENE, PIPELINE_SCENE])
+    def test_matches_spelled_out_recipe(self, scene):
+        background, object_frame = detection_scene(*scene)
+        want1, want2, want_masked = spelled_out_detector(background, object_frame)
+        level1, level2, masked = trained_detector(background, object_frame, 2)
+        assert level1.prototypes == want1.prototypes and level1.R == 10
+        assert masked == want_masked
+        assert level2.stored == want2.stored and level2.N == 1
+        assert (level2.K, level2.recognition_threshold) == (want2.K, 1)
+        for frame in (background, object_frame):
+            assert (detect_objects(level1, level2, masked, frame, 2, 1)
+                    == detect_objects(want1, want2, want_masked, frame, 2, 1))
+
+    def test_scene_without_object(self):
+        background, _ = detection_scene(*PIPELINE_SCENE)
+        level1, level2, masked = trained_detector(background, background, 2)
+        assert (level1.N, level2.N, masked) == (0, 0, set())
+        assert detect_objects(level1, level2, masked, background, 2, 1) is None
+
+    def test_empty_meta_pattern_leaves_level2_untrained(self):
+        background, object_frame = detection_scene(*PIPELINE_SCENE)
+        level1, level2, _ = trained_detector(background, object_frame, 10**6)
+        assert level1.N > 0 and level2.N == 0
