@@ -15,7 +15,7 @@ import time
 from . import __version__
 from .bench import run_bench
 from .errors import ConfigError, DataError, InvpatError, NoEvidenceError, ValidationError
-from .index import Model
+from .index import Model, _radius
 from .io_persist import (
     FORMAT_VERSION,
     extract_parameter,
@@ -149,8 +149,12 @@ def cmd_segment(args) -> int:
         raise DataError(f"{args.model}: not a numeric pixel model")
     if model.labels is None:
         raise DataError(f"{args.model}: model carries no label table")
+    radius = _radius(_resolve_radius(args, model.X), model.R)  # checked first: usage, exit 1
     img = load_pnm(args.image)
-    label_map = segment_image(model, model.labels, img, radius=_resolve_radius(args, model.X))
+    try:  # an image the model cannot read is a data error, named by its path
+        label_map = segment_image(model, model.labels, img, radius=radius)
+    except ValidationError as exc:
+        raise DataError(f"{args.image}: {exc}") from exc
     labels = sorted({str(v) for v in label_map.ravel()})
     # deterministic palette: well-spread colors in label sort order
     base = [(230, 60, 60), (60, 160, 60), (60, 90, 220), (230, 200, 40),

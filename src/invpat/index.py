@@ -39,6 +39,14 @@ def _vector(x, K: int, X: int) -> tuple[int, ...]:
     return tuple(x) if exact else tuple(map(int, x))
 
 
+def _radius(radius, default: int) -> int:
+    """radius (default when None) as a Python int; bools, floats and negatives are rejected."""
+    r = default if radius is None else radius
+    if isinstance(r, (bool, np.bool_)) or not isinstance(r, (int, np.integer)) or r < 0:
+        raise ValidationError(f"radius must be a non-negative integer, got {r!r}")
+    return int(r)
+
+
 class ClassHistogram:
     """Vote counts per class id for one query.
 
@@ -170,10 +178,8 @@ class Model:
         """(votes, touched): ``votes[n]`` counts the dimensions where class n is
         within the radius of x; ``touched`` counts the entries of the K windows."""
         x = _vector(x, self.K, self.X)
-        r = self.R if radius is None else radius
-        if isinstance(r, (bool, np.bool_)) or not isinstance(r, (int, np.integer)) or r < 0:
-            raise ValidationError(f"radius must be a non-negative integer, got {r!r}")
-        r, top = int(r), self.X - int(r)  # windows are [max(v - r, 0), min(v + r + 1, X))
+        r = _radius(radius, self.R)
+        top = self.X - r  # windows are [max(v - r, 0), min(v + r + 1, X))
         state = self._state
         if state[0] != self.N:
             state = self._refresh()

@@ -97,10 +97,11 @@ class ParamIndex:
         return acc.astype(np.int64)
 
 
-def _int_column(values, name: str) -> np.ndarray:
-    """values as int64; a bool, float or other non-integer gives another dtype."""
-    column = np.array(values)
-    if column.dtype.kind not in "iu" or not np.can_cast(column.dtype, np.int64):
+def _int_column(values: list, name: str) -> np.ndarray:
+    """values as int64; a bool, float or other non-integer is rejected."""
+    column = np.array(values)  # reads a bool among ints as 0 or 1, so those are type-checked
+    if column.dtype.kind not in "iu" or not np.can_cast(column.dtype, np.int64) or any(
+            isinstance(values[i], (bool, np.bool_)) for i in np.flatnonzero(column <= 1)):
         raise ValidationError(f"{name} holds values that are not int64 integers ({column.dtype})")
     return column.astype(np.int64)
 

@@ -6,7 +6,9 @@ and paints the label of the winning inner class. Detection against an
 arbitrary background trains on a thresholded difference image, masks the
 pixel classes that fire on the background, groups the surviving pixels
 with a propagating wave and recognizes each cluster's class histogram at
-a categorical second level.
+a categorical second level. Both find a pixel's winning class through
+inverse patterns: per channel, a table from each sample value to every
+class within R of it, ANDed across the channels.
 
 Masks are plain boolean numpy arrays of shape (height, width).
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .index import CategoricalModel, ClassHistogram, Model
+from .index import CategoricalModel, ClassHistogram, Model, _radius
 from .levels import UNLABELED, LabelTable, histogram_to_metapattern
 
 
@@ -110,52 +112,38 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
 
 def _match_winners(model: Model, colors: np.ndarray, radius: int | None = None,
                    masked: frozenset[int] | set[int] | None = None) -> np.ndarray:
-    """Smallest unmasked fully matching class id per color row (0 = none).
+    """Smallest unmasked fully matching class id per row of 8-bit samples (0 = none).
 
     Full match means Chebyshev distance <= R from a stored prototype, i.e.
-    a vote count of K under classification. Vectorized over colors; exact
-    equality gets a dictionary path so R=0 stays fast at large N.
+    a vote count of K under classification. The inverse pattern of channel
+    c is a table ``T_c[v, n]``: class n lies within R of sample value v
+    there and is not masked; column 0 stands for "no class" and never
+    matches. A color's winner is the first True column of the AND of its
+    channels' rows (a range-encoded bitmap index, Chan & Ioannidis).
     """
-    r_max = model.R if radius is None else radius
-    winners = np.zeros(len(colors), dtype=np.int64)
-    if model.N == 0 or len(colors) == 0:
-        return winners
-    masked = masked or frozenset()
-    if r_max == 0:
-        lut: dict[tuple[int, ...], int] = {}
-        for n in range(model.N, 0, -1):  # reverse so smaller ids overwrite
-            if n not in masked:
-                lut[model.prototypes[n - 1]] = n
-        for i, row in enumerate(colors):
-            winners[i] = lut.get(tuple(int(v) for v in row), 0)
-        return winners
-    protos = np.asarray(model.prototypes, dtype=np.int16)
-    ids = np.arange(1, model.N + 1)
-    if masked:
-        keep = np.array([n not in masked for n in ids])
-        protos, ids = protos[keep], ids[keep]
-        if len(ids) == 0:
-            return winners
-    colors = colors.astype(np.int16)
-    chunk = max(1, 4_000_000 // max(1, len(ids) * protos.shape[1]))
+    r = _radius(radius, model.R)
+    protos = np.array([(0,) * model.K, *model.prototypes], np.int64)  # row 0: "no class"
+    live = ~np.isin(np.arange(model.N + 1), [0, *(masked or ())])
+    values = np.arange(256)[:, None]
+    tables = [(np.abs(values - protos[:, c]) <= r) & live for c in range(model.K)]
+    winners = np.empty(len(colors), np.int64)
+    chunk = max(1, 4_000_000 // (model.N + 1))  # bounds the gathered rows
     for start in range(0, len(colors), chunk):
         block = colors[start:start + chunk]
-        hit = np.abs(block[:, None, :] - protos[None, :, :]).max(axis=2) <= r_max
-        any_hit = hit.any(axis=1)
-        first = np.argmax(hit, axis=1)
-        winners[start:start + chunk] = np.where(any_hit, ids[first], 0)
+        hit = tables[0][block[:, 0]]
+        for c in range(1, model.K):
+            hit &= tables[c][block[:, c]]
+        winners[start:start + chunk] = hit.argmax(axis=1)
     return winners
 
 
 def _winner_map(model: Model, img: RasterImage, radius: int | None = None,
                 masked=None) -> np.ndarray:
-    """Per-pixel winner ids via unique-color classification; a pixel's key
-    packs its channels big-endian, so the keys sort like the colors."""
-    shifts = 8 * np.arange(img.channels - 1, -1, -1)
-    keys = (img.pixels.reshape(-1, img.channels).astype(np.int64) << shifts).sum(axis=1)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    winners = _match_winners(model, (uniq[:, None] >> shifts) & 0xFF, radius, masked)
-    return winners[inverse].reshape(img.height, img.width)
+    """Per-pixel winner ids (0 = none) of the image's samples."""
+    if model.K != img.channels:
+        raise ValidationError(f"model K={model.K} does not match {img.channels} channels")
+    wins = _match_winners(model, img.pixels.reshape(-1, img.channels), radius, masked)
+    return wins.reshape(img.height, img.width)
 
 
 def build_class_mask(model: Model, background: RasterImage, freq_threshold: int) -> set[int]:

@@ -152,6 +152,32 @@ class TestDetectSegment:
         assert "water" in open(legend).read()
 
 
+    def segment_model(self, tmp_path):
+        from invpat import LabelTable
+
+        m = Model(3, 256, 0)
+        m.labels = LabelTable()
+        m.labels.attach(m.insert_class((0, 0, 200)), "water")
+        save_model(m, tmp_path / "m.ipat")
+        return str(tmp_path / "m.ipat")
+
+    def test_segment_grayscale_against_rgb_model_is_data_error(self, capsys, tmp_path):
+        model = self.segment_model(tmp_path)
+        image = tmp_path / "gray.pgm"
+        save_pnm(RasterImage(np.zeros((2, 2), dtype=np.uint8)), image)
+        code, _, err = run(capsys, "segment", str(image), "--model", model,
+                           "--out", str(tmp_path / "labels.ppm"))
+        assert code == 2 and "gray.pgm" in err and "channels" in err
+
+    def test_segment_negative_radius_is_usage_error(self, capsys, tmp_path):
+        model = self.segment_model(tmp_path)
+        image = tmp_path / "i.ppm"
+        save_pnm(RasterImage(np.zeros((2, 2, 3), dtype=np.uint8)), image)
+        code, _, err = run(capsys, "segment", str(image), "--model", model, "--r", "-1",
+                           "--out", str(tmp_path / "labels.ppm"))
+        assert code == 1 and "radius" in err
+
+
 class TestBench:
     def test_small_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "bench.txt"

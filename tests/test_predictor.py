@@ -194,6 +194,14 @@ class TestIntegerInputs:
         with pytest.raises(ValidationError):
             predict_histogram(idx, query)
 
+    @pytest.mark.parametrize("rows", [
+        [((1, 2), 7), ((True, 2), 7)],          # bool among int feature values
+        [((1, 2), 7), ((1, 2), np.bool_(1))],   # bool among int t
+    ])
+    def test_build_rejects_bools_among_ints(self, rows):
+        with pytest.raises(ValidationError):
+            build_param_index(rows, X=4)
+
     def test_numpy_integers_accepted(self):
         idx = build_param_index([((np.int64(1), np.uint8(2)), np.int32(7))], X=4)
         assert idx.tables() == [{1: {7: 1}}, {2: {7: 1}}]

@@ -11,6 +11,7 @@ from invpat import (
     Model,
     RasterImage,
     UNLABELED,
+    ValidationError,
     build_class_mask,
     cluster_pixels,
     detect_objects,
@@ -433,3 +434,58 @@ class TestTrainDetector:
         background, object_frame = detection_scene(*PIPELINE_SCENE)
         level1, level2, _ = trained_detector(background, object_frame, 10**6)
         assert level1.N > 0 and level2.N == 0
+
+
+def brute_winners(model, colors, radius, masked):
+    """Smallest unmasked class within Chebyshev distance radius, by a scan."""
+    return [min((n for n, p in enumerate(model.prototypes, start=1) if n not in masked
+                 and max(abs(int(a) - b) for a, b in zip(color, p)) <= radius), default=0)
+            for color in colors]
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("radius", [0, 3, 255])
+@pytest.mark.parametrize("masking", ["none", "some", "all"])
+@pytest.mark.parametrize("classes, x_range", [(0, 256), (25, 256), (25, 70000)])
+def test_match_winners_oracle(channels, radius, masking, classes, x_range):
+    """The inverse-pattern tables give the brute-force winners, also for no
+    classes, no colours and prototype values past the 8-bit sample range."""
+    rng = np.random.default_rng(channels * 1000 + radius)
+    m = Model(channels, x_range, 0)
+    for row in rng.integers(0, 256, size=(classes, channels)):
+        m.insert_class(row.tolist())
+    if classes and x_range > 256:
+        m.insert_class([32768] * channels)
+        m.insert_class([x_range - 1] + [0] * (channels - 1))
+    masked = {"none": set(), "some": set(range(1, m.N + 1, 3)),
+              "all": set(range(1, m.N + 1))}[masking]
+    colors = rng.integers(0, 256, size=(60, channels)).astype(np.uint8)
+    colors[:10] = np.clip(m.prototypes[:10], 0, 255) if m.N else 0
+    got = _match_winners(m, colors, radius, masked)
+    assert got.tolist() == brute_winners(m, colors, radius, masked)
+    assert _match_winners(m, colors[:0], radius, masked).shape == (0,)
+
+
+class TestImageChecks:
+    @pytest.mark.parametrize("model_k, image_channels", [(1, 3), (3, 1)])
+    def test_channel_mismatch_rejected(self, model_k, image_channels):
+        m = Model(model_k, 256, 0)
+        m.insert_class([5] * model_k)
+        table = LabelTable()
+        table.attach(1, "a")
+        frame = img(np.full((3, 3, image_channels), 5))
+        for call in (lambda: segment_image(m, table, frame),
+                     lambda: build_class_mask(m, frame, 0),
+                     lambda: select_pixel_classes(m, frame, set())):
+            with pytest.raises(ValidationError, match="channels"):
+                call()
+
+    @pytest.mark.parametrize("radius", [-1, True, 2.5])
+    def test_bad_radius_rejected(self, radius):
+        m = Model(3, 256, 0)
+        m.insert_class((5, 5, 5))
+        frame = img(np.full((3, 3, 3), 5))
+        with pytest.raises(ValidationError, match="radius"):
+            segment_image(m, LabelTable(), frame, radius=radius)
+        with pytest.raises(ValidationError, match="radius"):
+            m.classify((5, 5, 5), radius=radius)
