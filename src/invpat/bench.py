@@ -15,6 +15,8 @@ import numpy as np
 
 from .index import Model
 
+ROUNDS = 8  # passes over the query list per timed repeat, so a repeat outlasts timer noise
+
 
 @dataclass
 class BenchPoint:
@@ -56,7 +58,8 @@ def run_bench(n_list, k: int, x: int, r: int, seed: int,
     """Sweep class counts, timing classification against K * h.
 
     One warm-up pass is excluded; the reported latency is the median over
-    ``repeats`` timed passes of the per-query mean.
+    ``repeats`` timed repeats of the per-query mean, each repeat running the
+    query list ``ROUNDS`` times.
     """
     rng = np.random.default_rng(seed)
     points = []
@@ -70,9 +73,10 @@ def run_bench(n_list, k: int, x: int, r: int, seed: int,
         reps = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            for q in qs:
-                model.classify(q)
-            reps.append((time.perf_counter() - t0) / len(qs))
+            for _ in range(ROUNDS):
+                for q in qs:
+                    model.classify(q)
+            reps.append((time.perf_counter() - t0) / (ROUNDS * len(qs)))
         touched = float(np.mean([model.touched_mass(q) for q in qs]))
         h = model.avg_height()
         points.append(BenchPoint(n, h, k * h, touched, float(np.median(reps))))

@@ -52,11 +52,15 @@ def _report_header(args) -> str:
     return f"# invpat {__version__} format={FORMAT_VERSION} config={json.dumps(cfg)}"
 
 
-def _vectors(rows, schema, x_range):
-    """Feature vectors from raw rows; no schema means raw integers."""
-    if schema is None:
-        return [tuple(int(v) for v in r) for r in rows]
-    return normalize_columns(rows, schema, x_range)
+def _vectors(path, rows, schema, x_range):
+    """Feature vectors from raw rows; no schema means integral cells, taken as ints."""
+    if schema is not None:
+        return normalize_columns(rows, schema, x_range)
+    vectors = [tuple(map(int, r)) for r in rows]
+    if vectors != rows:  # int() dropped the fraction of some cell
+        i = next(i for i, (v, r) in enumerate(zip(vectors, rows)) if v != r)
+        raise DataError(f"{path}: row {i}: non-integer cell in {rows[i]}")
+    return vectors
 
 
 def _row(path, i, fn, *args):
@@ -71,9 +75,12 @@ def cmd_train(args) -> int:
     schema = load_schema(args.schema) if args.schema else None
     t0 = time.perf_counter()
     if schema is not None and schema.parameter_index() is not None:
-        vectors = _vectors(rows, schema, args.x)
+        vectors = _vectors(args.data, rows, schema, args.x)
         ts = extract_parameter(rows, schema)
-        idx = build_param_index(list(zip(vectors, ts)), X=args.x)
+        try:  # a table the index rejects is a data error, named by its path
+            idx = build_param_index(list(zip(vectors, ts)), X=args.x)
+        except ValidationError as exc:
+            raise DataError(f"{args.data}: {exc}") from exc
         elapsed = time.perf_counter() - t0
         print(_report_header(args))
         print(f"param-index rows={idx.rows} K={idx.K} X={idx.X} "
@@ -81,11 +88,11 @@ def cmd_train(args) -> int:
         if args.model:
             save_model(idx, args.model, schema=schema)
         return 0
-    vectors = _vectors(rows, schema, args.x)
+    vectors = _vectors(args.data, rows, schema, args.x)
     model = Model(len(vectors[0]), args.x, _resolve_radius(args, args.x))
     created = 0
-    for v in vectors:
-        _, new = model.train_step(v)
+    for i, v in enumerate(vectors):
+        _, new = _row(args.data, i, model.train_step, v)
         created += int(new)
     elapsed = time.perf_counter() - t0
     print(_report_header(args))
@@ -101,7 +108,7 @@ def cmd_classify(args) -> int:
     if not isinstance(model, Model):
         raise DataError(f"{args.model}: not a numeric model")
     rows = load_csv(args.data)
-    vectors = _vectors(rows, model.schema, model.X)
+    vectors = _vectors(args.data, rows, model.schema, model.X)
     winners: dict[int, int] = {}
     print(_report_header(args))
     for i, v in enumerate(vectors):
@@ -125,7 +132,7 @@ def cmd_predict(args) -> int:
         # test split without the parameter column: pad a placeholder
         pi = schema.parameter_index()
         rows = [r[:pi] + (0.0,) + r[pi:] for r in rows]
-    vectors = _vectors(rows, schema, idx.X)
+    vectors = _vectors(args.data, rows, schema, idx.X)
     predicted: dict[int, int] = {}
     print(_report_header(args))
     t0 = time.perf_counter()

@@ -11,10 +11,14 @@ Classification counts one vote per class per matching dimension; a class
 reaching K votes lies within Chebyshev distance R of the query. Training is
 instant: a query that fails to reach K votes is appended as a new class.
 
-Numeric votes come from one kernel over a snapshot holding, per dimension,
-the class ids sorted by value plus value offsets: a window is one slice and
-the votes are one ``np.bincount`` (Zobel & Moffat). Classes inserted since
-vote from their prototypes; this tail is merged once it outgrows an eighth.
+Both models vote into one dense array indexed by class id, which is the
+whole of a ``ClassHistogram``; its ``argmax`` is the one place ties break
+(toward the smaller id). Numeric votes come from one kernel over a snapshot
+holding, per dimension, the class ids sorted by value plus value offsets: a
+window is one slice and the votes are one ``np.bincount`` (Zobel & Moffat).
+Classes inserted since vote from their prototypes; this tail is merged once
+it outgrows an eighth. Categorical votes are one ``np.bincount`` over the
+posting lists of the present categories.
 """
 
 from __future__ import annotations
@@ -50,41 +54,32 @@ def _radius(radius, default: int) -> int:
 class ClassHistogram:
     """Vote counts per class id for one query.
 
-    ``counts`` maps class id -> vote count; absent ids have zero votes.
-    ``argmax`` is the smallest class id attaining ``max_count`` (ties break
-    toward the smaller id so results are insertion-order stable), or None
-    for an empty histogram. A histogram made from a dense vote array builds
-    ``counts`` only when it is first read.
+    ``votes[n]`` is the vote count of class n; index 0 is unused. ``argmax``
+    is the smallest class id attaining ``max_count`` (ties break toward the
+    smaller id so results are insertion-order stable), or None for an empty
+    histogram. ``counts`` maps each class id with votes to its count.
     """
 
-    __slots__ = ("_counts", "_votes", "max_count", "argmax")
+    __slots__ = ("votes", "max_count", "argmax")
 
-    def __init__(self, counts: dict[int, int] | None, max_count: int, argmax: int | None,
-                 votes: np.ndarray | None = None):
-        self._counts, self._votes, self.max_count, self.argmax = counts, votes, max_count, argmax
+    def __init__(self, votes: np.ndarray):
+        winner = int(votes.argmax())  # the first maximum: the smallest id
+        self.votes, self.max_count = votes, int(votes[winner])
+        self.argmax = winner if self.max_count > 0 else None
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "ClassHistogram":
-        if not counts:
-            return cls({}, 0, None)
-        best = max(counts.values())
-        winner = min(n for n, c in counts.items() if c == best)
-        return cls(counts, best, winner)
-
-    @classmethod
-    def from_votes(cls, votes: np.ndarray) -> "ClassHistogram":
-        """Histogram of a dense array with ``votes[n]`` for class n (index 0 unused)."""
-        winner = int(votes.argmax())
-        if votes[winner] == 0:
-            return cls({}, 0, None)
-        return cls(None, int(votes[winner]), winner, votes)
+        """Histogram of a class id -> count mapping."""
+        if min(counts, default=1) < 1:
+            raise ValidationError(f"class ids must be >= 1, got {min(counts)}")
+        votes = np.zeros(max(counts, default=0) + 1, np.int64)
+        votes[list(counts)] = list(counts.values())
+        return cls(votes)
 
     @property
     def counts(self) -> dict[int, int]:
-        if self._counts is None:
-            ids = np.flatnonzero(self._votes)
-            self._counts = dict(zip(ids.tolist(), self._votes[ids].tolist()))
-        return self._counts
+        ids = np.flatnonzero(self.votes)
+        return dict(zip(ids.tolist(), self.votes[ids].tolist()))
 
     def __bool__(self) -> bool:
         return self.max_count > 0
@@ -198,17 +193,17 @@ class Model:
 
     def classify(self, x, radius: int | None = None) -> ClassHistogram:
         """Vote histogram for x; ``radius`` overrides the stored R."""
-        return ClassHistogram.from_votes(self._votes(x, radius)[0])
+        return ClassHistogram(self._votes(x, radius)[0])
 
     def classify_counted(self, x, radius: int | None = None):
         """Like classify, but also returns the posting entries visited."""
         votes, touched = self._votes(x, radius)
-        return ClassHistogram.from_votes(votes), touched
+        return ClassHistogram(votes), touched
 
     def classify_exact_fast(self, x, radius: int | None = None) -> int | None:
         """Return the smallest fully matching class id, or None."""
-        full = np.flatnonzero(self._votes(x, radius)[0] == self.K)
-        return int(full[0]) if len(full) else None
+        hist = self.classify(x, radius)
+        return hist.argmax if hist.max_count == self.K else None
 
     # -- instrumentation ----------------------------------------------------
 
@@ -259,14 +254,10 @@ class CategoricalModel:
             self.K = max([self.K, *(int(k) for k in present)])
 
     def classify(self, present) -> ClassHistogram:
-        """Vote histogram: counts[n] = |stored set of n ∩ present|."""
+        """Vote histogram: votes[n] = |stored set of n ∩ present|."""
         self._check(present, training=False)
-        counts: dict[int, int] = {}
-        get = counts.get
-        for k in present:
-            for n in self.postings.get(k, ()):
-                counts[n] = get(n, 0) + 1
-        return ClassHistogram.from_counts(counts)
+        ids = [n for k in present for n in self.postings.get(k, ())]
+        return ClassHistogram(np.bincount(ids, minlength=self.N + 1))
 
     def insert_class(self, pattern) -> int:
         """Store a category set as a new class and return its id (ids are dense, 1..N)."""

@@ -12,8 +12,9 @@ inner class ids to external labels.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, InvpatError, LevelError
 from .index import CategoricalModel, ClassHistogram, Model
@@ -46,7 +47,7 @@ def histogram_to_metapattern(h: ClassHistogram, threshold: int) -> frozenset[int
     """Present categories of the next level: ids with count >= threshold."""
     if threshold < 1:
         raise ConfigError(f"threshold must be >= 1, got {threshold}")
-    return frozenset(n for n, c in h.counts.items() if c >= threshold)
+    return frozenset(np.flatnonzero(h.votes >= threshold).tolist())
 
 
 def signature_common(h1: ClassHistogram, h2: ClassHistogram, th1: int, th2: int) -> int:
@@ -55,11 +56,7 @@ def signature_common(h1: ClassHistogram, h2: ClassHistogram, th1: int, th2: int)
     Same-object signatures share many above-threshold classes even across
     view angles; different objects share few or none.
     """
-    if th1 < 1 or th2 < 1:
-        raise ConfigError("thresholds must be >= 1")
-    s1 = {n for n, c in h1.counts.items() if c >= th1}
-    s2 = {n for n, c in h2.counts.items() if c >= th2}
-    return len(s1 & s2)
+    return len(histogram_to_metapattern(h1, th1) & histogram_to_metapattern(h2, th2))
 
 
 def _recognized(model, hist: ClassHistogram) -> bool:
@@ -99,19 +96,18 @@ class LevelStack:
         one meta-pattern. Returns the final level's histogram.
         """
         first = self.levels[0]
-        winners: Counter = Counter()
+        winners = []
         for item in inputs:
             try:
                 if train:
-                    n, _ = first.model.train_step(item)
-                    winners[n] += 1
+                    winners.append(first.model.train_step(item)[0])
                 else:
                     h = first.model.classify(item)
                     if _recognized(first.model, h):
-                        winners[h.argmax] += 1
+                        winners.append(h.argmax)
             except InvpatError as exc:
                 raise LevelError(1, exc) from exc
-        hist = ClassHistogram.from_counts(dict(winners))
+        hist = ClassHistogram(np.bincount(winners, minlength=first.model.N + 1))
         for i, lvl in enumerate(self.levels[1:], start=2):
             meta = histogram_to_metapattern(hist, self.levels[i - 2].threshold)
             try:

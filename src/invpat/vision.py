@@ -15,7 +15,6 @@ Masks are plain boolean numpy arrays of shape (height, width).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,10 +161,8 @@ def select_pixel_classes(model: Model, img: RasterImage,
     """(row, col) -> smallest unmasked fully matching class, for all pixels
     that have one."""
     wins = _winner_map(model, img, masked=frozenset(masked))
-    out = {}
-    for r, c in np.argwhere(wins > 0):
-        out[(int(r), int(c))] = int(wins[r, c])
-    return out
+    rows, cols = np.nonzero(wins)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), wins[rows, cols].tolist()))
 
 
 def select_pixels(model: Model, img: RasterImage,
@@ -213,7 +210,7 @@ def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = 
         cols = [p[1] for p in members]
         hist = None
         if classes is not None:
-            hist = ClassHistogram.from_counts(dict(Counter(classes[p] for p in members)))
+            hist = ClassHistogram(np.bincount([classes[p] for p in members]))
         clusters.append(PixelCluster(members, (min(rows), min(cols), max(rows), max(cols)), hist))
     return clusters
 
@@ -230,7 +227,7 @@ def recognize_clusters(level2: CategoricalModel, clusters: list[PixelCluster],
     count to their winning object class. Returns (class id, activity) or
     None when every cluster is rejected.
     """
-    activities: dict[int, int] = {}
+    activities = np.zeros(level2.N + 1, np.int64)
     for cl in clusters:
         if cl.class_histogram is None:
             raise ValidationError("cluster has no class histogram attached")
@@ -239,12 +236,9 @@ def recognize_clusters(level2: CategoricalModel, clusters: list[PixelCluster],
             continue
         h = level2.classify(meta)
         if h.max_count >= level2.recognition_threshold:
-            activities[h.argmax] = activities.get(h.argmax, 0) + h.max_count
-    if not activities:
-        return None
-    best = max(activities.values())
-    winner = min(n for n, a in activities.items() if a == best)
-    return winner, best
+            activities[h.argmax] += h.max_count
+    best = ClassHistogram(activities)
+    return (best.argmax, best.max_count) if best else None
 
 
 def detect_objects(level1: Model, level2: CategoricalModel, masked, img: RasterImage,

@@ -86,6 +86,37 @@ class TestTrainClassify:
         assert code == 2 and "row 1" in err and "99" in err
 
 
+    def test_train_out_of_range_row_is_data_error(self, capsys, tmp_path):
+        train = tmp_path / "t.csv"
+        train.write_text("1,2\n-1,4\n")
+        code, _, err = run(capsys, "train", str(train), "--x", "16")
+        assert code == 2 and "row 1" in err and "-1" in err
+
+    def test_train_param_index_rejection_is_data_error(self, capsys, tmp_path):
+        schema = tmp_path / "s.json"
+        schema.write_text(
+            '{"columns": [{"name": "a", "role": "feature"},'
+            ' {"name": "t", "role": "parameter-t"}]}')
+        data = tmp_path / "d.csv"
+        data.write_text("0,7\n1,1e30\n")  # t beyond int64
+        code, _, err = run(capsys, "train", str(data), "--schema", str(schema), "--x", "4")
+        assert code == 2 and str(data) in err
+
+    def test_non_integer_cell_is_data_error(self, capsys, tmp_path):
+        train = tmp_path / "t.csv"
+        train.write_text("1,2\n3.7,4\n")
+        code, _, err = run(capsys, "train", str(train), "--x", "16")
+        assert code == 2 and "row 1" in err and "3.7" in err
+        train.write_text("1,2\n3.0,4\n")  # integral floats stay accepted
+        model = tmp_path / "m.ipat"
+        code, out, _ = run(capsys, "train", str(train), "--x", "16", "--model", str(model))
+        assert code == 0 and "trained N=2" in out
+        test = tmp_path / "q.csv"
+        test.write_text("3,4\n1.9,2\n")
+        code, _, err = run(capsys, "classify", str(test), "--model", str(model))
+        assert code == 2 and "row 1" in err and "1.9" in err
+
+
 class TestPredict:
     def test_param_flow(self, capsys, tmp_path):
         schema = tmp_path / "s.json"

@@ -311,6 +311,37 @@ class TestCategorical:
         assert inserted.K == 9
 
 
+@st.composite
+def categorical_case(draw):
+    """(grow, K, threshold, training patterns, queries); in grow mode the
+    categories run past K, and queries may name categories no class holds."""
+    grow = draw(st.booleans())
+    K = draw(st.integers(1, 8))
+    category = st.integers(1, 12 if grow else K)
+    patterns = draw(st.lists(st.frozensets(category, min_size=1, max_size=5), max_size=12))
+    queries = draw(st.lists(st.frozensets(category, max_size=6), min_size=1, max_size=5))
+    return grow, K, draw(st.integers(1, 3)), patterns, queries
+
+
+class TestCategoricalOracle:
+    @given(categorical_case())
+    def test_classify_matches_set_overlap_scan(self, case):
+        grow, K, threshold, patterns, queries = case
+        m = CategoricalModel(K, threshold, grow=grow)
+        stored = []
+        for p in patterns:
+            if m.train_step(p)[1]:
+                stored.append(p)
+        assert m.stored == stored
+        for q in queries:
+            h = m.classify(q)
+            overlap = {n: len(s & q) for n, s in enumerate(stored, start=1) if s & q}
+            best = max(overlap.values(), default=0)
+            assert h.counts == overlap and h.max_count == best
+            assert h.argmax == min((n for n, c in overlap.items() if c == best), default=None)
+            assert all(type(v) is int for item in h.counts.items() for v in item)
+
+
 class TestIntegerValidation:
     @pytest.mark.parametrize("bad", [(3.5, 2), (3.0, 2), (True, False), (np.True_, 2),
                                      (np.float64(3), 2), ("3", 2), (None, 2)])

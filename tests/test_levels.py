@@ -1,5 +1,7 @@
 """Level stacking, label tables and signature histogram comparison."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from invpat import (
     CategoricalModel,
     ClassHistogram,
     ConfigError,
+    InvpatError,
     LabelTable,
     Level,
     LevelStack,
     Model,
     UNLABELED,
+    ValidationError,
     histogram_to_metapattern,
     signature_common,
 )
@@ -19,6 +23,22 @@ from invpat import (
 
 def hist(counts):
     return ClassHistogram.from_counts(counts)
+
+
+class TestClassHistogram:
+    def test_zero_count_is_empty(self):
+        h = hist({3: 0})
+        assert not h and h.max_count == 0 and h.argmax is None and h.counts == {}
+
+    def test_zero_counts_are_dropped(self):
+        h = hist({3: 0, 5: 2, 7: 2})
+        assert h.counts == {5: 2, 7: 2} and h.argmax == 5 and h.max_count == 2
+
+    def test_class_id_below_one_rejected(self):
+        with pytest.raises(ValidationError):
+            hist({0: 1})
+        with pytest.raises(ValidationError):
+            hist({-2: 1, 3: 1})
 
 
 class TestMetapattern:
@@ -90,6 +110,72 @@ class TestSignatureCommon:
             got = signature_common(hist(c1), hist(c2), th1, th2)
             assert got == len(s1 & s2)
             assert got == signature_common(hist(c2), hist(c1), th2, th1)
+
+
+def run_oracle(stack, inputs, train):
+    """LevelStack.run spelled out: level-1 winners in a Counter, upper levels
+    voting by set overlap with their stored meta-patterns."""
+    first = stack.levels[0].model
+    winners = Counter()
+    for item in inputs:
+        if train:
+            winners[first.train_step(item)[0]] += 1
+            continue
+        h = first.classify(item)
+        need = first.K if isinstance(first, Model) else first.recognition_threshold
+        if h.max_count >= need:
+            winners[h.argmax] += 1
+    counts = dict(winners)
+    for below, lvl in zip(stack.levels, stack.levels[1:]):
+        meta = frozenset(n for n, c in counts.items() if c >= below.threshold)
+        if train:
+            lvl.model.train_step(meta)
+        counts = {n: len(s & meta) for n, s in enumerate(lvl.model.stored, start=1) if s & meta}
+    return counts
+
+
+def random_stack(rng, numeric):
+    first = Model(2, 6, 1) if numeric else CategoricalModel(6, 2, grow=True)
+    levels = [Level(first, threshold=int(rng.integers(1, 3)))]
+    for _ in range(int(rng.integers(0, 3))):
+        levels.append(Level(CategoricalModel(1, int(rng.integers(1, 3)), grow=True),
+                            threshold=int(rng.integers(1, 3))))
+    return LevelStack(levels)
+
+
+def random_inputs(rng, numeric):
+    count = int(rng.integers(1, 12))
+    if numeric:
+        return [tuple(int(v) for v in row) for row in rng.integers(0, 6, size=(count, 2))]
+    return [frozenset(int(v) + 1 for v in rng.choice(6, size=int(rng.integers(1, 4)), replace=False))
+            for _ in range(count)]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except InvpatError:
+        return "error"
+
+
+@pytest.mark.parametrize("numeric", [True, False])
+def test_run_matches_counter_oracle(numeric):
+    for seed in range(40):
+        got, want = random_stack(np.random.default_rng(seed), numeric), random_stack(
+            np.random.default_rng(seed), numeric)
+        rng = np.random.default_rng(1000 + seed)
+        for train in (True, True, False, False):
+            inputs = random_inputs(rng, numeric)
+            out = outcome(lambda: got.run(inputs, train=train))
+            expected = outcome(lambda: run_oracle(want, inputs, train))
+            if expected == "error":
+                assert out == "error"
+                break
+            best = max(expected.values(), default=0)
+            assert out.counts == expected and out.max_count == best
+            assert out.argmax == min((n for n, c in expected.items() if c == best), default=None)
+            for a, b in zip(got.levels, want.levels):
+                assert a.model.postings == b.model.postings
 
 
 class TestStack:

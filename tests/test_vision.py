@@ -6,9 +6,11 @@ import pytest
 
 from invpat import (
     CategoricalModel,
+    ClassHistogram,
     ConfigError,
     LabelTable,
     Model,
+    PixelCluster,
     RasterImage,
     UNLABELED,
     ValidationError,
@@ -170,6 +172,18 @@ class TestMaskingAndSelection:
                 else:
                     assert (r, c) not in got
 
+    def test_dict_is_row_major_python_ints(self):
+        rng = np.random.default_rng(97)
+        m = Model(3, 16, 1)
+        for row in rng.integers(0, 16, size=(30, 3)):
+            m.insert_class(row.tolist())
+        frame = img(rng.integers(0, 16, size=(8, 6, 3)))
+        got = select_pixel_classes(m, frame, {2, 5})
+        wins = _winner_map(m, frame, masked=frozenset({2, 5}))
+        expected = {(int(r), int(c)): int(wins[r, c]) for r, c in np.argwhere(wins > 0)}
+        assert got and list(got.items()) == list(expected.items())
+        assert all(type(v) is int for key in got for v in (*key, got[key]))
+
     def test_background_residual_bound(self):
         # on the background itself, unmasked classes can win on at most
         # freq_threshold pixels each
@@ -274,6 +288,13 @@ class TestRecognizeClusters:
         clusters = cluster_pixels(set(classes), 1, classes)
         winner, activity = recognize_clusters(self.level2(), clusters, threshold=2)
         assert winner == 1 and activity == 6
+
+    def test_activity_tie_goes_to_smaller_object_id(self):
+        # object 2's cluster comes first; both objects gather activity 2
+        clusters = [PixelCluster([(r, 0)], (r, 0, r, 0), ClassHistogram.from_counts(counts))
+                    for r, counts in enumerate(({5: 2, 6: 2}, {1: 3, 2: 2}))]
+        got = recognize_clusters(self.level2(), clusters, threshold=2)
+        assert got == (1, 2) and all(type(v) is int for v in got)
 
 
 class TestSegmentation:
