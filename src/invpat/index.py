@@ -117,6 +117,7 @@ class Model:
         self._state = (0, np.empty((0, self.K), np.min_scalar_type(self.X - 1)), 0,
                        memoryview(np.empty(0, np.uint8)),
                        memoryview(np.zeros(self.K * (self.X + 1), np.int64)))
+        self._tables = None  # vision's ((N, radius, mask), inverse-pattern tables), one slot
 
     # -- training -----------------------------------------------------------
 

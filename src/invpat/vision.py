@@ -7,8 +7,11 @@ arbitrary background trains on a thresholded difference image, masks the
 pixel classes that fire on the background, groups the surviving pixels
 with a propagating wave and recognizes each cluster's class histogram at
 a categorical second level. Both find a pixel's winning class through
-inverse patterns: per channel, a table from each sample value to every
-class within R of it, ANDed across the channels.
+inverse patterns: per channel, a table from each sample value to the
+classes within R of it, one bit per class packed into little-endian uint64
+words, ANDed across the channels; the winner is the lowest set bit. The
+tables are built once per (model N, R, mask) and kept in one slot on the
+``Model``, so a stream of query frames reuses them.
 
 Masks are plain boolean numpy arrays of shape (height, width).
 """
@@ -109,30 +112,56 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
     return created
 
 
+def _inverse_patterns(model: Model, r: int, masked) -> list[np.ndarray]:
+    """Per channel c a (256, W) table of little-endian uint64 words: bit n of
+    row v is set when class n lies within r of sample value v and is not
+    masked (bit 0, "no class", never is). Built once per (N, r, mask) and
+    published in ``model._tables`` in one assignment, so concurrent readers
+    never see half of it; an insert grows N, which invalidates it."""
+    n, mask = model.N, frozenset(masked or ())
+    slot = model._tables
+    if slot is not None and slot[0] == (n, r, mask):
+        return slot[1]
+    protos = np.array([(0,) * model.K, *model.prototypes[:n]], np.int64)  # row 0: "no class"
+    live = ~np.isin(np.arange(n + 1), [0, *mask])
+    values = np.arange(256)[:, None]
+    tables = []
+    for c in range(model.K):
+        packed = np.packbits((np.abs(values - protos[:, c]) <= r) & live, axis=1,
+                             bitorder="little")
+        words = np.zeros((256, 8 * -(-(n + 1) // 64)), np.uint8)  # W whole words
+        words[:, :packed.shape[1]] = packed
+        tables.append(words.view("<u8"))
+    model._tables = ((n, r, mask), tables)
+    return tables
+
+
 def _match_winners(model: Model, colors: np.ndarray, radius: int | None = None,
                    masked: frozenset[int] | set[int] | None = None) -> np.ndarray:
     """Smallest unmasked fully matching class id per row of 8-bit samples (0 = none).
 
     Full match means Chebyshev distance <= R from a stored prototype, i.e.
-    a vote count of K under classification. The inverse pattern of channel
-    c is a table ``T_c[v, n]``: class n lies within R of sample value v
-    there and is not masked; column 0 stands for "no class" and never
-    matches. A color's winner is the first True column of the AND of its
-    channels' rows (a range-encoded bitmap index, Chan & Ioannidis).
+    a vote count of K under classification. A colour ANDs its K rows of the
+    packed inverse-pattern tables (a range-encoded bitmap index, Chan &
+    Ioannidis); the winner is the lowest set bit, ``64 * w +
+    bitwise_count((x & -x) - 1)`` for the first nonzero word x at index w.
     """
-    r = _radius(radius, model.R)
-    protos = np.array([(0,) * model.K, *model.prototypes], np.int64)  # row 0: "no class"
-    live = ~np.isin(np.arange(model.N + 1), [0, *(masked or ())])
-    values = np.arange(256)[:, None]
-    tables = [(np.abs(values - protos[:, c]) <= r) & live for c in range(model.K)]
-    winners = np.empty(len(colors), np.int64)
-    chunk = max(1, 4_000_000 // (model.N + 1))  # bounds the gathered rows
+    tables = _inverse_patterns(model, _radius(radius, model.R), masked)
+    winners = np.zeros(len(colors), np.int64)
+    ones = np.ones(tables[0].shape[1], np.float32)
+    chunk = max(1, 32_768 // len(ones))  # 256 KB: bigger gathers page-fault per call
     for start in range(0, len(colors), chunk):
         block = colors[start:start + chunk]
-        hit = tables[0][block[:, 0]]
+        hit = np.take(tables[0], block[:, 0], axis=0)
         for c in range(1, model.K):
-            hit &= tables[c][block[:, c]]
-        winners[start:start + chunk] = hit.argmax(axis=1)
+            hit &= np.take(tables[c], block[:, c], axis=0)
+        nonzero = hit != 0
+        # rows with a set bit; numpy reduces a short last axis one row at a
+        # time, a matrix-vector product counts the nonzero words in one call
+        rows = np.flatnonzero(nonzero.astype(np.float32) @ ones)
+        w = nonzero[rows].argmax(axis=1)
+        x = hit[rows, w]
+        winners[start + rows] = 64 * w + np.bitwise_count((x & -x) - 1)
     return winners
 
 
@@ -151,9 +180,8 @@ def build_class_mask(model: Model, background: RasterImage, freq_threshold: int)
     A class enters the mask set when it wins (full match) on more than
     ``freq_threshold`` background pixels.
     """
-    wins = _winner_map(model, background)
-    ids, counts = np.unique(wins[wins > 0], return_counts=True)
-    return {int(n) for n, c in zip(ids, counts) if c > freq_threshold}
+    counts = np.bincount(_winner_map(model, background).ravel(), minlength=model.N + 1)
+    return set((np.flatnonzero(counts[1:] > freq_threshold) + 1).tolist())
 
 
 def select_pixel_classes(model: Model, img: RasterImage,

@@ -1,6 +1,10 @@
 """Vision pipeline tests: difference masks, masking, clustering, detection,
 segmentation."""
 
+import sys
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,7 +23,9 @@ from invpat import (
     detect_objects,
     diff_mask,
     histogram_to_metapattern,
+    load_model,
     recognize_clusters,
+    save_model,
     segment_image,
     select_pixel_classes,
     select_pixels,
@@ -486,6 +492,125 @@ def test_match_winners_oracle(channels, radius, masking, classes, x_range):
     assert got.tolist() == brute_winners(m, colors, radius, masked)
     assert _match_winners(m, colors[:0], radius, masked).shape == (0,)
 
+
+def word_edge_model(classes, channels):
+    """Class n sits at sample value 4·(n mod 64) + c in channel c, so the
+    classes n, n + 64 and n + 128 share a colour and each colour's matches
+    lie one word apart: 63 and 127 end words 0 and 1, 64 and 128 start
+    words 1 and 2."""
+    m = Model(channels, 256, 1)
+    for n in range(1, classes + 1):
+        m.insert_class([4 * (n % 64) + c for c in range(channels)])
+    colors = np.array(m.prototypes, np.int64)
+    near = colors.copy()
+    near[:, -1] += 1  # still within R=1
+    far = colors.copy()
+    far[:, 0] += 2  # out of reach in one channel only
+    return m, np.concatenate([colors, near, far, [[255] * channels]]).astype(np.uint8)
+
+
+EDGES = {63, 64, 127, 128}
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("classes", [63, 64, 65, 127, 128, 129])
+def test_match_winners_word_edges(channels, classes):
+    """Winners on the first and last bit of a word, masked ids at word edges
+    and everything masked all give the brute-force winners."""
+    m, colors = word_edge_model(classes, channels)
+    ids = set(range(1, classes + 1))
+    seen = set()
+    for masked in (set(), {63, 64}, ids - EDGES, ids):
+        got = _match_winners(m, colors, None, masked)
+        assert got.tolist() == brute_winners(m, colors, 1, masked)
+        assert _match_winners(m, colors[:0], None, masked).shape == (0,)
+        seen.update(got.tolist())
+    assert ids & EDGES <= seen  # each edge bit present wins somewhere
+
+
+def oracle_check(model, colors, radius, masked):
+    want = brute_winners(model, colors, model.R if radius is None else radius, masked or ())
+    assert _match_winners(model, colors, radius, masked).tolist() == want
+
+
+class TestInversePatternCache:
+    def setup_method(self):
+        rng = np.random.default_rng(41)
+        self.model = Model(3, 256, 8)
+        for row in rng.integers(0, 256, size=(150, 3)).tolist():
+            self.model.insert_class(row)
+        self.colors = rng.integers(0, 256, size=(300, 3)).astype(np.uint8)
+        self.colors[:40] = self.model.prototypes[:40]
+        self.masks = (frozenset(range(1, 151, 2)), frozenset({1, 64, 65, 128}))
+
+    def test_insert_after_a_call(self):
+        oracle_check(self.model, self.colors, None, self.masks[0])
+        self.model.insert_class(self.colors[100].tolist())  # colour 100 now matches a class
+        oracle_check(self.model, self.colors, None, self.masks[0])
+        assert _match_winners(self.model, self.colors[100:101], None, set())[0] > 0
+
+    def test_other_mask_and_radius_override(self):
+        oracle_check(self.model, self.colors, None, self.masks[0])
+        oracle_check(self.model, self.colors, None, self.masks[1])
+        oracle_check(self.model, self.colors, 0, self.masks[1])
+        oracle_check(self.model, self.colors, 30, self.masks[1])
+        oracle_check(self.model, self.colors, None, None)
+
+    def test_alternating_masks(self):
+        for i in range(6):
+            oracle_check(self.model, self.colors, None, self.masks[i % 2])
+
+    def test_concurrent_readers_alternating_masks(self):
+        want = [brute_winners(self.model, self.colors, 8, masked) for masked in self.masks]
+
+        def reader(model, start, results, i):
+            start.wait()
+            results[i] = [_match_winners(model, self.colors, None, self.masks[(i + j) % 2]).tolist()
+                          for j in range(6)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(8):  # every round races four readers on an empty slot
+                fresh = Model(3, 256, 8)
+                for row in self.model.prototypes:
+                    fresh.insert_class(row)
+                start, results = threading.Barrier(4), [None] * 4
+                threads = [threading.Thread(target=reader, args=(fresh, start, results, i))
+                           for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                for i, got in enumerate(results):
+                    assert got == [want[(i + j) % 2] for j in range(6)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_tables_stay_out_of_model_files(self, tmp_path):
+        save_model(self.model, tmp_path / "before.ipat")
+        _match_winners(self.model, self.colors, None, self.masks[0])
+        assert self.model._tables is not None
+        save_model(self.model, tmp_path / "a.ipat")
+        save_model(load_model(tmp_path / "a.ipat"), tmp_path / "b.ipat")
+        files = [(tmp_path / name).read_bytes() for name in ("before.ipat", "a.ipat", "b.ipat")]
+        assert files[0] == files[1] == files[2]
+
+
+@pytest.mark.parametrize("freq_threshold", [0, 3, 40])
+def test_build_class_mask_matches_counter_scan(freq_threshold):
+    background, object_frame = detection_scene(*CRITERION_10_SCENE)
+    level1 = Model(3, 256, 10)
+    train_pixels(level1, object_frame, diff_mask(background, object_frame, 3, 12))
+    pixels = background.pixels.reshape(-1, 3)
+    uniq, inverse = np.unique(pixels, axis=0, return_inverse=True)
+    winners = np.array(brute_winners(level1, uniq, 10, set()))[inverse.ravel()]
+    wins = Counter(n for n in winners.tolist() if n)
+    want = {n for n, count in wins.items() if count > freq_threshold}
+    got = build_class_mask(level1, background, freq_threshold)
+    assert got == want and all(type(n) is int for n in got)
+    assert type(got) is set
 
 class TestImageChecks:
     @pytest.mark.parametrize("model_k, image_channels", [(1, 3), (3, 1)])
