@@ -14,7 +14,7 @@ import time
 
 from . import __version__
 from .bench import run_bench
-from .errors import ConfigError, DataError, InvpatError, NoEvidenceError, ValidationError
+from .errors import ConfigError, DataError, NoEvidenceError, ValidationError
 from .index import Model, _radius
 from .io_persist import (
     FORMAT_VERSION,
@@ -28,7 +28,7 @@ from .io_persist import (
 )
 from .levels import UNLABELED
 from .netpbm import load_pnm, save_label_map
-from .predictor import build_param_index, predict_value
+from .predictor import ParamIndex, build_param_index, predict_value
 from .vision import detect_objects, segment_image, train_detector
 
 
@@ -63,11 +63,11 @@ def _vectors(path, rows, schema, x_range):
     return vectors
 
 
-def _row(path, i, fn, *args):
-    try:  # a row the model rejects is a data error, named by its index
-        return fn(*args)
+def _checked(where, fn, *args, **kwargs):
+    try:  # input a model rejects is a data error, named by where it came from
+        return fn(*args, **kwargs)
     except ValidationError as exc:
-        raise DataError(f"{path}: row {i}: {exc}") from exc
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def cmd_train(args) -> int:
@@ -77,10 +77,7 @@ def cmd_train(args) -> int:
     if schema is not None and schema.parameter_index() is not None:
         vectors = _vectors(args.data, rows, schema, args.x)
         ts = extract_parameter(rows, schema)
-        try:  # a table the index rejects is a data error, named by its path
-            idx = build_param_index(list(zip(vectors, ts)), X=args.x)
-        except ValidationError as exc:
-            raise DataError(f"{args.data}: {exc}") from exc
+        idx = _checked(args.data, build_param_index, list(zip(vectors, ts)), X=args.x)
         elapsed = time.perf_counter() - t0
         print(_report_header(args))
         print(f"param-index rows={idx.rows} K={idx.K} X={idx.X} "
@@ -92,7 +89,7 @@ def cmd_train(args) -> int:
     model = Model(len(vectors[0]), args.x, _resolve_radius(args, args.x))
     created = 0
     for i, v in enumerate(vectors):
-        _, new = _row(args.data, i, model.train_step, v)
+        _, new = _checked(f"{args.data}: row {i}", model.train_step, v)
         created += int(new)
     elapsed = time.perf_counter() - t0
     print(_report_header(args))
@@ -112,10 +109,11 @@ def cmd_classify(args) -> int:
     winners: dict[int, int] = {}
     print(_report_header(args))
     for i, v in enumerate(vectors):
-        hist = _row(args.data, i, model.classify, v)
-        if hist.max_count == model.K:
-            print(f"{i} class={hist.argmax} votes={hist.max_count}")
-            winners[hist.argmax] = winners.get(hist.argmax, 0) + 1
+        hist = _checked(f"{args.data}: row {i}", model.classify, v)
+        n = model.recognized(hist)
+        if n is not None:
+            print(f"{i} class={n} votes={hist.max_count}")
+            winners[n] = winners.get(n, 0) + 1
         else:
             print(f"{i} unrecognized max={hist.max_count}")
     if args.out:
@@ -125,6 +123,8 @@ def cmd_classify(args) -> int:
 
 def cmd_predict(args) -> int:
     idx = load_model(args.model)
+    if not isinstance(idx, ParamIndex):
+        raise DataError(f"{args.model}: not a parameter index")
     rows = load_csv(args.data)
     schema = idx.schema
     if (schema is not None and schema.parameter_index() is not None
@@ -138,7 +138,7 @@ def cmd_predict(args) -> int:
     t0 = time.perf_counter()
     for i, v in enumerate(vectors):
         try:
-            t = _row(args.data, i, predict_value, idx, v)
+            t = _checked(f"{args.data}: row {i}", predict_value, idx, v)
         except NoEvidenceError:
             print(f"{i} no-evidence")
             continue
@@ -158,10 +158,7 @@ def cmd_segment(args) -> int:
         raise DataError(f"{args.model}: model carries no label table")
     radius = _radius(_resolve_radius(args, model.X), model.R)  # checked first: usage, exit 1
     img = load_pnm(args.image)
-    try:  # an image the model cannot read is a data error, named by its path
-        label_map = segment_image(model, model.labels, img, radius=radius)
-    except ValidationError as exc:
-        raise DataError(f"{args.image}: {exc}") from exc
+    label_map = _checked(args.image, segment_image, model, model.labels, img, radius=radius)
     labels = sorted({str(v) for v in label_map.ravel()})
     # deterministic palette: well-spread colors in label sort order
     base = [(230, 60, 60), (60, 160, 60), (60, 90, 220), (230, 200, 40),
@@ -178,16 +175,16 @@ def cmd_segment(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    level1, level2, masked = train_detector(
+    level1, level2, masked = _checked(
+        f"{args.background}, {args.object_frame}", train_detector,
         load_pnm(args.background), load_pnm(args.object_frame),
         radius=_resolve_radius(args, 256), window=args.window, threshold=args.threshold,
         freq_threshold=args.freq_threshold, cluster_dist=args.cluster_dist,
         meta_threshold=args.meta_threshold, meta_votes=args.meta_votes)
     print(_report_header(args))
     for path in args.queries:
-        img = load_pnm(path)
-        hit = detect_objects(level1, level2, masked, img,
-                             args.meta_threshold, args.cluster_dist)
+        hit = _checked(path, detect_objects, level1, level2, masked, load_pnm(path),
+                       args.meta_threshold, args.cluster_dist)
         if hit is None:
             print(f"{path} no-object")
         else:
@@ -283,10 +280,7 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as exc:
         print(f"invpat: {exc}", file=sys.stderr)
         return 2
-    except InvpatError as exc:
-        print(f"invpat: internal error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # noqa: BLE001 - map everything to exit 3
+    except Exception as exc:  # noqa: BLE001 - map everything else to exit 3
         print(f"invpat: internal error: {exc}", file=sys.stderr)
         return 3
 

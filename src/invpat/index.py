@@ -138,10 +138,8 @@ class Model:
         Returns (class id, created flag). A full match is max_count == K,
         i.e. some stored prototype within Chebyshev distance R.
         """
-        hist = self.classify(x)
-        if hist.max_count == self.K:
-            return hist.argmax, False
-        return self.insert_class(x), True
+        n = self.recognized(self.classify(x))
+        return (n, False) if n is not None else (self.insert_class(x), True)
 
     # -- voting kernel ------------------------------------------------------
 
@@ -201,10 +199,13 @@ class Model:
         votes, touched = self._votes(x, radius)
         return ClassHistogram(votes), touched
 
+    def recognized(self, hist: ClassHistogram) -> int | None:
+        """The winner of ``hist`` when it is a full match (K votes), else None."""
+        return hist.argmax if hist.max_count == self.K else None
+
     def classify_exact_fast(self, x, radius: int | None = None) -> int | None:
         """Return the smallest fully matching class id, or None."""
-        hist = self.classify(x, radius)
-        return hist.argmax if hist.max_count == self.K else None
+        return self.recognized(self.classify(x, radius))
 
     # -- instrumentation ----------------------------------------------------
 
@@ -260,6 +261,10 @@ class CategoricalModel:
         ids = [n for k in present for n in self.postings.get(k, ())]
         return ClassHistogram(np.bincount(ids, minlength=self.N + 1))
 
+    def recognized(self, hist: ClassHistogram) -> int | None:
+        """The winner of ``hist`` when it has ``recognition_threshold`` votes, else None."""
+        return hist.argmax if hist.max_count >= self.recognition_threshold else None
+
     def insert_class(self, pattern) -> int:
         """Store a category set as a new class and return its id (ids are dense, 1..N)."""
         self._check(pattern, training=True)
@@ -276,7 +281,5 @@ class CategoricalModel:
     def train_step(self, present) -> tuple[int, bool]:
         """Recognize or append; returns (class id, created flag)."""
         self._check(present, training=True)
-        hist = self.classify(present)
-        if hist.max_count >= self.recognition_threshold:
-            return hist.argmax, False
-        return self.insert_class(present), True
+        n = self.recognized(self.classify(present))
+        return (n, False) if n is not None else (self.insert_class(present), True)

@@ -1,9 +1,10 @@
 """Data ingestion and model persistence.
 
 CSV loading handles comma- or whitespace-separated numeric tables with an
-optional header row. Feature normalization min-max scales each feature
-column to a common integer range [0, X), recording the training bounds in
-the schema so test-time rows reuse (and clamp to) them.
+optional header row. Feature normalization min-max scales every feature
+column to a common integer range [0, X) in one array pass over the table,
+recording the training bounds in the schema so test-time rows reuse (and
+clamp to) them; a scaled value that overflows clamps too.
 
 Model files are a small binary envelope around a canonical JSON payload:
 magic, little-endian version and payload length, payload, CRC32 trailer.
@@ -21,6 +22,8 @@ import struct
 import warnings
 import zlib
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DataError, FormatError, InvpatError
 from .index import CategoricalModel, Model
@@ -47,6 +50,9 @@ class ColumnSpec:
     def __post_init__(self):
         if self.role not in _ROLES:
             raise DataError(f"unknown column role {self.role!r}")
+        for bound in (self.min, self.max):
+            if isinstance(bound, bool) or not isinstance(bound, (int, float, type(None))):
+                raise DataError(f"column {self.name!r}: bound {bound!r} is not a number")
 
 
 @dataclass
@@ -136,35 +142,34 @@ def load_csv(path) -> list[tuple[float, ...]]:
 
 
 def normalize_columns(rows, schema: ColumnSchema, X: int) -> list[tuple[int, ...]]:
-    """Feature vectors scaled to integers in [0, X).
+    """Feature vectors scaled to integers in [0, X), in one array pass.
 
-    v = floor((raw - min) / (max - min) * X), clamped to [0, X - 1].
-    Bounds absent from the schema are computed from ``rows`` and recorded
-    there for test-time reuse; a constant column maps to 0 with a warning.
+    v = trunc((raw - min) / (max - min) * X) clipped to [0, X - 1]: overflow to +-inf
+    clamps, and a NaN (both differences overflow) is a DataError naming its row. Bounds
+    the schema lacks are computed from ``rows`` and recorded there as floats for
+    test-time reuse; a constant column maps to 0 with a warning.
     """
     rows = list(rows)
     if not rows:
         return []
-    feat = schema.feature_indices()
-    for i in feat:
-        col = schema.columns[i]
+    feat, table = schema.feature_indices(), np.array(rows, np.float64)
+    if feat[-1] >= table.shape[1]:
+        raise DataError(f"rows lack column {feat[-1] + 1} ({schema.columns[feat[-1]].name!r})")
+    cols, table = [schema.columns[i] for i in feat], table[:, feat]
+    at = np.arange(len(feat))  # argmin/argmax pick the first of 0.0 and -0.0, as min() does
+    for col, (a, b) in zip(cols, table[[table.argmin(0), table.argmax(0)], at].T.tolist()):
         if col.min is None or col.max is None:
-            values = [r[i] for r in rows]
-            col.min, col.max = min(values), max(values)
+            col.min, col.max = a, b
         if col.min == col.max:
             warnings.warn(f"column {col.name!r} is constant; emitting 0")
-    out = []
-    for r in rows:
-        vec = []
-        for i in feat:
-            col = schema.columns[i]
-            if col.min == col.max:
-                vec.append(0)
-                continue
-            v = int((r[i] - col.min) / (col.max - col.min) * X)
-            vec.append(min(max(v, 0), X - 1))
-        out.append(tuple(vec))
-    return out
+    lo, hi = np.array([(col.min, col.max) for col in cols], np.float64).T
+    with np.errstate(all="ignore"):  # overflow clamps below; constant columns are zeroed
+        table = (table - lo) / (hi - lo) * X  # replaces the raw values: one table alive
+    table[:, lo == hi] = 0
+    nan = np.isnan(table).any(axis=1)
+    if nan.any():
+        raise DataError(f"row {nan.argmax()}: scales to NaN (raw - min and max - min overflow)")
+    return list(map(tuple, np.clip(table, 0, X - 1, out=table).astype(np.int64).tolist()))
 
 
 def extract_parameter(rows, schema: ColumnSchema) -> list[int]:
@@ -172,7 +177,10 @@ def extract_parameter(rows, schema: ColumnSchema) -> list[int]:
     i = schema.parameter_index()
     if i is None:
         raise DataError("schema has no parameter-t column")
-    return [int(r[i]) for r in rows]
+    try:
+        return [int(r[i]) for r in rows]
+    except IndexError:
+        raise DataError(f"rows lack column {i + 1} ({schema.columns[i].name!r})") from None
 
 
 # -- histogram export --------------------------------------------------------------

@@ -59,12 +59,6 @@ def signature_common(h1: ClassHistogram, h2: ClassHistogram, th1: int, th2: int)
     return len(histogram_to_metapattern(h1, th1) & histogram_to_metapattern(h2, th2))
 
 
-def _recognized(model, hist: ClassHistogram) -> bool:
-    if isinstance(model, Model):
-        return hist.max_count == model.K
-    return hist.max_count >= model.recognition_threshold
-
-
 @dataclass
 class Level:
     """One stack level: a model, the threshold applied to its output
@@ -102,9 +96,9 @@ class LevelStack:
                 if train:
                     winners.append(first.model.train_step(item)[0])
                 else:
-                    h = first.model.classify(item)
-                    if _recognized(first.model, h):
-                        winners.append(h.argmax)
+                    n = first.model.recognized(first.model.classify(item))
+                    if n is not None:
+                        winners.append(n)
             except InvpatError as exc:
                 raise LevelError(1, exc) from exc
         hist = ClassHistogram(np.bincount(winners, minlength=first.model.N + 1))

@@ -263,8 +263,9 @@ def recognize_clusters(level2: CategoricalModel, clusters: list[PixelCluster],
         if not meta:
             continue
         h = level2.classify(meta)
-        if h.max_count >= level2.recognition_threshold:
-            activities[h.argmax] += h.max_count
+        n = level2.recognized(h)
+        if n is not None:
+            activities[n] += h.max_count
     best = ClassHistogram(activities)
     return (best.argmax, best.max_count) if best else None
 

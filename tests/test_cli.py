@@ -1,9 +1,11 @@
 """Command-line interface tests (invoked in-process through main)."""
 
 import numpy as np
+import pytest
 
-from invpat import Model, RasterImage, build_param_index, save_model, save_pnm
+from invpat import Model, RasterImage, build_param_index, cli, save_model, save_pnm
 from invpat.cli import main
+from invpat.errors import LevelError
 
 
 def run(capsys, *argv):
@@ -141,8 +143,45 @@ class TestPredict:
         code, _, err = run(capsys, "predict", str(data), "--model", str(model))
         assert code == 2 and "row 1" in err
 
+    def test_numeric_model_is_data_error(self, capsys, tmp_path):
+        model = tmp_path / "m.ipat"
+        save_model(Model(2, 16, 0), model)
+        data = tmp_path / "q.csv"
+        data.write_text("0,1\n")
+        code, _, err = run(capsys, "predict", str(data), "--model", str(model))
+        assert code == 2 and "not a parameter index" in err
+
 
 class TestDetectSegment:
+    def scene(self, tmp_path):
+        """Paths of an RGB background and object frame, plus the frame's pixels."""
+        frame = np.full((32, 32, 3), 30, np.uint8)
+        save_pnm(RasterImage(frame), tmp_path / "bg.ppm")
+        frame[8:20, 8:20] = (220, 40, 40)
+        save_pnm(RasterImage(frame), tmp_path / "fr.ppm")
+        return str(tmp_path / "bg.ppm"), str(tmp_path / "fr.ppm"), frame
+
+    def test_detect_gray_background_rgb_frame_is_data_error(self, capsys, tmp_path):
+        _, fr_path, frame = self.scene(tmp_path)
+        gray = tmp_path / "bg.pgm"
+        save_pnm(RasterImage(frame[:, :, 0]), gray)
+        code, _, err = run(capsys, "detect", str(gray), fr_path, fr_path)
+        assert code == 2 and "bg.pgm" in err
+
+    def test_detect_frames_of_different_sizes_is_data_error(self, capsys, tmp_path):
+        bg_path, _, frame = self.scene(tmp_path)
+        small = tmp_path / "small.ppm"
+        save_pnm(RasterImage(frame[:16]), small)
+        code, _, err = run(capsys, "detect", bg_path, str(small), bg_path)
+        assert code == 2 and "small.ppm" in err
+
+    def test_detect_gray_query_against_rgb_model_is_data_error(self, capsys, tmp_path):
+        bg_path, fr_path, frame = self.scene(tmp_path)
+        gray = tmp_path / "q.pgm"
+        save_pnm(RasterImage(frame[:, :, 0]), gray)
+        code, _, err = run(capsys, "detect", bg_path, fr_path, str(gray))
+        assert code == 2 and "q.pgm" in err and "channels" in err
+
     def test_detect_scene(self, capsys, tmp_path):
         rng = np.random.default_rng(149)
         palette = np.array([[10, 10, 10], [30, 30, 30], [50, 50, 50]], dtype=np.uint8)
@@ -207,6 +246,17 @@ class TestDetectSegment:
         code, _, err = run(capsys, "segment", str(image), "--model", model, "--r", "-1",
                            "--out", str(tmp_path / "labels.ppm"))
         assert code == 1 and "radius" in err
+
+
+class TestInternalFault:
+    @pytest.mark.parametrize("fault", [LevelError(2, ValueError("boom")), KeyError("boom")])
+    def test_internal_fault_exits_3(self, capsys, monkeypatch, fault):
+        def broken(args):
+            raise fault
+
+        monkeypatch.setattr(cli, "cmd_bench", broken)
+        code, _, err = run(capsys, "bench")
+        assert code == 3 and "internal error" in err and "boom" in err
 
 
 class TestBench:

@@ -1,14 +1,16 @@
 """Ingestion and persistence tests: CSV, normalization, Netpbm, model files."""
 
+import copy
 import json
 import os
 import struct
 import tempfile
+import warnings
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from invpat import (
     CategoricalModel,
@@ -128,6 +130,187 @@ class TestNormalize:
             ColumnSchema([ColumnSpec("t", "parameter-t")])
         with pytest.raises(DataError):
             ColumnSpec("a", "bogus")
+
+
+def per_cell_normalize(rows, schema, X):
+    """The per-cell loop ``normalize_columns`` replaced, kept as its oracle."""
+    rows = list(rows)
+    if not rows:
+        return []
+    feat = schema.feature_indices()
+    for i in feat:
+        col = schema.columns[i]
+        if col.min is None or col.max is None:
+            values = [r[i] for r in rows]
+            col.min, col.max = min(values), max(values)
+        if col.min == col.max:
+            warnings.warn(f"column {col.name!r} is constant; emitting 0")
+    out = []
+    for r in rows:
+        vec = []
+        for i in feat:
+            col = schema.columns[i]
+            if col.min == col.max:
+                vec.append(0)
+                continue
+            v = int((r[i] - col.min) / (col.max - col.min) * X)
+            vec.append(min(max(v, 0), X - 1))
+        out.append(tuple(vec))
+    return out
+
+
+# tables of tenths in [-2, 2] often put (raw - min) / (max - min) * X on a rounding edge
+TENTHS = st.integers(-20, 20).map(lambda k: k / 10)
+CELLS = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e300]))
+ROLES = st.sampled_from(["feature", "feature", "parameter-t", "id", "ignore"])
+
+
+@st.composite
+def normalize_cases(draw):
+    """(columns, row batches): random roles and schema bounds (min > max and
+    min == max included), constant columns, and batches for repeated calls."""
+    roles = draw(st.lists(ROLES, min_size=1, max_size=5).filter(
+        lambda r: "feature" in r and r.count("parameter-t") <= 1))
+    cells = draw(st.sampled_from([TENTHS, CELLS]))
+    columns = []
+    for i, role in enumerate(roles):
+        bounds = draw(st.one_of(st.just((None, None)), st.tuples(cells, cells),
+                                cells.map(lambda v: (v, v))))
+        columns.append(ColumnSpec(f"c{i}", role, *bounds))
+    constant = draw(st.lists(st.none() | cells, min_size=len(roles), max_size=len(roles)))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        raw = draw(st.lists(st.tuples(*[cells] * len(roles)), max_size=12))
+        batches.append([tuple(v if c is None else c for v, c in zip(r, constant))
+                        for r in raw])
+    return columns, batches
+
+
+def warned(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, sum(issubclass(w.category, UserWarning) for w in caught)
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalize_cases(), st.sampled_from([2, 16, 256, 10**6]))
+def test_normalize_matches_per_cell_loop(case, X):
+    columns, batches = case
+    want_schema, schema = ColumnSchema(copy.deepcopy(columns)), ColumnSchema(columns)
+    filled = False
+    for rows in batches:  # a later batch reuses the bounds an earlier one recorded
+        try:
+            want, want_warnings = warned(per_cell_normalize, rows, want_schema, X)
+        except (OverflowError, ValueError):  # the loop's int() met +-inf or NaN
+            try:
+                got = warned(normalize_columns, rows, schema, X)[0]
+            except DataError:
+                return
+            assert all(0 <= v < X for vec in got for v in vec)
+            return
+        got, got_warnings = warned(normalize_columns, rows, schema, X)
+        assert got == want and all(type(v) is int for vec in got for v in vec)
+        assert got_warnings == want_warnings
+        assert ([(repr(c.min), repr(c.max)) for c in schema.columns]
+                == [(repr(c.min), repr(c.max)) for c in want_schema.columns])
+        filled = filled or bool(rows)
+        if filled:
+            assert all(type(b) is float for i in schema.feature_indices()
+                       for b in (schema.columns[i].min, schema.columns[i].max))
+
+
+@pytest.mark.parametrize("X", [2, 16, 256, 10**6])
+def test_normalize_matches_per_cell_loop_on_every_tenth(X):
+    """Every (min, max, raw) of tenths in [-2, 2], one column per bounds pair:
+    about 0.5% of them sit where precomputing X / (max - min) rounds differently."""
+    tenths = [k / 10 for k in range(-20, 21)]
+    columns = [ColumnSpec(f"c{lo}:{hi}", "feature", lo, hi) for lo in tenths for hi in tenths]
+    rows = [(raw,) * len(columns) for raw in tenths]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the min == max columns
+        want = per_cell_normalize(rows, ColumnSchema(copy.deepcopy(columns)), X)
+        assert normalize_columns(rows, ColumnSchema(columns), X) == want
+
+
+@pytest.mark.parametrize("column", [(-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (-1.0, 0.0, -0.0),
+                                    (-1.0, -0.0, 0.0)])
+def test_signed_zero_bounds_follow_min_and_max(column):
+    rows = [(v,) for v in column]
+    want_schema, schema = uniform_schema(1), uniform_schema(1)
+    assert normalize_columns(rows, schema, 16) == per_cell_normalize(rows, want_schema, 16)
+    assert (repr(schema.columns[0].min), repr(schema.columns[0].max)) == (
+        repr(want_schema.columns[0].min), repr(want_schema.columns[0].max))
+
+
+class TestNormalizeFaults:
+    """Scaled values that overflow clamp; NaN rows and missing columns are data errors."""
+
+    def test_far_out_values_clamp(self):
+        schema = ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("b", "feature")])
+        normalize_columns([(0.0, 0.0), (1e-300, 1e-300)], schema, 16)
+        assert normalize_columns([(1e10, -1e10), (5e-301, 1e-300)], schema, 16) == [
+            (15, 0), (8, 15)]
+
+    def test_nan_is_data_error_naming_the_row(self):
+        schema = ColumnSchema([ColumnSpec("a", "feature")])
+        with pytest.raises(DataError, match="row 1"):
+            normalize_columns([(-1e308,), (1e308,)], schema, 256)
+
+    def test_missing_column_is_data_error(self):
+        schema = ColumnSchema([ColumnSpec(c, "feature") for c in "abc"]
+                              + [ColumnSpec("t", "parameter-t")])
+        with pytest.raises(DataError, match="'c'"):
+            normalize_columns([(1.0, 2.0), (3.0, 4.0)], schema, 16)
+        with pytest.raises(DataError, match="'t'"):
+            extract_parameter([(1.0, 2.0, 3.0)], schema)
+
+    @pytest.mark.parametrize("bound", ["0", True, [0.0]])
+    def test_non_numeric_bound_is_data_error(self, bound):
+        with pytest.raises(DataError, match="not a number"):
+            ColumnSpec("a", "feature", bound, 1.0)
+        with pytest.raises(DataError, match="not a number"):
+            ColumnSpec("a", "feature", 0.0, bound)
+
+    def schema_file(self, tmp_path, roles, **bounds):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"columns": [{"name": name, "role": role, **bounds}
+                                                for name, role in roles]}))
+        return str(path)
+
+    def test_cli_string_bound_is_data_error(self, tmp_path, capsys):
+        schema = self.schema_file(tmp_path, [("a", "feature")], min="0", max=9.0)
+        train = tmp_path / "train.csv"
+        train.write_text("1\n2\n")
+        assert main(["train", str(train), "--schema", schema]) == 2
+        assert "not a number" in capsys.readouterr().err
+
+    def test_cli_far_out_row_clamps(self, tmp_path, capsys):
+        schema = self.schema_file(tmp_path, [("a", "feature"), ("t", "parameter-t")])
+        train, test, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "p.ipat"
+        train.write_text("0,5\n1e-300,7\n")
+        test.write_text("1e10\n-1e10\n")
+        assert main(["train", str(train), "--schema", schema, "--model", str(model)]) == 0
+        assert main(["predict", str(test), "--model", str(model)]) == 0
+        assert capsys.readouterr().out.splitlines()[-3:-1] == ["0 t=7", "1 t=5"]
+
+    def test_cli_nan_row_is_data_error(self, tmp_path, capsys):
+        schema = self.schema_file(tmp_path, [("a", "feature")])
+        train = tmp_path / "train.csv"
+        train.write_text("-1e308\n1e308\n")
+        assert main(["train", str(train), "--schema", schema]) == 2
+        assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("roles, missing", [
+        ([("a", "feature"), ("b", "feature"), ("c", "feature")], "'c'"),
+        ([("a", "feature"), ("b", "ignore"), ("t", "parameter-t")], "'t'"),
+    ])
+    def test_cli_missing_column_is_data_error(self, tmp_path, capsys, roles, missing):
+        train = tmp_path / "t.csv"
+        train.write_text("1,2\n3,4\n")
+        assert main(["train", str(train), "--schema", self.schema_file(tmp_path, roles)]) == 2
+        assert missing in capsys.readouterr().err
 
 
 class TestCsv:
