@@ -55,7 +55,7 @@ def _report_header(args) -> str:
 def _vectors(path, rows, schema, x_range):
     """Feature vectors from raw rows; no schema means integral cells, taken as ints."""
     if schema is not None:
-        return normalize_columns(rows, schema, x_range)
+        return _checked(path, normalize_columns, rows, schema, x_range)
     vectors = [tuple(map(int, r)) for r in rows]
     if vectors != rows:  # int() dropped the fraction of some cell
         i = next(i for i, (v, r) in enumerate(zip(vectors, rows)) if v != r)
@@ -64,9 +64,9 @@ def _vectors(path, rows, schema, x_range):
 
 
 def _checked(where, fn, *args, **kwargs):
-    try:  # input a model rejects is a data error, named by where it came from
+    try:  # input a model or a table reader rejects is a data error, named by where it came from
         return fn(*args, **kwargs)
-    except ValidationError as exc:
+    except (ValidationError, DataError) as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 
@@ -76,7 +76,7 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     if schema is not None and schema.parameter_index() is not None:
         vectors = _vectors(args.data, rows, schema, args.x)
-        ts = extract_parameter(rows, schema)
+        ts = _checked(args.data, extract_parameter, rows, schema)
         idx = _checked(args.data, build_param_index, list(zip(vectors, ts)), X=args.x)
         elapsed = time.perf_counter() - t0
         print(_report_header(args))

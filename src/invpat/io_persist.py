@@ -173,14 +173,19 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> list[tuple[int, ...
 
 
 def extract_parameter(rows, schema: ColumnSchema) -> list[int]:
-    """The parameter-t column as integers."""
+    """The parameter-t column as integers; a cell with a fraction is a DataError."""
     i = schema.parameter_index()
     if i is None:
         raise DataError("schema has no parameter-t column")
     try:
-        return [int(r[i]) for r in rows]
+        cells = [r[i] for r in rows]
     except IndexError:
         raise DataError(f"rows lack column {i + 1} ({schema.columns[i].name!r})") from None
+    ts = [int(v) for v in cells]
+    if ts != cells:  # int() dropped the fraction of some cell
+        row = next(j for j, (t, v) in enumerate(zip(ts, cells)) if t != v)
+        raise DataError(f"row {row}: non-integer parameter-t cell {cells[row]!r}")
+    return ts
 
 
 # -- histogram export --------------------------------------------------------------

@@ -5,8 +5,10 @@ feature vector, classifies it against a small teacher-labeled pixel model
 and paints the label of the winning inner class. Detection against an
 arbitrary background trains on a thresholded difference image, masks the
 pixel classes that fire on the background, groups the surviving pixels
-with a propagating wave and recognizes each cluster's class histogram at
-a categorical second level. Both find a pixel's winning class through
+by a vectorised union-find over the pixel pairs within the cluster
+distance and recognizes each cluster's class histogram at a categorical
+second level; detection keeps the pixels in arrays from the winner map to
+the per-cluster histograms. Both find a pixel's winning class through
 inverse patterns: per channel, a table from each sample value to the
 classes within R of it, one bit per class packed into little-endian uint64
 words, ANDed across the channels; the winner is the lowest set bit. The
@@ -202,45 +204,93 @@ def select_pixels(model: Model, img: RasterImage,
 # -- clustering ---------------------------------------------------------------
 
 
-def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = None
-                   ) -> list[PixelCluster]:
-    """Partition pixels into wavefront-connected clusters.
+def _squeeze(values: np.ndarray, d: int) -> np.ndarray:
+    """Sorted int64 values renumbered from 0 with every gap above d cut to d + 1,
+    so each difference up to d stays exact and the rest stay above d. A gap
+    that wraps in int64 is read back exactly as uint64."""
+    gaps = np.minimum(np.diff(values).view(np.uint64), d + 1).astype(np.int64)
+    return np.concatenate([[0], np.cumsum(gaps)])
 
-    Two pixels are adjacent when their Chebyshev distance is <= d (d=1 is
-    classic 8-connectivity). Clusters come back ordered by their
-    topmost-leftmost member; when ``classes`` maps coordinates to pixel
-    class ids, each cluster carries its member-class histogram.
+
+def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray, int]:
+    """Clusters of distinct int64 points given in row-major order, two points
+    being adjacent when their Chebyshev distance is <= d.
+
+    Returns (labels, k): point i lies in cluster ``labels[i]`` of k, numbered in
+    the order of the clusters' first points. Each point gets a sorted key
+    ``row * M + col`` over squeezed coordinates, so one ``searchsorted`` per
+    forward offset finds every adjacent pair and memory stays linear in the
+    points, however far apart they lie. A vectorised union-find joins the
+    pairs: each round hooks the larger root of every pair onto the smaller,
+    jumps pointers until every point points at its root, and drops the pairs
+    already joined. A root is always its cluster's smallest point index.
     """
     if d < 1:
         raise ConfigError(f"cluster distance must be >= 1, got {d}")
-    remaining = set(pixels)
-    offsets = [(dr, dc) for dr in range(-d, d + 1) for dc in range(-d, d + 1)
-               if (dr, dc) != (0, 0)]
-    clusters: list[PixelCluster] = []
-    for seed in sorted(pixels):
-        if seed not in remaining:
-            continue
-        remaining.discard(seed)
-        members = [seed]
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for r, c in frontier:
-                for dr, dc in offsets:
-                    p = (r + dr, c + dc)
-                    if p in remaining:
-                        remaining.discard(p)
-                        members.append(p)
-                        nxt.append(p)
-            frontier = nxt
-        members.sort()
-        rows = [p[0] for p in members]
-        cols = [p[1] for p in members]
-        hist = None
-        if classes is not None:
-            hist = ClassHistogram(np.bincount([classes[p] for p in members]))
-        clusters.append(PixelCluster(members, (min(rows), min(cols), max(rows), max(cols)), hist))
-    return clusters
+    n = len(rows)
+    if n == 0:
+        return np.zeros(0, np.int64), 0
+    values, at = np.unique(cols, return_inverse=True)
+    r, c = _squeeze(rows, d), _squeeze(values, d)[at]
+    m = int(c.max()) + 2 * d + 1  # no offset reaches into the next row
+    keys = r * m + c
+    offsets = np.array([dr * m + dc for dr in range(d + 1) for dc in range(-d, d + 1)
+                        if (dr, dc) > (0, 0)])
+    targets = (keys + offsets[:, None]).ravel()
+    found = np.searchsorted(keys, targets)
+    pairs = np.flatnonzero(keys[np.minimum(found, n - 1)] == targets)
+    a, b = pairs % n, found[pairs]
+    parent = np.arange(n)
+    while a.size:
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        a, b = parent[a], parent[b]
+        joined = a == b
+        a, b = a[~joined], b[~joined]
+    roots = parent == np.arange(n)
+    return (np.cumsum(roots) - 1)[parent], int(roots.sum())
+
+
+def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = None
+                   ) -> list[PixelCluster]:
+    """Partition pixels into connected clusters.
+
+    Two pixels are adjacent when their Chebyshev distance is <= d (d=1 is
+    classic 8-connectivity); clusters are found by union-find over the
+    adjacent pixel pairs. They come back ordered by their topmost-leftmost
+    member; when ``classes`` maps coordinates to pixel class ids, each
+    cluster carries its member-class histogram.
+    """
+    points = sorted(set(pixels))
+    rows, cols = np.array(points, np.int64).reshape(-1, 2).T
+    labels, k = _components(rows, cols, d)
+    if not k:
+        return []
+    order = np.argsort(labels, kind="stable")  # each cluster's points stay row-major
+    rows, cols = rows[order], cols[order]
+    starts = np.flatnonzero(np.diff(labels[order], prepend=-1))
+    ends = np.append(starts[1:], len(order))
+    members = list(zip(rows.tolist(), cols.tolist()))
+    bboxes = zip(rows[starts].tolist(), np.minimum.reduceat(cols, starts).tolist(),
+                 rows[ends - 1].tolist(), np.maximum.reduceat(cols, starts).tolist())
+    ids = None if classes is None else [classes[points[i]] for i in order.tolist()]
+    return [PixelCluster(members[s:e], bbox,
+                         None if ids is None else ClassHistogram(np.bincount(ids[s:e])))
+            for s, e, bbox in zip(starts.tolist(), ends.tolist(), bboxes)]
+
+
+def _cluster_votes(model: Model, img: RasterImage, masked, d: int) -> np.ndarray:
+    """(k, N + 1) pixel-class counts of the k clusters of the image's selected
+    pixels, one row per cluster in ``cluster_pixels`` order."""
+    wins = _winner_map(model, img, masked=frozenset(masked))
+    rows, cols = np.nonzero(wins)
+    labels, k = _components(rows, cols, d)
+    width = model.N + 1
+    return np.bincount(labels * width + wins[rows, cols], minlength=k * width).reshape(k, width)
 
 
 # -- cluster recognition -------------------------------------------------------
@@ -255,11 +305,16 @@ def recognize_clusters(level2: CategoricalModel, clusters: list[PixelCluster],
     count to their winning object class. Returns (class id, activity) or
     None when every cluster is rejected.
     """
+    if any(cl.class_histogram is None for cl in clusters):
+        raise ValidationError("cluster has no class histogram attached")
+    return _recognize(level2, [cl.class_histogram for cl in clusters], threshold)
+
+
+def _recognize(level2: CategoricalModel, histograms, threshold: int) -> tuple[int, int] | None:
+    """``recognize_clusters`` over the clusters' class histograms alone."""
     activities = np.zeros(level2.N + 1, np.int64)
-    for cl in clusters:
-        if cl.class_histogram is None:
-            raise ValidationError("cluster has no class histogram attached")
-        meta = histogram_to_metapattern(cl.class_histogram, threshold)
+    for hist in histograms:
+        meta = histogram_to_metapattern(hist, threshold)
         if not meta:
             continue
         h = level2.classify(meta)
@@ -273,11 +328,8 @@ def recognize_clusters(level2: CategoricalModel, clusters: list[PixelCluster],
 def detect_objects(level1: Model, level2: CategoricalModel, masked, img: RasterImage,
                    meta_threshold: int, cluster_dist: int) -> tuple[int, int] | None:
     """Full recognition pass: select, cluster, recognize. None = no object."""
-    classes = select_pixel_classes(level1, img, frozenset(masked))
-    if not classes:
-        return None
-    clusters = cluster_pixels(set(classes), cluster_dist, classes)
-    return recognize_clusters(level2, clusters, meta_threshold)
+    votes = _cluster_votes(level1, img, masked, cluster_dist)
+    return _recognize(level2, map(ClassHistogram, votes), meta_threshold)
 
 
 def train_detector(background: RasterImage, object_frame: RasterImage, *, radius: int,
@@ -294,11 +346,10 @@ def train_detector(background: RasterImage, object_frame: RasterImage, *, radius
     train_pixels(level1, object_frame, diff_mask(background, object_frame, window, threshold))
     masked = build_class_mask(level1, background, freq_threshold)
     level2 = CategoricalModel(max(level1.N, 1), meta_votes, grow=True)
-    classes = select_pixel_classes(level1, object_frame, masked)
-    clusters = cluster_pixels(set(classes), cluster_dist, classes)
-    if clusters:
-        biggest = max(clusters, key=lambda cl: len(cl.members))
-        meta = histogram_to_metapattern(biggest.class_histogram, meta_threshold)
+    votes = _cluster_votes(level1, object_frame, masked, cluster_dist)
+    if len(votes):
+        biggest = ClassHistogram(votes[votes.sum(axis=1).argmax()])  # the first on ties
+        meta = histogram_to_metapattern(biggest, meta_threshold)
         if meta:
             level2.train_step(meta)
     return level1, level2, masked

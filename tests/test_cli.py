@@ -119,6 +119,38 @@ class TestTrainClassify:
         assert code == 2 and "row 1" in err and "1.9" in err
 
 
+class TestSchemaErrorsNameTheFile:
+    """Data errors raised while reading a table through a schema name the file."""
+
+    def write(self, tmp_path, roles, data):
+        schema = tmp_path / "s.json"
+        schema.write_text('{"columns": [%s]}' % ", ".join(
+            f'{{"name": "{name}", "role": "{role}"}}' for name, role in roles))
+        path = tmp_path / "d.csv"
+        path.write_text(data)
+        return str(path), str(schema)
+
+    def test_nan_row(self, capsys, tmp_path):
+        data, schema = self.write(tmp_path, [("a", "feature")], "-1e308\n1e308\n")
+        code, _, err = run(capsys, "train", data, "--schema", schema)
+        assert code == 2 and f"{data}: row 1: scales to NaN" in err
+
+    def test_missing_column(self, capsys, tmp_path):
+        data, schema = self.write(tmp_path, [("a", "feature"), ("b", "feature"), ("c", "feature")],
+                                  "1,2\n3,4\n")
+        code, _, err = run(capsys, "train", data, "--schema", schema)
+        assert code == 2 and f"{data}: rows lack column 3 ('c')" in err
+
+    def test_fractional_parameter(self, capsys, tmp_path):
+        roles = [("a", "feature"), ("t", "parameter-t")]
+        data, schema = self.write(tmp_path, roles, "1,7\n2,-0.9\n")
+        code, _, err = run(capsys, "train", data, "--schema", schema)
+        assert code == 2 and f"{data}: row 1: non-integer parameter-t cell -0.9" in err
+        data, schema = self.write(tmp_path, roles, "1,7.0\n2,-3.0\n")  # integral floats pass
+        code, out, _ = run(capsys, "train", data, "--schema", schema)
+        assert code == 0 and "t=[-3,7]" in out
+
+
 class TestPredict:
     def test_param_flow(self, capsys, tmp_path):
         schema = tmp_path / "s.json"

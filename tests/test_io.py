@@ -118,6 +118,14 @@ class TestNormalize:
                                ColumnSpec("t", "parameter-t")])
         assert extract_parameter([(1.0, 7.0), (2.0, 9.0)], schema) == [7, 9]
 
+    def test_fractional_parameter_is_data_error_naming_the_row(self):
+        schema = ColumnSchema([ColumnSpec("a", "feature"),
+                               ColumnSpec("t", "parameter-t")])
+        with pytest.raises(DataError, match=r"row 0: .*7\.5"):
+            extract_parameter([(1.0, 7.5), (2.0, -0.9)], schema)
+        with pytest.raises(DataError, match=r"row 2: .*-0\.9"):
+            extract_parameter([(1.0, 7.0), (2.0, -3.0), (3.0, -0.9)], schema)
+
     def test_schema_roundtrip(self, tmp_path):
         schema = ColumnSchema([ColumnSpec("a", "feature", 0.0, 4.0),
                                ColumnSpec("t", "parameter-t")])

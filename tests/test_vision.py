@@ -264,6 +264,105 @@ class TestClustering:
         assert sum(cl.class_histogram.counts.values()) == len(cl.members)
 
 
+def oracle_view(pixels, d, classes):
+    """cluster_pixels' contract spelled out from union_find_clusters."""
+    return [(g, (g[0][0], min(c for _, c in g), g[-1][0], max(c for _, c in g)),
+             dict(sorted(Counter(classes[p] for p in g).items())))
+            for g in union_find_clusters(pixels, d)]
+
+
+def view(clusters):
+    return [(cl.members, cl.bbox, cl.class_histogram.counts) for cl in clusters]
+
+
+FAR = [(10**9, 10**9), (10**9, 10**9 - 1), (-10**9, 10**9), (-10**9, -10**9),
+       (10**9 - 3, -10**9), (-10**9 + 2, -10**9 + 2), (5 * 10**18, -5 * 10**18),
+       (5 * 10**18 + 1, -5 * 10**18 + 1), (-5 * 10**18, 5 * 10**18)]  # spans past int64
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_cluster_pixels_matches_union_find_oracle(d):
+    """Members, bounding boxes, histograms and order against the pairwise
+    oracle, on random sets around the origin, points so far apart that
+    their differences overflow int64, an empty set and a single pixel."""
+    rng = np.random.default_rng(200 + d)
+    for trial in range(40):
+        n, span = int(rng.integers(1, 90)), int(rng.choice([6, 20, 60]))
+        pts = {(int(r), int(c)) for r, c in rng.integers(-span, span, size=(n, 2))}
+        if trial % 3 == 0:
+            pts.update(FAR[:int(rng.integers(1, len(FAR) + 1))])
+        classes = {p: int(rng.integers(1, 12)) for p in pts}
+        got = cluster_pixels(pts, d, classes)
+        assert view(got) == oracle_view(pts, d, classes)
+        assert all(type(v) is int for cl in got for p in cl.members for v in p)
+    corners = {(0, -2**63): 1, (1, 2**63 - 1): 1, (1 + d, 2**63 - 1 - d): 2}  # gaps wrap int64
+    assert view(cluster_pixels(set(corners), d, corners)) == oracle_view(corners, d, corners)
+    assert cluster_pixels(set(), d, {}) == []
+    assert view(cluster_pixels({(-7, 10**9)}, d, {(-7, 10**9): 3})) == [
+        ([(-7, 10**9)], (-7, 10**9, -7, 10**9), {3: 1})]
+
+
+def serpentine(n):
+    """Every even row, joined alternately at the right and the left end."""
+    m = np.zeros((n, n), bool)
+    m[::2] = True
+    m[1::2, -1] = True
+    m[3::4, -1], m[3::4, 0] = False, True
+    return m
+
+
+def comb(n, spine_row):
+    """Every even column, joined by one full row."""
+    m = np.zeros((n, n), bool)
+    m[:, ::2] = True
+    m[spine_row] = True
+    return m
+
+
+def points(mask):
+    return set(zip(*(a.tolist() for a in np.nonzero(mask))))
+
+
+@pytest.mark.parametrize("shape", ["serpentine", "comb-bottom", "comb-top"])
+def test_cluster_pixels_long_paths(shape):
+    """Shapes whose clusters join only over long paths converge to the exact
+    clusters: one whole cluster, and two once a link is cut."""
+    n = 160
+    mask = {"serpentine": serpentine(n), "comb-bottom": comb(n, n - 1),
+            "comb-top": comb(n, 0)}[shape]
+    pts = points(mask)
+    whole = cluster_pixels(pts, 1)
+    assert len(whole) == 1 and whole[0].members == sorted(pts)
+    cut = mask.copy()
+    if shape == "serpentine":
+        cut[n // 2 + 1] = False  # the link between rows n/2 and n/2 + 2
+    else:
+        cut[n - 1 if shape == "comb-bottom" else 0, 1] = False  # first tooth off the spine
+    first = {(r, c) for r, c in points(cut) if (r <= n // 2 if shape == "serpentine" else c == 0)}
+    parts = cluster_pixels(points(cut), 1)
+    assert [cl.members for cl in parts] == [sorted(first), sorted(points(cut) - first)]
+    small = cut[:24, :24]
+    assert [cl.members for cl in cluster_pixels(points(small), 1)] == union_find_clusters(
+        points(small), 1)
+
+
+def test_cluster_pixels_matches_scipy_label():
+    """8-connected clusters of random winner maps against scipy's labelling,
+    which numbers components in raster order of their first pixel."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    rng = np.random.default_rng(211)
+    for density in (0.2, 0.45, 0.6, 0.9):
+        for shape in ((1, 1), (1, 70), (70, 1), (48, 64)):
+            wins = np.where(rng.random(shape) < density, rng.integers(1, 9, size=shape), 0)
+            labels, k = ndimage.label(wins > 0, structure=np.ones((3, 3)))
+            want = [sorted(points(labels == j)) for j in range(1, k + 1)]
+            classes = {p: int(wins[p]) for p in points(wins > 0)}
+            got = cluster_pixels(set(classes), 1, classes)
+            assert [cl.members for cl in got] == want
+            assert [cl.class_histogram.counts for cl in got] == [
+                dict(sorted(Counter(classes[p] for p in g).items())) for g in want]
+
+
 class TestRecognizeClusters:
     def level2(self):
         m = CategoricalModel(10, 2, grow=True)
@@ -461,6 +560,70 @@ class TestTrainDetector:
         background, object_frame = detection_scene(*PIPELINE_SCENE)
         level1, level2, _ = trained_detector(background, object_frame, 10**6)
         assert level1.N > 0 and level2.N == 0
+
+
+def spelled_out_detect(level1, level2, masked, frame, meta_threshold, d):
+    """detect_objects as select, cluster and recognize written one by one."""
+    classes = select_pixel_classes(level1, frame, masked)
+    return recognize_clusters(level2, cluster_pixels(set(classes), d, classes), meta_threshold)
+
+
+def query_frames(background, object_frame, seed):
+    """The scene's two frames, the object moved, the object rolled round the
+    frame edges into pieces, two copies of it, and sample noise over the
+    object frame."""
+    rng = np.random.default_rng(seed)
+    bg, obj = background.pixels, object_frame.pixels
+    moved = np.roll(obj, (7, -5), axis=(0, 1))
+    two = np.where((obj != bg).any(axis=2, keepdims=True), obj, moved)
+    noisy = np.clip(obj.astype(int) + rng.integers(-12, 13, size=obj.shape), 0, 255)
+    return [background, object_frame, img(moved), img(np.roll(obj, (-20, 25), axis=(0, 1))),
+            img(two), img(noisy)]
+
+
+@pytest.mark.parametrize("scene", [CRITERION_10_SCENE, PIPELINE_SCENE])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_detect_objects_matches_spelled_out_composition(scene, d):
+    background, object_frame = detection_scene(*scene)
+    level1, level2, masked = train_detector(
+        background, object_frame, radius=10, window=3, threshold=12, freq_threshold=3,
+        cluster_dist=d, meta_threshold=2, meta_votes=1)
+    hits = 0
+    for frame in query_frames(background, object_frame, scene[0]):
+        for meta_threshold in (1, 2, 5):
+            got = detect_objects(level1, level2, masked, frame, meta_threshold, d)
+            assert got == spelled_out_detect(level1, level2, masked, frame, meta_threshold, d)
+            hits += got is not None
+    assert hits  # the comparison covers recognised frames, not only empty ones
+
+
+def two_object_scene():
+    """A background with two objects of equal area and different colours; the
+    top-left one is the first cluster in cluster order."""
+    background, _ = detection_scene(*PIPELINE_SCENE)
+    frame = background.pixels.copy()
+    frame[24:30, 26:34] = (220, 40, 40)
+    frame[4:10, 4:12] = (40, 40, 220)
+    return background, img(frame)
+
+
+@pytest.mark.parametrize("scene", [CRITERION_10_SCENE, PIPELINE_SCENE, "two objects"])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_train_detector_matches_spelled_out_composition(scene, d):
+    """Level 2 learns the meta-pattern of the largest cluster, the first one on
+    ties, as select_pixel_classes + cluster_pixels would pick it."""
+    background, object_frame = (two_object_scene() if scene == "two objects"
+                                else detection_scene(*scene))
+    level1, level2, masked = train_detector(
+        background, object_frame, radius=10, window=3, threshold=12, freq_threshold=3,
+        cluster_dist=d, meta_threshold=2, meta_votes=1)
+    classes = select_pixel_classes(level1, object_frame, masked)
+    clusters = cluster_pixels(set(classes), d, classes)
+    biggest = max(clusters, key=lambda cl: len(cl.members))
+    assert level2.stored == [histogram_to_metapattern(biggest.class_histogram, 2)]
+    if scene == "two objects":
+        sizes = sorted(len(cl.members) for cl in clusters)
+        assert sizes[-1] == sizes[-2] and biggest is clusters[0]
 
 
 def brute_winners(model, colors, radius, masked):
