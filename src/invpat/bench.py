@@ -47,9 +47,7 @@ class BenchReport:
 def uniform_model(n_classes: int, k: int, x: int, r: int, rng: np.random.Generator) -> Model:
     """Model populated with uniform random class prototypes."""
     model = Model(k, x, r)
-    protos = rng.integers(0, x, size=(n_classes, k))
-    for row in protos:
-        model.insert_class(row.tolist())
+    model.insert_classes(rng.integers(0, x, size=(n_classes, k)))
     return model
 
 

@@ -1,11 +1,13 @@
 """Inverted-index classification core.
 
-A model keeps one posting list per (dimension, feature value): the ids of
-every stored class whose prototype takes that value in that dimension.
+A model's index has one posting list per (dimension, feature value): the ids
+of every stored class whose prototype takes that value in that dimension.
 Posting lists hold exact values only; the generalization radius R is applied
 at query time by sweeping the value window [v - R, v + R] in each dimension.
 This keeps the per-dimension index a partition of the class ids (each class
 appears exactly once per dimension, lists at distinct values are disjoint).
+A numeric model stores one thing, its prototype array; the posting lists
+are derived from it, and the plain-list views of both are built on read.
 
 Classification counts one vote per class per matching dimension; a class
 reaching K votes lies within Chebyshev distance R of the query. Training is
@@ -14,14 +16,17 @@ instant: a query that fails to reach K votes is appended as a new class.
 Both models vote into one dense array indexed by class id, which is the
 whole of a ``ClassHistogram``; its ``argmax`` is the one place ties break
 (toward the smaller id). Numeric votes come from one kernel over a snapshot
-holding, per dimension, the class ids sorted by value plus value offsets: a
-window is one slice and the votes are one ``np.bincount`` (Zobel & Moffat).
-Classes inserted since vote from their prototypes; this tail is merged once
-it outgrows an eighth. Categorical votes are one ``np.bincount`` over the
-posting lists of the present categories.
+of the prototype array holding, per dimension, the class ids sorted by value
+plus value offsets: a window is one slice and the votes are one
+``np.bincount`` (Zobel & Moffat). Classes inserted since vote from their rows
+of the array; this tail is merged once it outgrows an eighth. Categorical
+votes are one ``np.bincount`` over the posting lists of the present
+categories.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -41,6 +46,30 @@ def _vector(x, K: int, X: int) -> tuple[int, ...]:
         if not 0 <= v < X:
             raise ValidationError(f"feature value {v} outside [0, {X})")
     return tuple(x) if exact else tuple(map(int, x))
+
+
+def _int_table(values, name: str, X: int | None = None) -> np.ndarray:
+    """values (a column, or a table of rows) as int64, each in [0, X) when X is
+    given; a scalar, a ragged table and a bool, float or other non-integer are rejected."""
+    try:
+        table = np.array(values)
+    except ValueError:  # ragged
+        table = np.array(None)
+    if table.ndim == 0:
+        raise ValidationError(f"{name} is not a column or a table of equal rows")
+    if table.size == 0:
+        return table.astype(np.int64)
+    if table.dtype.kind not in "iu" or X is None and not np.can_cast(table.dtype, np.int64):
+        raise ValidationError(f"{name} holds values that are not int64 integers ({table.dtype})")
+    if not isinstance(values, np.ndarray):  # a bool reads as 0 or 1: type-check rows holding one
+        low = table <= 1
+        at = np.flatnonzero(low.any(axis=tuple(range(1, low.ndim)))).tolist()
+        suspects = np.array([values[i] for i in at], dtype=object).reshape(low[at].shape)
+        if not {bool, np.bool_}.isdisjoint(map(type, suspects[low[at]].tolist())):
+            raise ValidationError(f"{name} holds bools, not integers")
+    if X is not None and (table.min() < 0 or table.max() >= X):
+        raise ValidationError(f"{name} holds a value outside [0, {X})")
+    return table.astype(np.int64, copy=False)
 
 
 def _radius(radius, default: int) -> int:
@@ -85,16 +114,44 @@ class ClassHistogram:
         return self.max_count > 0
 
 
+class _Postings(Sequence):
+    """Read-only posting lists of a (N, K) prototype array: item k maps each
+    value v of dimension k to the sorted list of ids of the classes holding v
+    there. Each item is built on read, so only the dimensions read cost work."""
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._rows.shape[1]
+
+    def __getitem__(self, k: int) -> dict[int, list[int]]:
+        column = self._rows[:, k]
+        ids = (np.argsort(column, kind="stable") + 1).tolist()  # stable: ids ascend per value
+        counts = np.bincount(column)
+        values = np.flatnonzero(counts)
+        heights = counts[values].tolist()
+        ends = np.cumsum(heights).tolist()
+        return {v: ids[e - h:e] for v, h, e in zip(values.tolist(), heights, ends)}
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
 class Model:
     """Numeric-feature model: K dimensions, feature range [0, X), radius R.
 
-    ``postings[k][v]`` is the sorted list of class ids whose prototype has
-    value v in dimension k (missing keys mean an empty list). Prototypes are
-    kept alongside the index for persistence and invariant checking.
+    The one stored state is the prototype array: row n - 1 is class n's
+    prototype, rows past N are unused capacity. ``postings[k][v]``, the
+    sorted list of class ids whose prototype has value v in dimension k
+    (missing keys mean an empty list), and ``prototypes``, the list of
+    prototype tuples, are read-only views built from it on read.
 
     Thread safety: any number of concurrent readers may classify; training
-    mutates and must be serialized by the caller. A reader that refreshes
-    the snapshot publishes it in one assignment, never half-built.
+    mutates and must be serialized by the caller. An insert writes its rows
+    before it publishes the new N, and a reader reads N before the array, so
+    it never sees an unwritten row. A reader that refreshes the snapshot
+    publishes it in one assignment, never half-built.
     """
 
     def __init__(self, K: int, X: int, R: int):
@@ -108,29 +165,57 @@ class Model:
         self.X = int(X)
         self.R = int(R)
         self.N = 0
-        self.postings: list[dict[int, list[int]]] = [{} for _ in range(K)]
-        self.prototypes: list[tuple[int, ...]] = []
         self.labels = None  # optional LabelTable of the classes, saved with the model
         self.schema = None  # optional ColumnSchema of the training table, saved too
+        self._protos = np.empty((0, self.K), np.min_scalar_type(self.X - 1))  # the store
         self._base = [k * (self.X + 1) for k in range(self.K)]  # offsets index of (k, 0)
-        # (classes covered, prototype array, snapshot size nf, ids, offsets)
-        self._state = (0, np.empty((0, self.K), np.min_scalar_type(self.X - 1)), 0,
-                       memoryview(np.empty(0, np.uint8)),
+        # (snapshot size nf, ids, offsets)
+        self._state = (0, memoryview(np.empty(0, np.uint8)),
                        memoryview(np.zeros(self.K * (self.X + 1), np.int64)))
         self._tables = None  # vision's ((N, radius, mask), inverse-pattern tables), one slot
+
+    # -- the store ----------------------------------------------------------
+
+    def _append(self, rows) -> int:
+        """Write rows after the N stored ones, doubling the array when it is
+        full, then publish the new N; returns the first new id."""
+        n, m = self.N, len(rows)
+        store = self._protos
+        if n + m > len(store):  # rows past N are never read, whatever np.resize fills in
+            self._protos = store = np.resize(store, (max(n + m, 2 * len(store)), self.K))
+        store[n:n + m] = rows
+        self.N = n + m
+        return n + 1
+
+    def _rows(self) -> np.ndarray:
+        """The N stored prototypes as a (N, K) view of the array, N read first."""
+        n = self.N
+        return self._protos[:n]
+
+    @property
+    def postings(self) -> _Postings:
+        return _Postings(self._rows())
+
+    @property
+    def prototypes(self) -> list[tuple[int, ...]]:
+        return list(map(tuple, self._rows().tolist()))
 
     # -- training -----------------------------------------------------------
 
     def insert_class(self, x) -> int:
         """Store x as a new class and return its id (ids are dense, 1..N)."""
-        proto = _vector(x, self.K, self.X)
-        self.N += 1
-        n = self.N
-        for k, v in enumerate(proto):
-            # ids only grow, so appending keeps every list sorted
-            self.postings[k].setdefault(v, []).append(n)
-        self.prototypes.append(proto)
-        return n
+        return self._append([_vector(x, self.K, self.X)])
+
+    def insert_classes(self, rows) -> list[int]:
+        """Store each row of a (rows, K) integer table as a new class, in order,
+        and return their ids, as a loop of ``insert_class`` would. The whole
+        table is validated first, so a bad one stores nothing."""
+        table = _int_table(rows, "prototype table", self.X)
+        if table.shape != (0,) and (table.ndim != 2 or table.shape[1] != self.K):
+            raise ValidationError(f"expected a table of {self.K}-feature rows, "
+                                  f"got shape {table.shape}")
+        first = self._append(table.reshape(-1, self.K))
+        return list(range(first, first + len(table)))
 
     def train_step(self, x) -> tuple[int, bool]:
         """Classify x; create a new class when no full match exists.
@@ -144,28 +229,25 @@ class Model:
     # -- voting kernel ------------------------------------------------------
 
     def _refresh(self):
-        """Fill the prototype array up to N; rebuild the snapshot once the tail
-        outgrows it. ``offsets[_base[k] + v]`` is the position in ``ids`` of
-        dimension k's first id with value >= v. Memoryviews slice and join
-        faster than numpy views at small heights."""
-        covered, protos, nf, ids, offsets = state = self._state
-        n = self.N
-        if covered == n:  # a concurrent reader published it since the caller looked
+        """The snapshot (nf, ids, offsets) of the first nf rows of the store,
+        rebuilt once the rows past it outgrow an eighth of it.
+        ``offsets[_base[k] + v]`` is the position in ``ids`` of dimension k's
+        first id with value >= v. Memoryviews slice and join faster than numpy
+        views at small heights."""
+        state = self._state
+        n = self.N  # read after the snapshot, so n >= its size
+        if n - state[0] <= state[0] // 8:  # a small tail, or another reader merged it already
             return state
-        if len(protos) < n:  # grow by doubling; rows past N are never read
-            protos = np.resize(protos, (max(n, 2 * len(protos)), self.K))
-        protos[covered:n] = self.prototypes[covered:n]
-        if n - nf > nf // 8:  # the tail outgrew an eighth: merge (O'Neil et al.'s LSM tree)
-            nf = n
-            values = np.arange(self.X + 1)
-            order = np.empty((self.K, n), np.min_scalar_type(n))  # uint16 up to 65535 classes
-            offsets = np.empty((self.K, self.X + 1), np.int64)
-            for k in range(self.K):  # one column at a time keeps the temporaries small
-                by_value = np.argsort(protos[:n, k], kind="stable")
-                order[k] = by_value + 1
-                offsets[k] = k * n + np.searchsorted(protos[by_value, k], values)
-            ids, offsets = memoryview(order.ravel()), memoryview(offsets.ravel())
-        self._state = state = (n, protos, nf, ids, offsets)
+        # the tail outgrew an eighth: merge (O'Neil et al.'s LSM tree)
+        protos = self._protos[:n]
+        values = np.arange(self.X + 1)
+        order = np.empty((self.K, n), np.min_scalar_type(n))  # uint16 up to 65535 classes
+        offsets = np.empty((self.K, self.X + 1), np.int64)
+        for k in range(self.K):  # one column at a time keeps the temporaries small
+            by_value = np.argsort(protos[:, k], kind="stable")
+            order[k] = by_value + 1
+            offsets[k] = k * n + np.searchsorted(protos[by_value, k], values)
+        self._state = state = (n, memoryview(order.ravel()), memoryview(offsets.ravel()))
         return state
 
     def _votes(self, x, radius: int | None):
@@ -174,10 +256,12 @@ class Model:
         x = _vector(x, self.K, self.X)
         r = _radius(radius, self.R)
         top = self.X - r  # windows are [max(v - r, 0), min(v + r + 1, X))
-        state = self._state
-        if state[0] != self.N:
-            state = self._refresh()
-        n, protos, nf, ids, offsets = state
+        nf, ids, offsets = state = self._state
+        n = self.N  # the snapshot, then N, then the store: n >= nf and the store holds n rows
+        if n - nf > nf // 8:
+            nf, ids, offsets = self._refresh()
+            n = self.N
+        protos = self._protos
         starts = [offsets[o + (v - r if v > r else 0)] for o, v in zip(self._base, x)]
         ends = [offsets[o + (v + r + 1 if v < top else self.X)] for o, v in zip(self._base, x)]
         window = np.frombuffer(b"".join([ids[a:b] for a, b in zip(starts, ends)]), ids.format)
@@ -210,10 +294,12 @@ class Model:
     # -- instrumentation ----------------------------------------------------
 
     def avg_height(self) -> float:
-        """Mean size of the non-empty posting lists (each class is in one per dimension)."""
-        if self.N == 0:
+        """Mean size of the non-empty posting lists (each class is in one per dimension):
+        K * N over the count of distinct values per dimension."""
+        rows = np.sort(self._rows(), axis=0)
+        if len(rows) == 0:
             raise ValidationError("empty model has no posting lists")
-        return self.K * self.N / sum(map(len, self.postings))
+        return self.K * len(rows) / (self.K + int((rows[1:] != rows[:-1]).sum()))
 
     def touched_mass(self, x, radius: int | None = None) -> int:
         """Posting entries a classification of x visits (analytic count)."""

@@ -210,7 +210,7 @@ _TRAILER = struct.Struct("<I")
 def _payload(obj, schema: ColumnSchema | None) -> dict:
     if isinstance(obj, Model):
         body = {"kind": "numeric", "K": obj.K, "X": obj.X, "R": obj.R,
-                "prototypes": [list(p) for p in obj.prototypes]}
+                "prototypes": obj._rows().tolist()}
         if obj.labels is not None:
             body["labels"] = {str(k): v for k, v in obj.labels.labels().items()}
     elif isinstance(obj, CategoricalModel):
@@ -240,8 +240,7 @@ def _restore(body: dict):
     kind = body.get("kind")
     if kind == "numeric":
         obj = Model(body["K"], body["X"], body["R"])
-        for proto in body["prototypes"]:
-            obj.insert_class(proto)
+        obj.insert_classes(body["prototypes"])
         if "labels" in body:
             obj.labels = LabelTable({int(k): v for k, v in body["labels"].items()})
     elif kind == "categorical":

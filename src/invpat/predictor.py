@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoEvidenceError, ValidationError
-from .index import _vector
+from .index import _int_table, _vector
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,6 @@ class ParamIndex:
         return acc.astype(np.int64)
 
 
-def _int_column(values: list, name: str) -> np.ndarray:
-    """values as int64; a bool, float or other non-integer is rejected."""
-    column = np.array(values)  # reads a bool among ints as 0 or 1, so those are type-checked
-    if column.dtype.kind not in "iu" or not np.can_cast(column.dtype, np.int64) or any(
-            isinstance(values[i], (bool, np.bool_)) for i in np.flatnonzero(column <= 1)):
-        raise ValidationError(f"{name} holds values that are not int64 integers ({column.dtype})")
-    return column.astype(np.int64)
-
-
 def build_param_index(rows, X: int) -> ParamIndex:
     """Build an index from (feature vector, t) pairs sharing one K."""
     rows = list(rows)
@@ -113,13 +104,11 @@ def build_param_index(rows, X: int) -> ParamIndex:
         raise ValidationError("cannot build a parameter index from no rows")
     if len({len(x) for x, _ in rows}) > 1:
         raise ValidationError("feature vectors differ in length")
-    t_values, t_rank = np.unique(_int_column([t for _, t in rows], "t"), return_inverse=True)
+    t_values, t_rank = np.unique(_int_table([t for _, t in rows], "t"), return_inverse=True)
     T = len(t_values)
     tables = []
     for k in range(len(rows[0][0])):
-        v = _int_column([x[k] for x, _ in rows], f"dimension {k}")
-        if v.min() < 0 or v.max() >= X:  # checked before v * T can overflow
-            raise ValidationError(f"feature value outside [0, {X}) in dimension {k}")
+        v = _int_table([x[k] for x, _ in rows], f"dimension {k}", X)  # so v * T cannot overflow
         # one key per (v, t) pair, so sorted keys are the sorted (v, t) pairs
         key, count = np.unique(v * T + t_rank, return_counts=True)
         tables.append(np.column_stack((key // T, t_values[key % T], count)))

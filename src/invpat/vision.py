@@ -120,11 +120,12 @@ def _inverse_patterns(model: Model, r: int, masked) -> list[np.ndarray]:
     masked (bit 0, "no class", never is). Built once per (N, r, mask) and
     published in ``model._tables`` in one assignment, so concurrent readers
     never see half of it; an insert grows N, which invalidates it."""
-    n, mask = model.N, frozenset(masked or ())
-    slot = model._tables
+    rows, mask = model._rows(), frozenset(masked or ())
+    n, slot = len(rows), model._tables
     if slot is not None and slot[0] == (n, r, mask):
         return slot[1]
-    protos = np.array([(0,) * model.K, *model.prototypes[:n]], np.int64)  # row 0: "no class"
+    protos = np.zeros((n + 1, model.K), np.int64)  # row 0: "no class"
+    protos[1:] = rows
     live = ~np.isin(np.arange(n + 1), [0, *mask])
     values = np.arange(256)[:, None]
     tables = []

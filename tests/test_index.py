@@ -411,16 +411,16 @@ class TestVotingKernel:
         for row in rows[:64]:
             m.insert_class(row)
         check_query(m, queries[0], None)
-        assert m._state[2] == 64  # snapshot covers every class
+        assert m._state[0] == 64  # snapshot covers every class
         for row in rows[64:72]:
             m.insert_class(row)
         for q in queries:
             check_query(m, q, None)
-        assert m._state[2] == 64  # eight classes vote from the tail
+        assert m._state[0] == 64  # eight classes vote from the tail
         m.insert_class(rows[72])
         for q in queries:
             check_query(m, q, 0)
-        assert m._state[2] == 73  # the ninth outgrew an eighth: merged
+        assert m._state[0] == 73  # the ninth outgrew an eighth: merged
 
     def test_concurrent_readers_on_fresh_model(self, tmp_path):
         rng = np.random.default_rng(37)
@@ -461,3 +461,155 @@ def test_refresh_of_a_current_snapshot_keeps_it():
     state = m._refresh()
     assert m._refresh() is state
     assert m.classify((2, 3)).counts == {1: 2}
+
+
+def plain_loop_index(rows, K):
+    """The posting dicts and prototype tuples as a plain loop of inserts builds them."""
+    postings, prototypes = [{} for _ in range(K)], []
+    for n, row in enumerate(rows, start=1):
+        for k, v in enumerate(row):
+            postings[k].setdefault(v, []).append(n)
+        prototypes.append(tuple(row))
+    return postings, prototypes
+
+
+BAD_KINDS = ["bool", "float", "negative", "too large", "short row", "long row"]
+
+
+def spoil(rows, kind, i, j, X):
+    """rows with cell (i, j) or row i made invalid in the given way."""
+    rows = [list(r) for r in rows]
+    if kind == "short row":
+        rows[i].pop()
+    elif kind == "long row":
+        rows[i].append(0)
+    else:
+        rows[i][j] = {"bool": rows[i][j] > 0, "float": float(rows[i][j]),
+                      "negative": -1, "too large": X}[kind]
+    return rows
+
+
+@st.composite
+def batches(draw):
+    """A model shape and a stream of batch inserts, bad batches and queries."""
+    k = draw(st.integers(1, 4))
+    x_range = draw(st.sampled_from([2, 5, 16, 256, 300]))
+    r = draw(st.integers(0, x_range - 1))
+    vec = st.lists(st.integers(0, x_range - 1), min_size=k, max_size=k)
+    table = st.lists(vec, max_size=12)
+    op = st.one_of(
+        st.tuples(st.just("insert"), table, st.booleans()),
+        st.tuples(st.just("bad"), st.lists(vec, min_size=1, max_size=6),
+                  st.tuples(st.sampled_from(BAD_KINDS), st.integers(0, 5), st.integers(0, k - 1))),
+        st.tuples(st.just("query"), vec, st.sampled_from([None, 0, x_range - 1])))
+    return k, x_range, r, draw(st.lists(op, max_size=25))
+
+
+class TestBatchInsert:
+    @given(batches())
+    def test_matches_a_loop_of_insert_class(self, case):
+        k, x_range, r, ops = case
+        batch, loop, stored = Model(k, x_range, r), Model(k, x_range, r), []
+        probe = [0] * k
+        for kind, arg, extra in ops:
+            if kind == "insert":
+                table = np.array(arg, np.int64).reshape(-1, k) if extra else arg
+                ids = batch.insert_classes(table)
+                assert ids == [loop.insert_class(row) for row in arg]
+                assert all(type(n) is int for n in ids)
+                stored += arg
+            elif kind == "query":
+                probe = arg
+                assert batch.classify(arg, extra).counts == loop.classify(arg, extra).counts
+            else:
+                how, i, j = extra
+                with pytest.raises(ValidationError):
+                    batch.insert_classes(spoil(arg, how, i % len(arg), j, x_range))
+                assert (batch.classify(probe).votes == loop.classify(probe).votes).all()
+            postings, prototypes = plain_loop_index(stored, k)
+            assert batch.N == loop.N == len(stored)
+            assert batch.prototypes == loop.prototypes == prototypes
+            assert all(type(v) is int for p in batch.prototypes for v in p)
+            assert list(batch.postings) == list(loop.postings) == postings
+            assert all(type(n) is int for d in batch.postings for ids in d.values() for n in ids)
+            if stored:
+                assert batch.avg_height() == k * len(stored) / sum(map(len, postings))
+
+    def test_views_are_read_only_and_not_stored(self):
+        m = Model(2, 8, 1)
+        m.insert_classes([[1, 2], [1, 3]])
+        assert not {"postings", "prototypes"} & vars(m).keys()
+        for name in ("postings", "prototypes"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, [])
+        assert m.postings[0] == {1: [1, 2]} and m.prototypes == [(1, 2), (1, 3)]
+
+    @pytest.mark.parametrize("table", [[], np.empty((0, 2), np.int64)])
+    def test_empty_table_stores_nothing(self, table):
+        m = Model(2, 8, 1)
+        assert m.insert_classes(table) == [] and m.N == 0 and m.prototypes == []
+        assert m.insert_classes([[1, 2]]) == [1]
+
+    @pytest.mark.parametrize("table", [[[]], [[1, 2], []], [1, 2], [[[1, 2]]], 5, "12",
+                                       [[1, None]], [[1, 2**70]], [["1", 2]],
+                                       np.array([[True, False]]), [[1, np.True_]]])
+    def test_malformed_tables_rejected(self, table):
+        m = Model(2, 8, 1)
+        m.insert_class((1, 2))
+        with pytest.raises(ValidationError):
+            m.insert_classes(table)
+        assert m.N == 1 and m.prototypes == [(1, 2)] and m.postings[0] == {1: [1]}
+
+
+def test_readers_during_inserts_see_only_written_rows():
+    """Readers racing a writer over many fresh models (so over many doublings
+    of the store) see only written rows: the prototypes they read are a prefix
+    of the inserted rows, and every histogram matches the scan of the first n
+    rows, n being the N the reader saw (the length of its votes)."""
+    rng = np.random.default_rng(41)
+    rows = rng.integers(0, 64, size=(300, 3))
+    queries = rng.integers(0, 64, size=(8, 3)).tolist()
+    R = 4
+    near = [np.abs(rows - q) <= R for q in queries]
+    want = [np.concatenate([[0], hit.sum(axis=1)]) for hit in near]  # votes at n = 300
+    box, done, wrong, errors = [Model(3, 64, R)], threading.Event(), [], []
+
+    def reader(start):
+        start.wait()
+        try:
+            while not done.is_set():
+                m = box[0]
+                view = m.prototypes
+                if view != list(map(tuple, rows[:len(view)].tolist())):
+                    wrong.append(("prototypes", len(view)))
+                for q, full in zip(queries, want):
+                    votes = m.classify(q).votes
+                    if (votes != full[:len(votes)]).any():
+                        wrong.append((q, len(votes) - 1))
+        except Exception as exc:  # a failed reader would otherwise end silently
+            errors.append(exc)
+
+    start = threading.Barrier(5)
+    threads = [threading.Thread(target=reader, args=(start,)) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        start.wait()
+        for _ in range(30):
+            m = box[0] = Model(3, 64, R)
+            for i in range(0, len(rows), 3):  # batches and single rows
+                if i % 2:
+                    m.insert_classes(rows[i:i + 3])
+                else:
+                    for row in rows[i:i + 3].tolist():
+                        m.insert_class(row)
+        done.set()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not wrong

@@ -56,6 +56,14 @@ def roundtrip(obj):
         return load_model(path)
 
 
+def model_bytes(obj) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.ipat")
+        save_model(obj, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
 def envelope(body) -> bytes:
     """A model file with a valid header and checksum around any JSON body."""
     payload = json.dumps(body).encode()
@@ -71,6 +79,10 @@ MALFORMED_BODIES = [
     {"kind": "param_index", "K": 1, "X": 4, "rows": 1, "tables": [[[0, [[5, 1], [5, 1]]]]]},
     {"kind": "stack", "levels": [{"model": 3}]},
     [1, 2],
+    # prototype tables the batch insert must reject; [[1]] above is a wrong K
+    *({"kind": "numeric", "K": 2, "X": 16, "R": 0, "prototypes": table}
+      for table in ([[1, 2], [3, True]], [[1, 2.0]], [[1, -1]], [[1, 16]],
+                    [[1, 2], [3]], [[]])),
 ]
 
 
@@ -558,6 +570,36 @@ class TestModelFiles:
         assert back.levels[0].model.postings == m1.postings
         out = back.run([(3, 3)] * 3, train=False)
         assert out.counts == stack.run([(3, 3)] * 3, train=False).counts
+
+    @given(st.integers(1, 4), st.sampled_from([2, 16, 256]), st.data())
+    def test_numeric_resave_bytes_identical(self, k, x_range, data):
+        """A model with a tail past its snapshot, with or without labels,
+        saves the bytes it was loaded from."""
+        rows = data.draw(st.lists(st.lists(st.integers(0, x_range - 1), min_size=k,
+                                           max_size=k), min_size=1, max_size=40))
+        head = data.draw(st.integers(1, len(rows)))
+        m = Model(k, x_range, data.draw(st.integers(0, x_range - 1)))
+        m.insert_classes(rows[:head])
+        m.classify(rows[0])  # builds the snapshot of the head
+        for row in rows[head:]:
+            m.insert_class(row)
+        assert m._state[0] == head
+        if data.draw(st.booleans()):
+            m.labels = LabelTable({n: f"class {n}" for n in range(1, len(rows) + 1, 2)})
+        first, back = model_bytes(m), roundtrip(m)
+        assert model_bytes(back) == first
+        assert back.prototypes == m.prototypes and back.labels == m.labels
+
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1,
+                             max_size=4), min_size=1, max_size=6), st.booleans())
+    def test_stack_resave_bytes_identical(self, sequences, labelled):
+        level1 = Model(2, 16, 1)
+        labels = LabelTable({1: "first"}) if labelled else None
+        stack = LevelStack([Level(level1, threshold=1, labels=labels),
+                            Level(CategoricalModel(1, 1, grow=True))])
+        for seq in sequences:
+            stack.run(seq, train=True)
+        assert model_bytes(roundtrip(stack)) == model_bytes(stack)
 
     def test_schema_embedded(self, tmp_path):
         schema = ColumnSchema([ColumnSpec("a", "feature", 0.0, 9.0)])
