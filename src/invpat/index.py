@@ -6,8 +6,9 @@ Posting lists hold exact values only; the generalization radius R is applied
 at query time by sweeping the value window [v - R, v + R] in each dimension.
 This keeps the per-dimension index a partition of the class ids (each class
 appears exactly once per dimension, lists at distinct values are disjoint).
-A numeric model stores one thing, its prototype array; the posting lists
-are derived from it, and the plain-list views of both are built on read.
+A numeric model stores one thing, its prototype array, kept as one compact
+unsigned row per dimension; the posting lists are derived from it, and the
+plain-list views of both are built on read.
 
 Classification counts one vote per class per matching dimension; a class
 reaching K votes lies within Chebyshev distance R of the query. Training is
@@ -15,13 +16,15 @@ instant: a query that fails to reach K votes is appended as a new class.
 
 Both models vote into one dense array indexed by class id, which is the
 whole of a ``ClassHistogram``; its ``argmax`` is the one place ties break
-(toward the smaller id). Numeric votes come from one kernel over a snapshot
-of the prototype array holding, per dimension, the class ids sorted by value
-plus value offsets: a window is one slice and the votes are one
-``np.bincount`` (Zobel & Moffat). Classes inserted since vote from their rows
-of the array; this tail is merged once it outgrows an eighth. Categorical
-votes are one ``np.bincount`` over the posting lists of the present
-categories.
+(toward the smaller id). Numeric votes take one of two paths, chosen per
+query by the share of the store its windows cover. Narrow windows gather
+from a snapshot of the store holding, per dimension, the class ids sorted by
+value plus value offsets: a window is one slice and the votes are one
+``np.bincount`` (Zobel & Moffat). Wide windows skip the gather: one column
+scan compares every stored value with its dimension's window. Classes
+inserted since the snapshot vote through the same scan over their columns;
+this tail is merged once it outgrows an eighth. Categorical votes are one
+``np.bincount`` over the posting lists of the present categories.
 """
 
 from __future__ import annotations
@@ -115,18 +118,18 @@ class ClassHistogram:
 
 
 class _Postings(Sequence):
-    """Read-only posting lists of a (N, K) prototype array: item k maps each
+    """Read-only posting lists of a (K, N) prototype store: item k maps each
     value v of dimension k to the sorted list of ids of the classes holding v
     there. Each item is built on read, so only the dimensions read cost work."""
 
-    def __init__(self, rows: np.ndarray):
-        self._rows = rows
+    def __init__(self, columns: np.ndarray):
+        self._columns = columns
 
     def __len__(self) -> int:
-        return self._rows.shape[1]
+        return len(self._columns)
 
     def __getitem__(self, k: int) -> dict[int, list[int]]:
-        column = self._rows[:, k]
+        column = self._columns[k]
         ids = (np.argsort(column, kind="stable") + 1).tolist()  # stable: ids ascend per value
         counts = np.bincount(column)
         values = np.flatnonzero(counts)
@@ -141,17 +144,19 @@ class _Postings(Sequence):
 class Model:
     """Numeric-feature model: K dimensions, feature range [0, X), radius R.
 
-    The one stored state is the prototype array: row n - 1 is class n's
-    prototype, rows past N are unused capacity. ``postings[k][v]``, the
+    The one stored state is the prototype array, one compact unsigned row
+    per dimension grown by doubling: column n - 1 is class n's prototype,
+    columns past N are unused capacity. ``postings[k][v]``, the
     sorted list of class ids whose prototype has value v in dimension k
     (missing keys mean an empty list), and ``prototypes``, the list of
     prototype tuples, are read-only views built from it on read.
 
     Thread safety: any number of concurrent readers may classify; training
-    mutates and must be serialized by the caller. An insert writes its rows
-    before it publishes the new N, and a reader reads N before the array, so
-    it never sees an unwritten row. A reader that refreshes the snapshot
-    publishes it in one assignment, never half-built.
+    mutates and must be serialized by the caller. An insert writes its columns
+    (into a grown copy of the array when it is full) before it publishes the
+    new N, and a reader reads N before the array, so it never sees an
+    unwritten column. A reader that refreshes the snapshot publishes it in
+    one assignment, never half-built.
     """
 
     def __init__(self, K: int, X: int, R: int):
@@ -167,7 +172,8 @@ class Model:
         self.N = 0
         self.labels = None  # optional LabelTable of the classes, saved with the model
         self.schema = None  # optional ColumnSchema of the training table, saved too
-        self._protos = np.empty((0, self.K), np.min_scalar_type(self.X - 1))  # the store
+        self._protos = np.empty((self.K, 0), np.min_scalar_type(self.X - 1))  # the store
+        self._tally = np.min_scalar_type(self.K)  # the smallest vote dtype holding K
         self._base = [k * (self.X + 1) for k in range(self.K)]  # offsets index of (k, 0)
         # (snapshot size nf, ids, offsets)
         self._state = (0, memoryview(np.empty(0, np.uint8)),
@@ -177,24 +183,30 @@ class Model:
     # -- the store ----------------------------------------------------------
 
     def _append(self, rows) -> int:
-        """Write rows after the N stored ones, doubling the array when it is
-        full, then publish the new N; returns the first new id."""
+        """Write rows after the N stored ones as columns of the store, doubling
+        it when it is full, then publish the new N; returns the first new id."""
         n, m = self.N, len(rows)
         store = self._protos
-        if n + m > len(store):  # rows past N are never read, whatever np.resize fills in
-            self._protos = store = np.resize(store, (max(n + m, 2 * len(store)), self.K))
-        store[n:n + m] = rows
+        if n + m > store.shape[1]:  # columns past N are never read
+            grown = np.empty((self.K, max(n + m, 2 * store.shape[1])), store.dtype)
+            grown[:, :n] = store[:, :n]
+            self._protos = store = grown
+        store.T[n:n + m] = rows
         self.N = n + m
         return n + 1
 
-    def _rows(self) -> np.ndarray:
-        """The N stored prototypes as a (N, K) view of the array, N read first."""
+    def _columns(self) -> np.ndarray:
+        """The N stored prototypes as a (K, N) view of the store, N read first."""
         n = self.N
-        return self._protos[:n]
+        return self._protos[:, :n]
+
+    def _rows(self) -> np.ndarray:
+        """The N stored prototypes as a (N, K) view of the store."""
+        return self._columns().T
 
     @property
     def postings(self) -> _Postings:
-        return _Postings(self._rows())
+        return _Postings(self._columns())
 
     @property
     def prototypes(self) -> list[tuple[int, ...]]:
@@ -229,8 +241,8 @@ class Model:
     # -- voting kernel ------------------------------------------------------
 
     def _refresh(self):
-        """The snapshot (nf, ids, offsets) of the first nf rows of the store,
-        rebuilt once the rows past it outgrow an eighth of it.
+        """The snapshot (nf, ids, offsets) of the first nf classes of the store,
+        rebuilt once the classes past it outgrow an eighth of it.
         ``offsets[_base[k] + v]`` is the position in ``ids`` of dimension k's
         first id with value >= v. Memoryviews slice and join faster than numpy
         views at small heights."""
@@ -239,49 +251,71 @@ class Model:
         if n - state[0] <= state[0] // 8:  # a small tail, or another reader merged it already
             return state
         # the tail outgrew an eighth: merge (O'Neil et al.'s LSM tree)
-        protos = self._protos[:n]
+        columns = self._protos[:, :n]
         values = np.arange(self.X + 1)
         order = np.empty((self.K, n), np.min_scalar_type(n))  # uint16 up to 65535 classes
         offsets = np.empty((self.K, self.X + 1), np.int64)
-        for k in range(self.K):  # one column at a time keeps the temporaries small
-            by_value = np.argsort(protos[:, k], kind="stable")
+        for k, column in enumerate(columns):  # one column at a time keeps the temporaries small
+            by_value = np.argsort(column, kind="stable")
             order[k] = by_value + 1
-            offsets[k] = k * n + np.searchsorted(protos[by_value, k], values)
+            offsets[k] = k * n + np.searchsorted(column[by_value], values)
         self._state = state = (n, memoryview(order.ravel()), memoryview(offsets.ravel()))
         return state
 
-    def _votes(self, x, radius: int | None):
-        """(votes, touched): ``votes[n]`` counts the dimensions where class n is
-        within the radius of x; ``touched`` counts the entries of the K windows."""
+    def _scan(self, columns: np.ndarray, x, r: int) -> np.ndarray:
+        """Votes of the classes of a (K, m) block of the store: per class, the
+        dimensions k with lo_k <= value <= hi_k, as one unsigned subtract and
+        compare (a value below lo wraps past the span) and one column sum."""
+        top = self.X - 1
+        lo = [v - r if v > r else 0 for v in x]
+        span = [(v + r if v + r < top else top) - a for v, a in zip(x, lo)]
+        dtype = columns.dtype
+        hit = columns - np.array(lo, dtype)[:, None] <= np.array(span, dtype)[:, None]
+        return hit.view(np.uint8).sum(axis=0, dtype=self._tally)  # a bool sum would upcast
+
+    def _votes(self, x, radius: int | None) -> np.ndarray:
+        """``votes[n]`` counts the dimensions where class n is within the radius
+        of x. Each entry of the K windows is one vote, so the votes sum to the
+        entries touched.
+
+        The offsets give the snapshot's window entries before any gather.
+        Windows covering a wide share of the snapshot's K * nf entries vote by
+        one scan of the whole store instead of gathering their ids: the access
+        path is chosen by selectivity (Selinger et al.)."""
         x = _vector(x, self.K, self.X)
         r = _radius(radius, self.R)
         top = self.X - r  # windows are [max(v - r, 0), min(v + r + 1, X))
-        nf, ids, offsets = state = self._state
-        n = self.N  # the snapshot, then N, then the store: n >= nf and the store holds n rows
+        nf, ids, offsets = self._state
+        n = self.N  # the snapshot, then N, then the store: n >= nf and the store holds n classes
         if n - nf > nf // 8:
             nf, ids, offsets = self._refresh()
             n = self.N
-        protos = self._protos
+        store = self._protos
         starts = [offsets[o + (v - r if v > r else 0)] for o, v in zip(self._base, x)]
         ends = [offsets[o + (v + r + 1 if v < top else self.X)] for o, v in zip(self._base, x)]
-        window = np.frombuffer(b"".join([ids[a:b] for a, b in zip(starts, ends)]), ids.format)
-        votes = np.bincount(window, minlength=n + 1)
-        touched = len(window)
-        if n > nf:
-            votes[nf + 1:] = (np.abs(protos[nf:n] - np.array(x)) <= r).sum(axis=1)
-            touched += int(votes[nf + 1:].sum())
-        return votes, touched
+        touched = sum(ends) - sum(starts)  # of the snapshot
+        # the crossover measured from K * N = 600 to 520,000 (K = 3 to 64):
+        # a 5% share plus the scan's fixed cost, ~12,500 entries' gather
+        if 20 * touched > self.K * nf + 250_000:
+            votes = np.zeros(n + 1, self._tally)
+            votes[1:] = self._scan(store[:, :n], x, r)
+        else:
+            window = b"".join([ids[a:b] for a, b in zip(starts, ends)])
+            votes = np.bincount(np.frombuffer(window, ids.format), minlength=n + 1)
+            if n > nf:
+                votes[nf + 1:] = self._scan(store[:, nf:n], x, r)
+        return votes
 
     # -- classification -----------------------------------------------------
 
     def classify(self, x, radius: int | None = None) -> ClassHistogram:
         """Vote histogram for x; ``radius`` overrides the stored R."""
-        return ClassHistogram(self._votes(x, radius)[0])
+        return ClassHistogram(self._votes(x, radius))
 
     def classify_counted(self, x, radius: int | None = None):
         """Like classify, but also returns the posting entries visited."""
-        votes, touched = self._votes(x, radius)
-        return ClassHistogram(votes), touched
+        votes = self._votes(x, radius)
+        return ClassHistogram(votes), int(votes.sum())
 
     def recognized(self, hist: ClassHistogram) -> int | None:
         """The winner of ``hist`` when it is a full match (K votes), else None."""
@@ -296,14 +330,15 @@ class Model:
     def avg_height(self) -> float:
         """Mean size of the non-empty posting lists (each class is in one per dimension):
         K * N over the count of distinct values per dimension."""
-        rows = np.sort(self._rows(), axis=0)
-        if len(rows) == 0:
+        columns = np.sort(self._columns(), axis=1)
+        if columns.shape[1] == 0:
             raise ValidationError("empty model has no posting lists")
-        return self.K * len(rows) / (self.K + int((rows[1:] != rows[:-1]).sum()))
+        changes = int((columns[:, 1:] != columns[:, :-1]).sum())
+        return self.K * columns.shape[1] / (self.K + changes)
 
     def touched_mass(self, x, radius: int | None = None) -> int:
         """Posting entries a classification of x visits (analytic count)."""
-        return self._votes(x, radius)[1]
+        return int(self._votes(x, radius).sum())
 
 
 class CategoricalModel:

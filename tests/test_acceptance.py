@@ -104,11 +104,12 @@ def test_criterion_3_partition_invariants():
     for i, row in enumerate(rng.integers(0, x_range, size=(10_000, k_dim)), start=1):
         new_id = m.insert_class(row.tolist())
         for k in range(k_dim):
+            lists = m.postings[k].values()  # dimension k's view, built once per insert
             # mass: per dimension the posting lists hold exactly N entries
-            assert sum(len(ids) for ids in m.postings[k].values()) == m.N
+            assert sum(len(ids) for ids in lists) == m.N
             # the fresh id landed in exactly one list of this dimension;
             # with the empty-start induction this implies disjointness
-            holders = sum(1 for ids in m.postings[k].values() if ids[-1] == new_id)
+            holders = sum(1 for ids in lists if ids[-1] == new_id)
             assert holders == 1
         if i % 1000 == 0:
             full_scan()

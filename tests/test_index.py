@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from invpat import CategoricalModel, ConfigError, Model, ValidationError, load_model, save_model
 
@@ -451,6 +451,55 @@ class TestVotingKernel:
                 assert results == [expected] * 4
         finally:
             sys.setswitchinterval(interval)
+
+
+# Shapes (K, X, head) whose windows at radius X - 1 cover the K * head
+# snapshot entries, wide enough for the dense scan, while radius 0 windows
+# gather postings. They take uint8, uint16 and uint32 stores, and uint8 and
+# uint16 vote tallies (K >= 256).
+SCAN_SHAPES = [(1, 256, 14_000), (3, 256, 5_000), (2, 70_000, 7_000), (256, 300, 64),
+               (260, 256, 60)]
+
+
+@st.composite
+def scan_case(draw):
+    """A model of a SCAN_SHAPES shape, the rows of its snapshot, tail and
+    merge, radii 0, X - 1 and one between, and queries that clip windows at 0
+    and at X - 1 or repeat a stored row."""
+    k, x_range, head = draw(st.sampled_from(SCAN_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, x_range, size=(head + head // 4, k))
+    value = st.one_of(st.sampled_from([0, 1, x_range - 2, x_range - 1]),
+                      st.integers(0, x_range - 1))
+    queries = draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=1, max_size=2))
+    queries.append(rows[draw(st.integers(0, len(rows) - 1))].tolist())
+    radii = [0, x_range - 1, draw(st.integers(1, x_range - 2))]
+    return Model(k, x_range, draw(st.integers(0, x_range - 1))), rows, head, queries, radii
+
+
+class TestDenseScan:
+    @settings(max_examples=40, deadline=None)
+    @given(scan_case())
+    def test_votes_and_touched_match_the_scan(self, case):
+        """Votes per class equal the brute-force per-dimension count, and
+        touched the window entries, on both voting paths, over a snapshot
+        alone, a snapshot with a tail and a merged snapshot. The dense scan
+        is the path whose votes come in the unsigned tally dtype."""
+        m, rows, head, queries, radii = case
+        tally = np.min_scalar_type(m.K)
+        for stop in (head, head + head // 8, len(rows)):
+            m.insert_classes(rows[m.N:stop])
+            for q in queries:
+                for radius in radii:
+                    near = np.abs(rows[:stop] - q) <= radius
+                    hist = m.classify(q, radius)
+                    assert hist.votes.tolist() == [0, *near.sum(axis=1).tolist()]
+                    assert m.touched_mass(q, radius) == near.sum()
+                    if radius == 0:
+                        assert hist.votes.dtype == np.int64  # gathered postings
+                    elif radius == m.X - 1:
+                        assert hist.votes.dtype == tally  # every entry: the scan
+            assert m._state[0] == (head if stop < len(rows) else stop)  # tail, then merged
 
 
 def test_refresh_of_a_current_snapshot_keeps_it():

@@ -48,6 +48,18 @@ GOLDEN_BYTES = (
     b'[[0,[[100,1]]],[1,[[-4,1]]],[2,[[5,2]]],[3,[[7,1]]]]]}'
     b'\x0b\x15tz')
 
+# A numeric model with labels, a schema and a class past its snapshot, and
+# its file bytes: pins the v1 numeric layout whatever the in-memory store.
+GOLDEN_MODEL_BYTES = (
+    b'IPAT\x01\x00s\x01\x00\x00\x00\x00\x00\x00'
+    b'{"K":3,"R":2,"X":300,"kind":"numeric","labels":{"1":"edge","3":"mid","5":"tail"},'
+    b'"prototypes":[[0,1,299],[5,5,5],[40,41,42],[299,0,150],[6,4,7]],'
+    b'"schema":{"columns":[{"max":29.9,"min":0.0,"name":"a","role":"feature"},'
+    b'{"max":29.9,"min":0.0,"name":"b","role":"feature"},'
+    b'{"max":1.0,"min":-1.0,"name":"c","role":"feature"},'
+    b'{"max":null,"min":null,"name":"unit","role":"id"}]}}'
+    b'!\xeb\xb1u')
+
 
 def roundtrip(obj):
     with tempfile.TemporaryDirectory() as d:
@@ -508,6 +520,27 @@ class TestModelFiles:
         assert (back.K, back.X, back.rows, back.t_min, back.t_max) == (3, 4, 5, -4, 100)
         for q in np.ndindex(4, 4, 4):
             assert predict_histogram(back, q).counts == predict_histogram(idx, q).counts
+
+    def test_model_bytes_pinned(self, tmp_path):
+        m = Model(3, 300, 2)
+        m.insert_classes([[0, 1, 299], [5, 5, 5], [40, 41, 42], [299, 0, 150]])
+        m.classify((5, 5, 5))  # the snapshot of the first four classes
+        m.insert_class((6, 4, 7))
+        assert m._state[0] == 4 and m.N == 5  # one class past the snapshot
+        m.labels = LabelTable({1: "edge", 3: "mid", 5: "tail"})
+        m.schema = ColumnSchema([ColumnSpec("a", "feature", 0.0, 29.9),
+                                 ColumnSpec("b", "feature", 0.0, 29.9),
+                                 ColumnSpec("c", "feature", -1.0, 1.0), ColumnSpec("unit", "id")])
+        p = tmp_path / "m.ipat"
+        save_model(m, p)
+        assert p.read_bytes() == GOLDEN_MODEL_BYTES
+        p.write_bytes(GOLDEN_MODEL_BYTES)
+        back = load_model(p)
+        assert (back.K, back.X, back.R, back.prototypes) == (m.K, m.X, m.R, m.prototypes)
+        assert back.labels == m.labels and back.schema.to_dict() == m.schema.to_dict()
+        for q in [(0, 1, 299), (5, 5, 5), (6, 4, 7), (299, 299, 0)]:
+            assert back.classify(q).counts == m.classify(q).counts
+        assert model_bytes(back) == GOLDEN_MODEL_BYTES
 
     @given(st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * 3),
                               st.one_of(st.integers(-9, 40), st.just(10**9))),
