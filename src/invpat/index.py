@@ -55,7 +55,7 @@ def _int_table(values, name: str, X: int | None = None) -> np.ndarray:
     """values (a column, or a table of rows) as int64, each in [0, X) when X is
     given; a scalar, a ragged table and a bool, float or other non-integer are rejected."""
     try:
-        table = np.array(values)
+        table = np.asarray(values)  # an int64 array passes through without a copy
     except ValueError:  # ragged
         table = np.array(None)
     if table.ndim == 0:

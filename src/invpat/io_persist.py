@@ -1,17 +1,23 @@
 """Data ingestion and model persistence.
 
 CSV loading handles comma- or whitespace-separated numeric tables with an
-optional header row. Feature normalization min-max scales every feature
-column to a common integer range [0, X) in one array pass over the table,
-recording the training bounds in the schema so test-time rows reuse (and
-clamp to) them; a scaled value that overflows clamps too.
+optional header row. numpy's C parser reads them in blocks of a few hundred
+lines; a file it refuses anywhere (a bad or non-finite cell, a change of
+width, a spelling only Python's float() accepts) is read again by the line
+loop, which decides every value and writes every message.
+
+Feature normalization min-max scales every feature column to a common
+integer range [0, X) in one array pass over the table, recording the
+training bounds in the schema so test-time rows reuse (and clamp to) them;
+a scaled value that overflows clamps too.
 
 Model files are a small binary envelope around a canonical JSON payload:
 magic, little-endian version and payload length, payload, CRC32 trailer.
 Saving the same object twice yields identical bytes; truncation, bit
 corruption and unknown future versions are all detected before any model
 state is built, and a payload that does not describe a valid model raises
-FormatError too. Models are rebuilt only through their public constructors.
+FormatError too. Models are rebuilt only through their public constructors;
+a parameter index gets one int64 array per table, not a tuple per entry.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import struct
 import warnings
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -113,23 +120,69 @@ def _is_number(token: str) -> bool:
 def load_csv(path) -> list[tuple[float, ...]]:
     """Numeric rows from a comma- or whitespace-separated file.
 
-    The delimiter is sniffed from the first data line; a first row in
+    The delimiter is sniffed from each data line; a first data line in
     which no token parses as a number is treated as a header and skipped.
+    Blank lines are skipped; messages number the file's physical lines.
+
+    The rows are parsed by numpy's C parser in blocks of a few hundred
+    lines. When a block fails to parse, changes width or holds a non-finite
+    cell, the whole file is read again by the line loop, which decides
+    every value the parser refuses (``1_0``, non-ASCII digits, ...) and
+    writes every message.
     """
+    return _read_blocks(path) or _read_lines(path)
+
+
+_BLOCK_CELLS = 1 << 13  # cells per np.loadtxt block: 64 KiB of float64, whatever the width
+
+
+def _split(line: str) -> list[str]:
+    return line.split(",") if "," in line else line.split()
+
+
+def _read_blocks(path) -> list[tuple[float, ...]]:
+    """The rows of path through np.loadtxt, block by block; [] where the line loop must decide."""
     rows: list[tuple[float, ...]] = []
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    for lineno, line in enumerate(lines, start=1):
-        parts = line.split(",") if "," in line else line.split()
-        try:
-            row = tuple(map(float, parts))
-        except ValueError as exc:
-            if lineno == 1 and not any(map(_is_number, parts)):
-                continue  # header row
-            raise DataError(f"{path}: non-numeric cell on line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, row)):
-            raise DataError(f"{path}: non-finite cell on line {lineno}")
-        rows.append(row)
+    with open(path, errors="surrogateescape") as fh:
+        lines = filter(str.strip, fh)  # numpy skips "\n" but reads "  " as a cell
+        first = next(lines, "")
+        if not any(map(_is_number, _split(first.strip()))):
+            first = next(lines, "")  # past the header row, or no line at all
+        if not first:
+            return []
+        width = len(_split(first.strip()))
+        delimiter = "," if "," in first else None
+        size = max(1, _BLOCK_CELLS // width)
+        block = [first, *islice(lines, size - 1)]
+        while block:
+            try:
+                table = np.loadtxt(block, delimiter=delimiter, comments=None, ndmin=2)
+            except ValueError:
+                return []
+            if table.shape[1] != width or not np.isfinite(table).all():
+                return []
+            rows.extend(map(tuple, table.tolist()))
+            block = list(islice(lines, size))
+    return rows
+
+
+def _read_lines(path) -> list[tuple[float, ...]]:
+    """load_csv line by line: the oracle of the block reader and the writer of its messages."""
+    rows: list[tuple[float, ...]] = []
+    # a byte the locale cannot decode stays in the line as a surrogate, so it is a bad cell
+    with open(path, errors="surrogateescape") as fh:
+        numbered = ((n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip())
+        for i, (lineno, line) in enumerate(numbered):
+            parts = _split(line)
+            try:
+                row = tuple(map(float, parts))
+            except ValueError as exc:
+                if i == 0 and not any(map(_is_number, parts)):
+                    continue  # header row
+                raise DataError(f"{path}: non-numeric cell on line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"{path}: non-finite cell on line {lineno}")
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     widths = {len(r) for r in rows}
@@ -236,6 +289,23 @@ def _payload(obj, schema: ColumnSchema | None) -> dict:
     return body
 
 
+def _param_table(table) -> np.ndarray:
+    """A saved table, [[v, [[t, count], ...]], ...], as one int64 array of
+    (v, t, count) rows, built without a tuple per row. Every cell must be a
+    JSON integer: numpy would read 1.5 as 1 and true as 1."""
+    values, pairs = zip(*table) if table else ((), ())
+    sizes = list(map(len, pairs))
+    pairs = list(chain.from_iterable(pairs))
+    if set(map(len, pairs)) - {2}:
+        raise FormatError("a param_index entry is not a (t, count) pair")
+    cells = [*values, *chain.from_iterable(pairs)]
+    if not {int}.issuperset(map(type, cells)):
+        raise FormatError("a param_index table holds a cell that is not an integer")
+    cells = np.fromiter(cells, np.int64, len(cells))
+    return np.column_stack((np.repeat(cells[:len(values)], sizes),
+                            cells[len(values):].reshape(-1, 2)))
+
+
 def _restore(body: dict):
     kind = body.get("kind")
     if kind == "numeric":
@@ -248,8 +318,7 @@ def _restore(body: dict):
         for stored in body["stored"]:
             obj.insert_class(stored)
     elif kind == "param_index":
-        obj = ParamIndex([[(v, t, c) for v, pairs in table for t, c in pairs]
-                          for table in body["tables"]], body["X"])
+        obj = ParamIndex(list(map(_param_table, body["tables"])), body["X"])
     elif kind == "stack":
         levels = []
         for lvl in body["levels"]:

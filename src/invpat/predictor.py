@@ -53,9 +53,12 @@ class ParamIndex:
     """
 
     def __init__(self, tables, X: int):
-        """Index over ``tables[k]``: dimension k's (v, t, count) rows, sorted
-        by (v, t) without repeats; value v was seen ``count`` times with t."""
-        tables = [np.asarray(tab, dtype=np.int64).reshape(-1, 3) for tab in tables]
+        """Index over ``tables[k]``: dimension k's (v, t, count) rows of integers,
+        sorted by (v, t) without repeats; value v was seen ``count`` times with t."""
+        tables = [_int_table(tab, f"table {k}") for k, tab in enumerate(tables)]
+        if any(tab.size and (tab.ndim != 2 or tab.shape[1] != 3) for tab in tables):
+            raise ValidationError("table rows must be (v, t, count) triples")
+        tables = [tab.reshape(-1, 3) for tab in tables]
         self.K, self.X = len(tables), int(X)
         if self.K < 1 or self.X < 1:
             raise ConfigError(f"ParamIndex needs K >= 1 and X >= 1, got K={self.K}, X={X}")

@@ -7,10 +7,11 @@ import struct
 import tempfile
 import warnings
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invpat import (
     CategoricalModel,
@@ -34,6 +35,7 @@ from invpat import (
     save_model,
     save_pnm,
 )
+from invpat import io_persist
 from invpat.cli import main
 from invpat.io_persist import extract_parameter, save_schema, load_schema, uniform_schema
 
@@ -95,6 +97,10 @@ MALFORMED_BODIES = [
     *({"kind": "numeric", "K": 2, "X": 16, "R": 0, "prototypes": table}
       for table in ([[1, 2], [3, True]], [[1, 2.0]], [[1, -1]], [[1, 16]],
                     [[1, 2], [3]], [[]])),
+    # param_index cells numpy would read as integers (5.5 as 5, true as 1), and a bad pair
+    *({"kind": "param_index", "K": 1, "X": 4, "rows": 1, "tables": [table]}
+      for table in ([[0, [[5.5, 1]]]], [[0.0, [[5, 1]]]], [[0, [[5, 1.0]]]], [[True, [[5, 1]]]],
+                    [[0, [[5, True]]]], [[0, [[5, 1, 1]]]], [[0, [["5", 1]]]])),
 ]
 
 
@@ -387,6 +393,121 @@ class TestCsv:
         with pytest.raises(DataError, match="ragged"):
             load_csv(p)
 
+    @pytest.mark.parametrize("text, line", [
+        ("a,b\n\n1,2\nx,3\n", 4),
+        ("\n  \n1 2\n\n3 nan\n", 5),
+        ("1,2\r\n\r\n3,y\r\n", 3),
+    ])
+    def test_messages_number_physical_lines(self, tmp_path, text, line):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(DataError, match=rf"on line {line}\b"):
+            load_csv(p)
+
+    def test_undecodable_bytes_are_bad_cells(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_bytes(b"c\xe9l,b\n1,2\n\xff,3\n")
+        with pytest.raises(DataError, match="non-numeric cell on line 3"):
+            load_csv(p)
+        assert main(["train", str(p), "--x", "16", "--model", str(tmp_path / "m.ipat")]) == 2
+
+    def test_header_after_blank_lines(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("\n \nunit cycle\n1 2\n")
+        assert load_csv(p) == [(1.0, 2.0)]
+
+    def test_plain_tables_take_the_block_path(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("a,b\n" + "".join(f"{i},-{i}.5\n" for i in range(5000)))
+        rows = io_persist._read_blocks(p)
+        assert len(rows) == 5000 and rows == io_persist._read_lines(p) == load_csv(p)
+
+    @pytest.mark.parametrize("odd, message", [
+        ("1_0", None),
+        ("\u0661", None),
+        ("nan", "non-finite cell on line 4503"),
+        ("#", "non-numeric cell on line 4503"),
+        ("", "non-numeric cell on line 4503"),
+    ])
+    def test_odd_cell_in_a_later_block(self, tmp_path, odd, message):
+        lines = [f"{i},{i % 7}.25,-{i}" for i in range(6000)]
+        lines[4500] = f"1,{odd},3"
+        p = tmp_path / "a.csv"
+        p.write_text("x,y,z\n\n" + "\n".join(lines) + "\n")
+        assert 4500 > io_persist._BLOCK_CELLS // 3  # the odd line is past the first block
+        if message is None:
+            rows = load_csv(p)
+            assert rows[4500] == (1.0, float(odd), 3.0) and rows == io_persist._read_lines(p)
+        else:
+            with pytest.raises(DataError, match=message):
+                load_csv(p)
+
+
+NUMBER_CELLS = st.one_of(
+    st.integers(-999, 999).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "+0.0", "-0.0", "+.5", "5.", "1e-400", "-1E3", " 7 "]),
+)
+# cells float() and np.loadtxt may read differently, or that neither reads
+ODD_CELLS = st.sampled_from([
+    "nan", "-nan", "inf", "+inf", "-Infinity", "Infinity", "1e400", "1_0", "-2_5.5",
+    "\u0661", "\u0661\u0662", "#", "1#2", "5#", "", " ", "x", "0x10", "1,5",
+    "\udcff"])  # written as the byte 0xff, which UTF-8 cannot decode
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts around a table of plain numbers: maybe a header, then a few odd
+    lines (blank, whitespace-only, comment-like, an odd cell, a trailing field,
+    mixed separators, another width) anywhere, with \\n or \\r\\n endings."""
+    width = draw(st.integers(1, 4))
+    sep = draw(st.sampled_from([",", ", ", " ,", " ", "\t", "  "]))
+    row = st.lists(NUMBER_CELLS, min_size=width, max_size=width)
+    lines = [sep.join(r) for r in draw(st.lists(row, max_size=25))]
+    if draw(st.booleans()):
+        lines.insert(0, sep.join(draw(st.lists(st.sampled_from(["a", "unit", "s1", "#", "x"]),
+                                                min_size=width, max_size=width))))
+    odd_line = st.one_of(
+        st.sampled_from(["", " ", "\t \t", "1, 2 3", "1 2,3"]),
+        st.sampled_from(["#", "# note", "#1", "1#"]),
+        st.tuples(row, st.integers(0, width - 1), ODD_CELLS).map(
+            lambda r: sep.join(r[0][:r[1]] + [r[2]] + r[0][r[1] + 1:])),
+        row.map(lambda r: sep.join(r) + ","),
+        st.lists(NUMBER_CELLS, min_size=1, max_size=5).map(sep.join),
+        st.lists(NUMBER_CELLS, min_size=2, max_size=4).map(" ,\t".join),
+    )
+    for at, line in draw(st.lists(st.tuples(st.integers(0, len(lines)), odd_line), max_size=3)):
+        lines.insert(at, line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def csv_outcome(read, path):
+    """read(path) as comparable data: reprs keep -0.0 apart from 0.0."""
+    try:
+        rows = read(path)
+    except DataError as exc:
+        return "error", str(exc)
+    assert all(type(r) is tuple and all(type(v) is float for v in r) for r in rows)
+    return "rows", [tuple(map(repr, r)) for r in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_texts(), st.sampled_from([1, 3, 8, io_persist._BLOCK_CELLS]))
+@example("1,2\n3,4\n# note\n5,6\n", 2)  # a comment-like line in a later block
+@example("a b\n\n1 2\n3 4#\n", 2)  # a cell that a comment character ends
+@example("1_0,-0\r\n\u0661,2\r\n", 8)  # float() reads these; loadtxt does not
+def test_load_csv_matches_the_line_loop(text, block_cells):
+    """The block reader gives the line loop's rows or its message, in blocks of
+    any size, so an odd line past the first block is found too."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode(errors="surrogateescape"))
+        with mock.patch.object(io_persist, "_BLOCK_CELLS", block_cells):
+            got = csv_outcome(load_csv, path)
+        assert got == csv_outcome(io_persist._read_lines, path)
+
 
 class TestPnm:
     def test_p6_roundtrip_bytes(self, tmp_path):
@@ -554,6 +675,13 @@ class TestModelFiles:
         for vec, _ in rows:
             assert predict_value(back, vec) == predict_value(idx, vec)
             assert predict_histogram(back, vec).counts == predict_histogram(idx, vec).counts
+        assert model_bytes(back) == model_bytes(idx)
+
+    def test_saved_param_table_reads_as_one_array(self):
+        table = io_persist._param_table([[0, [[5, 2], [7, 1]]], [3, [[-4, 1]]], [4, []]])
+        assert table.dtype == np.int64
+        assert table.tolist() == [[0, 5, 2], [0, 7, 1], [3, -4, 1]]
+        assert io_persist._param_table([]).shape == (0, 3)
 
     @given(st.lists(st.frozensets(st.integers(1, 12), min_size=1, max_size=5), max_size=20),
            st.integers(1, 3), st.booleans())

@@ -85,6 +85,12 @@ class TestBuild:
         [[(0, 5, 1), (0, 5, 2)]],  # repeated (v, t)
         [[(4, 5, 1)]],             # v outside [0, X)
         [[(0, 5, 0)]],             # count below 1
+        [[(0, 1.5, 1)]],           # a t with a fraction
+        [[(0.9, 5, 1)]],           # a v with a fraction
+        [[(True, 5, 1)]],          # bools are not integers
+        [[(0, 5, 1), (1, 5, True)]],
+        [[(0, 5)]],                # not (v, t, count) triples
+        [np.array([[0, 5, 1]], dtype=np.uint64)],
     ])
     def test_constructor_rejects_malformed_tables(self, tables):
         with pytest.raises(ValidationError):
