@@ -14,22 +14,23 @@ Classification counts one vote per class per matching dimension; a class
 reaching K votes lies within Chebyshev distance R of the query. Training is
 instant: a query that fails to reach K votes is appended as a new class.
 
-Both models vote into one dense array indexed by class id, which is the
-whole of a ``ClassHistogram``; its ``argmax`` is the one place ties break
-(toward the smaller id). Numeric votes take one of two paths, chosen per
-query by the share of the store its windows cover. Narrow windows gather
-from a snapshot of the store holding, per dimension, the class ids sorted by
-value plus value offsets: a window is one slice and the votes are one
-``np.bincount`` (Zobel & Moffat). Wide windows skip the gather: one column
-scan compares every stored value with its dimension's window. Classes
-inserted since the snapshot vote through the same scan over their columns;
-this tail is merged once it outgrows an eighth. Categorical votes are one
-``np.bincount`` over the posting lists of the present categories.
+Both models vote into one dense array indexed by class id, which is the whole
+of a ``ClassHistogram``; its ``argmax`` is the one place ties break (toward the
+smaller id). Numeric votes take one of two paths, chosen per query by the share
+of the store its windows cover. Narrow windows gather from a snapshot holding,
+per dimension, the class ids sorted by value and value offsets, the layout
+``predictor.ParamIndex`` shares: a window is one slice, ``_gather`` joins them
+and one ``np.bincount`` votes (Zobel & Moffat). Wide windows skip the gather:
+one column scan compares every stored value with its dimension's window.
+Classes inserted since the snapshot vote through the same scan over their
+columns; this tail is merged once it outgrows an eighth. Categorical votes are
+one ``np.bincount`` over the posting lists of the present categories.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -65,14 +66,20 @@ def _int_table(values, name: str, X: int | None = None) -> np.ndarray:
     if table.dtype.kind not in "iu" or X is None and not np.can_cast(table.dtype, np.int64):
         raise ValidationError(f"{name} holds values that are not int64 integers ({table.dtype})")
     if not isinstance(values, np.ndarray):  # a bool reads as 0 or 1: type-check rows holding one
-        low = table <= 1
-        at = np.flatnonzero(low.any(axis=tuple(range(1, low.ndim)))).tolist()
-        suspects = np.array([values[i] for i in at], dtype=object).reshape(low[at].shape)
-        if not {bool, np.bool_}.isdisjoint(map(type, suspects[low[at]].tolist())):
+        at = np.flatnonzero((table <= 1).reshape(len(table), -1).any(axis=1)).tolist()
+        suspects = [values[i] for i in at]
+        cells = chain.from_iterable(suspects) if table.ndim > 1 else suspects
+        if not {bool, np.bool_}.isdisjoint(map(type, cells)):
             raise ValidationError(f"{name} holds bools, not integers")
     if X is not None and (table.min() < 0 or table.max() >= X):
         raise ValidationError(f"{name} holds a value outside [0, {X})")
     return table.astype(np.int64, copy=False)
+
+
+def _gather(view: memoryview, starts, ends) -> np.ndarray:
+    """The entries view[a:b] of every window (a, b), joined into one array.
+    Memoryviews slice and join faster than numpy views at small heights."""
+    return np.frombuffer(b"".join([view[a:b] for a, b in zip(starts, ends)]), view.format)
 
 
 def _radius(radius, default: int) -> int:
@@ -244,8 +251,7 @@ class Model:
         """The snapshot (nf, ids, offsets) of the first nf classes of the store,
         rebuilt once the classes past it outgrow an eighth of it.
         ``offsets[_base[k] + v]`` is the position in ``ids`` of dimension k's
-        first id with value >= v. Memoryviews slice and join faster than numpy
-        views at small heights."""
+        first id with value >= v."""
         state = self._state
         n = self.N  # read after the snapshot, so n >= its size
         if n - state[0] <= state[0] // 8:  # a small tail, or another reader merged it already
@@ -285,11 +291,8 @@ class Model:
         x = _vector(x, self.K, self.X)
         r = _radius(radius, self.R)
         top = self.X - r  # windows are [max(v - r, 0), min(v + r + 1, X))
-        nf, ids, offsets = self._state
+        nf, ids, offsets = self._refresh()
         n = self.N  # the snapshot, then N, then the store: n >= nf and the store holds n classes
-        if n - nf > nf // 8:
-            nf, ids, offsets = self._refresh()
-            n = self.N
         store = self._protos
         starts = [offsets[o + (v - r if v > r else 0)] for o, v in zip(self._base, x)]
         ends = [offsets[o + (v + r + 1 if v < top else self.X)] for o, v in zip(self._base, x)]
@@ -300,8 +303,7 @@ class Model:
             votes = np.zeros(n + 1, self._tally)
             votes[1:] = self._scan(store[:, :n], x, r)
         else:
-            window = b"".join([ids[a:b] for a, b in zip(starts, ends)])
-            votes = np.bincount(np.frombuffer(window, ids.format), minlength=n + 1)
+            votes = np.bincount(_gather(ids, starts, ends), minlength=n + 1)
             if n > nf:
                 votes[nf + 1:] = self._scan(store[:, nf:n], x, r)
         return votes

@@ -272,7 +272,7 @@ def _payload(obj, schema: ColumnSchema | None) -> dict:
                 "stored": [sorted(s) for s in obj.stored]}
     elif isinstance(obj, ParamIndex):
         body = {"kind": "param_index", "K": obj.K, "X": obj.X, "rows": obj.rows,
-                "tables": [sorted((v, sorted(t.items())) for v, t in table.items())
+                "tables": [[[v, list(pairs.items())] for v, pairs in table.items()]
                            for table in obj.tables()]}
     elif isinstance(obj, LevelStack):
         body = {"kind": "stack",
@@ -363,6 +363,6 @@ def load_model(path):
         raise FormatError(f"{path}: checksum mismatch, file is corrupted")
     try:
         return _restore(json.loads(payload))
-    except (AttributeError, LookupError, TypeError, ValueError, OverflowError,
-            InvpatError) as exc:
+    except (AttributeError, LookupError, TypeError, ValueError, OverflowError, MemoryError,
+            InvpatError) as exc:  # MemoryError: sizes (X) past what can be allocated
         raise FormatError(f"{path}: malformed payload: {exc!r}") from exc

@@ -2,54 +2,68 @@
 
 Training stores, for every (dimension, feature value) pair, a count table
 of the parameter values t observed together with that feature value
-(multiset semantics: repeated observations accumulate). Prediction sums
-the K tables addressed by a query vector into a parameter histogram and
-takes its argmax, breaking ties toward the smaller t so a predicted
-lifetime never exceeds an equally likely shorter one.
+(multiset semantics: repeated observations accumulate), laid out as the
+posting lists of ``index.Model``'s snapshot. Prediction gathers the K tables
+addressed by a query vector into a dense histogram over t with one weighted
+``np.bincount`` and takes its argmax, breaking ties toward the smaller t so
+a predicted lifetime never exceeds an equally likely shorter one.
 
 No generalization radius is applied here; the index is exact-value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, NoEvidenceError, ValidationError
-from .index import _int_table, _vector
+from .index import _gather, _int_table, _vector
 
 
-@dataclass(frozen=True)
 class ParamHistogram:
-    """Histogram of a predicted parameter t for one query."""
+    """Histogram of a predicted parameter t for one query: ``acc[i]`` counts
+    ``t[i]``, t ascending. ``argmax_t`` is the t of the first maximum (ties
+    break toward the smaller t); ``counts`` maps each t with a count to it."""
 
-    counts: dict[int, int]
+    __slots__ = ("t", "acc")
+
+    def __init__(self, t: np.ndarray, acc: np.ndarray):
+        self.t, self.acc = t, acc
+
+    @classmethod
+    def from_counts(cls, counts: dict[int, int]) -> "ParamHistogram":
+        """Histogram of a t -> count mapping."""
+        t = sorted(counts)
+        return cls(np.array(t, np.int64), np.array([counts[v] for v in t], np.int64))
+
+    @property
+    def counts(self) -> dict[int, int]:
+        nz = np.flatnonzero(self.acc)
+        return dict(zip(self.t[nz].tolist(), self.acc[nz].tolist()))
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.acc.sum())
 
     @property
     def argmax_t(self) -> int:
         """Smallest t attaining the maximum count."""
-        if not self.counts:
+        if not self:
             raise NoEvidenceError("empty parameter histogram")
-        best = max(self.counts.values())
-        return min(t for t, c in self.counts.items() if c == best)
+        return int(self.t[self.acc.argmax()])
 
     def __bool__(self) -> bool:
-        return bool(self.counts)
+        return bool(self.acc.any())
 
 
 class ParamIndex:
     """Per (dimension, feature value) count tables over the parameter t.
 
-    Built once, then immutable. All K tables share one layout: the
-    (cell = k * X + v, t, count) triples sorted by cell and then t, in flat
-    arrays, where the triples of cell c are ``offsets[c]:offsets[c + 1]``.
-    t is stored as its rank among the distinct values seen, so prediction
-    memory follows how many values t takes, not their span.
+    Built once, then immutable, in the layout of ``index.Model``'s snapshot:
+    the (t rank, count) entries of all K tables sorted by dimension, value
+    and t, as two compact unsigned memoryviews; ``offsets[k * (X + 1) + v]``
+    is dimension k's first entry with value >= v, so a table is one slice for
+    ``index._gather``. t is stored as its rank among the distinct values seen,
+    so prediction memory follows how many values t takes, not their span.
     """
 
     def __init__(self, tables, X: int):
@@ -68,36 +82,26 @@ class ParamIndex:
                     or v.size and not 0 <= v[0] <= v[-1] < self.X):
                 raise ValidationError("table rows must be unique, sorted by (v, t), with "
                                       f"v in [0, {self.X}) and count >= 1")
-        self._t_values = np.unique(np.concatenate([np.unique(tab[:, 1]) for tab in tables]))
-        self._t_rank = np.concatenate([np.searchsorted(self._t_values, tab[:, 1])
-                                       for tab in tables])
-        self._count = np.concatenate([tab[:, 2] for tab in tables])
-        self._offsets = np.cumsum(np.concatenate(
-            [[0], *(np.bincount(tab[:, 0], minlength=self.X) for tab in tables)]))
+        self._offsets = memoryview(np.cumsum(np.concatenate(
+            [[0], *(np.bincount(tab[:, 0], minlength=self.X + 1) for tab in tables)])))
+        self._t_values = np.unique(np.concatenate([tab[:, 1] for tab in tables]))
+        rank = np.concatenate([np.searchsorted(self._t_values, tab[:, 1]) for tab in tables])
+        self._rank, self._count = (memoryview(a.astype(np.min_scalar_type(a.max(initial=0))))
+                                   for a in (rank, np.concatenate([tab[:, 2] for tab in tables])))
         self.rows = int(tables[0][:, 2].sum())
         self.t_min = int(self._t_values[0]) if self._t_values.size else None
         self.t_max = int(self._t_values[-1]) if self._t_values.size else None
         self.schema = None  # optional ColumnSchema, saved with the index
 
     def tables(self) -> list[dict[int, dict[int, int]]]:
-        """Plain-dict view of the count tables (for persistence and tests)."""
-        t = self._t_values[self._t_rank].tolist()
+        """Plain-dict view of the count tables, in (v, t) order (for persistence and tests)."""
+        t = self._t_values[np.asarray(self._rank)].tolist()
         count, at = self._count.tolist(), self._offsets.tolist()
         out: list[dict[int, dict[int, int]]] = [{} for _ in range(self.K)]
         for c in np.flatnonzero(np.diff(self._offsets)).tolist():
-            out[c // self.X][c % self.X] = dict(zip(t[at[c]:at[c + 1]], count[at[c]:at[c + 1]]))
+            k, v = divmod(c, self.X + 1)
+            out[k][v] = dict(zip(t[at[c]:at[c + 1]], count[at[c]:at[c + 1]]))
         return out
-
-    def _accumulate(self, x) -> np.ndarray:
-        """Summed counts of the K tables addressed by x, indexed by t rank."""
-        x = np.array(_vector(x, self.K, self.X), dtype=np.int64)
-        cells = np.arange(0, self.K * self.X, self.X) + x
-        lo, size = self._offsets[cells], self._offsets[cells + 1] - self._offsets[cells]
-        # positions lo[k] .. lo[k] + size[k] - 1 of every k, as one index array
-        pick = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-        acc = np.bincount(self._t_rank[pick], weights=self._count[pick],
-                          minlength=len(self._t_values))
-        return acc.astype(np.int64)
 
 
 def build_param_index(rows, X: int) -> ParamIndex:
@@ -120,17 +124,16 @@ def build_param_index(rows, X: int) -> ParamIndex:
 
 def predict_histogram(idx: ParamIndex, x) -> ParamHistogram:
     """Parameter histogram for x: counts[t] = sum over k of table hits."""
-    acc = idx._accumulate(x)
-    nz = np.flatnonzero(acc)
-    return ParamHistogram(dict(zip(idx._t_values[nz].tolist(), acc[nz].tolist())))
+    cells = [k * (idx.X + 1) + v for k, v in enumerate(_vector(x, idx.K, idx.X))]
+    starts, ends = [idx._offsets[c] for c in cells], [idx._offsets[c + 1] for c in cells]
+    acc = np.bincount(_gather(idx._rank, starts, ends), weights=_gather(idx._count, starts, ends),
+                      minlength=len(idx._t_values))
+    return ParamHistogram(idx._t_values, acc.astype(np.int64))
 
 
 def predict_value(idx: ParamIndex, x) -> int:
     """Most probable t for x; smallest t on ties; error when no evidence."""
-    acc = idx._accumulate(x)
-    if not acc.any():
-        raise NoEvidenceError("no training evidence for this query")
-    return int(idx._t_values[np.argmax(acc)])
+    return predict_histogram(idx, x).argmax_t
 
 
 def histogram_spread(h: ParamHistogram) -> tuple[int, float, int]:
@@ -139,11 +142,6 @@ def histogram_spread(h: ParamHistogram) -> tuple[int, float, int]:
     The skew sign is sign(mean - mode); a nonzero sign flags the symmetry
     breakdown seen near end of life and is exposed as a diagnostic only.
     """
-    if not h.counts:
-        raise NoEvidenceError("empty parameter histogram")
-    mode = h.argmax_t
-    total = h.total
-    mean = sum(t * c for t, c in h.counts.items()) / total
-    diff = mean - mode
-    skew = 0 if diff == 0 else (1 if diff > 0 else -1)
-    return mode, mean, skew
+    mode = h.argmax_t  # raises NoEvidenceError on an empty histogram
+    mean = sum(t * c for t, c in h.counts.items()) / h.total
+    return mode, mean, (mean > mode) - (mean < mode)

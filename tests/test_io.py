@@ -101,6 +101,9 @@ MALFORMED_BODIES = [
     *({"kind": "param_index", "K": 1, "X": 4, "rows": 1, "tables": [table]}
       for table in ([[0, [[5.5, 1]]]], [[0.0, [[5, 1]]]], [[0, [[5, 1.0]]]], [[True, [[5, 1]]]],
                     [[0, [[5, True]]]], [[0, [[5, 1, 1]]]], [[0, [["5", 1]]]])),
+    # an X whose offsets cannot be allocated (8 TiB), numeric and param_index
+    {"kind": "numeric", "K": 1, "X": 2**40, "R": 0, "prototypes": [[0]]},
+    {"kind": "param_index", "K": 1, "X": 2**40, "rows": 1, "tables": [[[0, [[5, 1]]]]]},
 ]
 
 

@@ -11,8 +11,10 @@ from invpat import (
     ValidationError,
     build_param_index,
     histogram_spread,
+    load_model,
     predict_histogram,
     predict_value,
+    save_model,
 )
 
 
@@ -97,23 +99,59 @@ class TestBuild:
             ParamIndex(tables, X=4)
 
 
+def assert_matches_scan(idx, rows, queries):
+    """tables(), histograms and predictions of idx against the brute-force scans of rows."""
+    ts = [t for _, t in rows]
+    assert idx.tables() == table_scan(rows)
+    assert (idx.rows, idx.t_min, idx.t_max) == (len(rows), min(ts), max(ts))
+    for q in queries:
+        expected = row_scan(rows, q)
+        assert predict_histogram(idx, q).counts == expected
+        if expected:
+            best = max(expected.values())
+            assert predict_value(idx, q) == min(t for t, c in expected.items() if c == best)
+        else:
+            with pytest.raises(NoEvidenceError):
+                predict_value(idx, q)
+
+
 class TestLayoutProperties:
     @given(rows_and_queries())
     def test_tables_and_predictions_match_row_scan(self, case):
         rows, x_range, queries = case
         idx = build_param_index(rows, X=x_range)
-        ts = [t for _, t in rows]
-        assert idx.tables() == table_scan(rows)
-        assert (idx.rows, idx.t_min, idx.t_max) == (len(rows), min(ts), max(ts))
-        for q in queries + [vec for vec, _ in rows[:3]]:
-            expected = row_scan(rows, q)
-            assert predict_histogram(idx, q).counts == expected
-            if expected:
-                best = max(expected.values())
-                assert predict_value(idx, q) == min(t for t, c in expected.items() if c == best)
-            else:
-                with pytest.raises(NoEvidenceError):
-                    predict_value(idx, q)
+        assert_matches_scan(idx, rows, queries + [vec for vec, _ in rows[:3]])
+
+    @pytest.mark.parametrize("rows", [
+        [((t % 3, t % 5), 7 * t - 900) for t in range(300)],  # 300 distinct t: two-byte ranks
+        [((1, 2), 7)] * 300 + [((1, 3), 8), ((0, 2), 7)],     # a (v, t) pair 300 times
+        [((t % 4, 2), t % 2) for t in range(70_000)],          # counts past two bytes
+    ])
+    def test_past_one_byte(self, rows, tmp_path):
+        idx = build_param_index(rows, X=5)
+        assert max(np.asarray(idx._rank).itemsize, np.asarray(idx._count).itemsize) > 1
+        queries = list(np.ndindex(5, 5))
+        assert_matches_scan(idx, rows, queries)
+        save_model(idx, tmp_path / "p.ipat")
+        assert_matches_scan(load_model(tmp_path / "p.ipat"), rows, queries)
+
+    def test_empty_tables(self, tmp_path):
+        idx = ParamIndex([[(0, 5, 2), (3, -1, 1)], []], X=4)
+        save_model(idx, tmp_path / "p.ipat")
+        for index in (idx, load_model(tmp_path / "p.ipat")):
+            assert index.tables() == [{0: {5: 2}, 3: {-1: 1}}, {}]
+            assert predict_histogram(index, (0, 1)).counts == {5: 2}
+            assert predict_value(index, (3, 0)) == -1
+            assert not predict_histogram(index, (1, 1))
+            with pytest.raises(NoEvidenceError):
+                predict_value(index, (1, 1))
+        idx = ParamIndex([[], []], X=4)
+        save_model(idx, tmp_path / "q.ipat")
+        for index in (idx, load_model(tmp_path / "q.ipat")):
+            assert index.tables() == [{}, {}] and (index.rows, index.t_min) == (0, None)
+            assert predict_histogram(index, (0, 0)).total == 0
+            with pytest.raises(NoEvidenceError):
+                predict_value(index, (0, 0))
 
 
 class TestPredictHistogram:
@@ -165,20 +203,20 @@ class TestPredictValue:
 
 class TestSpread:
     def test_symmetric(self):
-        mode, mean, skew = histogram_spread(ParamHistogram({5: 1, 6: 2, 7: 1}))
+        mode, mean, skew = histogram_spread(ParamHistogram.from_counts({5: 1, 6: 2, 7: 1}))
         assert (mode, mean, skew) == (6, 6.0, 0)
 
     def test_positive_skew(self):
-        mode, mean, skew = histogram_spread(ParamHistogram({5: 3, 6: 2, 7: 1}))
+        mode, mean, skew = histogram_spread(ParamHistogram.from_counts({5: 3, 6: 2, 7: 1}))
         assert mode == 5 and mean == pytest.approx(17 / 3) and skew == 1
 
     def test_negative_skew(self):
-        mode, mean, skew = histogram_spread(ParamHistogram({3: 1, 6: 2}))
+        mode, mean, skew = histogram_spread(ParamHistogram.from_counts({3: 1, 6: 2}))
         assert (mode, mean, skew) == (6, 5.0, -1)
 
     def test_empty(self):
         with pytest.raises(NoEvidenceError):
-            histogram_spread(ParamHistogram({}))
+            histogram_spread(ParamHistogram.from_counts({}))
 
 
 class TestIntegerInputs:
