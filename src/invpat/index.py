@@ -8,7 +8,7 @@ This keeps the per-dimension index a partition of the class ids (each class
 appears exactly once per dimension, lists at distinct values are disjoint).
 A numeric model stores one thing, its prototype array, kept as one compact
 unsigned row per dimension; the posting lists are derived from it, and the
-plain-list views of both are built on read.
+plain-list views of both are built on read (the lists from the snapshot).
 
 Classification counts one vote per class per matching dimension; a class
 reaching K votes lies within Chebyshev distance R of the query. Training is
@@ -29,7 +29,6 @@ one ``np.bincount`` over the posting lists of the present categories.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
@@ -74,6 +73,29 @@ def _int_table(values, name: str, X: int | None = None) -> np.ndarray:
     if X is not None and (table.min() < 0 or table.max() >= X):
         raise ValidationError(f"{name} holds a value outside [0, {X})")
     return table.astype(np.int64, copy=False)
+
+
+def _offsets(value_columns, X: int) -> memoryview:
+    """Offsets of the posting layout (Zobel & Moffat's inverted file): entries
+    sorted by dimension k, then by value ``value_columns[k]``. Offset
+    ``k * (X + 1) + v`` is the position of dimension k's first entry with
+    value >= v; the last is the entry count. Only ``_offsets``, ``_windows``,
+    ``_lists`` and ``_gather`` address the layout."""
+    counts = np.concatenate([[0], *(np.bincount(c, minlength=X + 1) for c in value_columns)])
+    return memoryview(np.cumsum(counts, out=counts))
+
+
+def _windows(offsets: memoryview, X: int, lo, hi) -> tuple[list[int], list[int]]:
+    """(starts, ends) of the windows of dimension k's entries in [lo[k], hi[k]], each k."""
+    base = range(0, len(lo) * (X + 1), X + 1)
+    return ([offsets[o + a] for o, a in zip(base, lo)],
+            [offsets[o + b + 1] for o, b in zip(base, hi)])
+
+
+def _lists(offsets: memoryview, X: int):
+    """(k, v, start, end) of each non-empty posting list, in (k, v) order."""
+    c = np.flatnonzero(np.diff(at := np.asarray(offsets)))
+    return zip(*(a.tolist() for a in (c // (X + 1), c % (X + 1), at[c], at[c + 1])))
 
 
 def _gather(view: memoryview, starts, ends) -> np.ndarray:
@@ -124,30 +146,6 @@ class ClassHistogram:
         return self.max_count > 0
 
 
-class _Postings(Sequence):
-    """Read-only posting lists of a (K, N) prototype store: item k maps each
-    value v of dimension k to the sorted list of ids of the classes holding v
-    there. Each item is built on read, so only the dimensions read cost work."""
-
-    def __init__(self, columns: np.ndarray):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns)
-
-    def __getitem__(self, k: int) -> dict[int, list[int]]:
-        column = self._columns[k]
-        ids = (np.argsort(column, kind="stable") + 1).tolist()  # stable: ids ascend per value
-        counts = np.bincount(column)
-        values = np.flatnonzero(counts)
-        heights = counts[values].tolist()
-        ends = np.cumsum(heights).tolist()
-        return {v: ids[e - h:e] for v, h, e in zip(values.tolist(), heights, ends)}
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-
 class Model:
     """Numeric-feature model: K dimensions, feature range [0, X), radius R.
 
@@ -156,7 +154,7 @@ class Model:
     columns past N are unused capacity. ``postings[k][v]``, the
     sorted list of class ids whose prototype has value v in dimension k
     (missing keys mean an empty list), and ``prototypes``, the list of
-    prototype tuples, are read-only views built from it on read.
+    prototype tuples, are read-only views built on read (postings from the snapshot).
 
     Thread safety: any number of concurrent readers may classify; training
     mutates and must be serialized by the caller. An insert writes its columns
@@ -181,10 +179,8 @@ class Model:
         self.schema = None  # optional ColumnSchema of the training table, saved too
         self._protos = np.empty((self.K, 0), np.min_scalar_type(self.X - 1))  # the store
         self._tally = np.min_scalar_type(self.K)  # the smallest vote dtype holding K
-        self._base = [k * (self.X + 1) for k in range(self.K)]  # offsets index of (k, 0)
         # (snapshot size nf, ids, offsets)
-        self._state = (0, memoryview(np.empty(0, np.uint8)),
-                       memoryview(np.zeros(self.K * (self.X + 1), np.int64)))
+        self._state = (0, memoryview(np.empty(0, np.uint8)), _offsets(self._protos, self.X))
         self._tables = None  # vision's ((N, radius, mask), inverse-pattern tables), one slot
 
     # -- the store ----------------------------------------------------------
@@ -202,18 +198,18 @@ class Model:
         self.N = n + m
         return n + 1
 
-    def _columns(self) -> np.ndarray:
-        """The N stored prototypes as a (K, N) view of the store, N read first."""
-        n = self.N
-        return self._protos[:, :n]
-
     def _rows(self) -> np.ndarray:
-        """The N stored prototypes as a (N, K) view of the store."""
-        return self._columns().T
+        """The N stored prototypes as a (N, K) view of the store, N read first."""
+        n = self.N
+        return self._protos[:, :n].T
 
     @property
-    def postings(self) -> _Postings:
-        return _Postings(self._columns())
+    def postings(self) -> list[dict[int, list[int]]]:
+        _, ids, offsets = self._merge()
+        ids, out = ids.tolist(), [{} for _ in range(self.K)]
+        for k, v, a, b in _lists(offsets, self.X):
+            out[k][v] = ids[a:b]
+        return out
 
     @property
     def prototypes(self) -> list[tuple[int, ...]]:
@@ -247,36 +243,35 @@ class Model:
 
     # -- voting kernel ------------------------------------------------------
 
+    def _merge(self):
+        """The snapshot (nf, ids, offsets) of all nf = N classes: ``ids`` in the
+        posting layout, ascending per value; published in one assignment."""
+        state = self._state
+        n = self.N  # read after the snapshot, so n >= its size
+        if n == state[0]:  # nothing new, or another reader merged it already
+            return state
+        columns = self._protos[:, :n]
+        order = np.empty((self.K, n), np.min_scalar_type(n))  # uint16 up to 65535 classes
+        for k, column in enumerate(columns):  # one column at a time keeps the temporaries small
+            order[k] = np.argsort(column, kind="stable") + 1
+        self._state = state = (n, memoryview(order.ravel()), _offsets(columns, self.X))
+        return state
+
     def _refresh(self):
-        """The snapshot (nf, ids, offsets) of the first nf classes of the store,
-        rebuilt once the classes past it outgrow an eighth of it.
-        ``offsets[_base[k] + v]`` is the position in ``ids`` of dimension k's
-        first id with value >= v."""
+        """The snapshot, merged once the classes past it outgrow an eighth of it."""
         state = self._state
         n = self.N  # read after the snapshot, so n >= its size
         if n - state[0] <= state[0] // 8:  # a small tail, or another reader merged it already
             return state
-        # the tail outgrew an eighth: merge (O'Neil et al.'s LSM tree)
-        columns = self._protos[:, :n]
-        values = np.arange(self.X + 1)
-        order = np.empty((self.K, n), np.min_scalar_type(n))  # uint16 up to 65535 classes
-        offsets = np.empty((self.K, self.X + 1), np.int64)
-        for k, column in enumerate(columns):  # one column at a time keeps the temporaries small
-            by_value = np.argsort(column, kind="stable")
-            order[k] = by_value + 1
-            offsets[k] = k * n + np.searchsorted(column[by_value], values)
-        self._state = state = (n, memoryview(order.ravel()), memoryview(offsets.ravel()))
-        return state
+        return self._merge()  # the tail outgrew an eighth (O'Neil et al.'s LSM tree)
 
-    def _scan(self, columns: np.ndarray, x, r: int) -> np.ndarray:
+    def _scan(self, block: np.ndarray, lo, hi) -> np.ndarray:
         """Votes of the classes of a (K, m) block of the store: per class, the
-        dimensions k with lo_k <= value <= hi_k, as one unsigned subtract and
+        dimensions k with lo[k] <= value <= hi[k], as one unsigned subtract and
         compare (a value below lo wraps past the span) and one column sum."""
-        top = self.X - 1
-        lo = [v - r if v > r else 0 for v in x]
-        span = [(v + r if v + r < top else top) - a for v, a in zip(x, lo)]
-        dtype = columns.dtype
-        hit = columns - np.array(lo, dtype)[:, None] <= np.array(span, dtype)[:, None]
+        dtype = block.dtype
+        span = np.array([b - a for a, b in zip(lo, hi)], dtype)
+        hit = block - np.array(lo, dtype)[:, None] <= span[:, None]
         return hit.view(np.uint8).sum(axis=0, dtype=self._tally)  # a bool sum would upcast
 
     def _votes(self, x, radius: int | None) -> np.ndarray:
@@ -290,22 +285,23 @@ class Model:
         path is chosen by selectivity (Selinger et al.)."""
         x = _vector(x, self.K, self.X)
         r = _radius(radius, self.R)
-        top = self.X - r  # windows are [max(v - r, 0), min(v + r + 1, X))
+        top = self.X - 1  # the window of v is [max(v - r, 0), min(v + r, X - 1)]
+        lo = [v - r if v > r else 0 for v in x]
+        hi = [v + r if v + r < top else top for v in x]
         nf, ids, offsets = self._refresh()
         n = self.N  # the snapshot, then N, then the store: n >= nf and the store holds n classes
         store = self._protos
-        starts = [offsets[o + (v - r if v > r else 0)] for o, v in zip(self._base, x)]
-        ends = [offsets[o + (v + r + 1 if v < top else self.X)] for o, v in zip(self._base, x)]
+        starts, ends = _windows(offsets, self.X, lo, hi)
         touched = sum(ends) - sum(starts)  # of the snapshot
         # the crossover measured from K * N = 600 to 520,000 (K = 3 to 64):
         # a 5% share plus the scan's fixed cost, ~12,500 entries' gather
         if 20 * touched > self.K * nf + 250_000:
             votes = np.zeros(n + 1, self._tally)
-            votes[1:] = self._scan(store[:, :n], x, r)
+            votes[1:] = self._scan(store[:, :n], lo, hi)
         else:
             votes = np.bincount(_gather(ids, starts, ends), minlength=n + 1)
             if n > nf:
-                votes[nf + 1:] = self._scan(store[:, nf:n], x, r)
+                votes[nf + 1:] = self._scan(store[:, nf:n], lo, hi)
         return votes
 
     # -- classification -----------------------------------------------------
@@ -331,12 +327,11 @@ class Model:
 
     def avg_height(self) -> float:
         """Mean size of the non-empty posting lists (each class is in one per dimension):
-        K * N over the count of distinct values per dimension."""
-        columns = np.sort(self._columns(), axis=1)
-        if columns.shape[1] == 0:
+        K * N over the count of non-empty lists of the merged snapshot."""
+        n, _, offsets = self._merge()
+        if n == 0:
             raise ValidationError("empty model has no posting lists")
-        changes = int((columns[:, 1:] != columns[:, :-1]).sum())
-        return self.K * columns.shape[1] / (self.K + changes)
+        return self.K * n / np.count_nonzero(np.diff(offsets))
 
     def touched_mass(self, x, radius: int | None = None) -> int:
         """Posting entries a classification of x visits (analytic count)."""

@@ -3,10 +3,11 @@
 Training stores, for every (dimension, feature value) pair, a count table
 of the parameter values t observed together with that feature value
 (multiset semantics: repeated observations accumulate), laid out as the
-posting lists of ``index.Model``'s snapshot. Prediction gathers the K tables
-addressed by a query vector into a dense histogram over t with one weighted
-``np.bincount`` and takes its argmax, breaking ties toward the smaller t so
-a predicted lifetime never exceeds an equally likely shorter one.
+posting lists of ``index.Model``'s snapshot, through ``index``'s layout
+helpers. Prediction gathers the K tables addressed by a query vector into a
+dense histogram over t with one weighted ``np.bincount`` and takes its
+argmax, breaking ties toward the smaller t so a predicted lifetime never
+exceeds an equally likely shorter one.
 
 No generalization radius is applied here; the index is exact-value.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NoEvidenceError, ValidationError
-from .index import _gather, _int_table, _vector
+from .index import _gather, _int_table, _lists, _offsets, _vector, _windows
 
 
 class ParamHistogram:
@@ -58,12 +59,12 @@ class ParamHistogram:
 class ParamIndex:
     """Per (dimension, feature value) count tables over the parameter t.
 
-    Built once, then immutable, in the layout of ``index.Model``'s snapshot:
-    the (t rank, count) entries of all K tables sorted by dimension, value
-    and t, as two compact unsigned memoryviews; ``offsets[k * (X + 1) + v]``
-    is dimension k's first entry with value >= v, so a table is one slice for
-    ``index._gather``. t is stored as its rank among the distinct values seen,
-    so prediction memory follows how many values t takes, not their span.
+    Built once, then immutable, in the posting layout of ``index.Model``'s
+    snapshot: the (t rank, count) entries of all K tables sorted by dimension,
+    value and t, as two compact unsigned memoryviews, with ``index._offsets``
+    giving each (dimension, value) table's slice for ``index._gather``. t is
+    stored as its rank among the distinct values seen, so prediction memory
+    follows how many values t takes, not their span.
     """
 
     def __init__(self, tables, X: int):
@@ -82,8 +83,7 @@ class ParamIndex:
                     or v.size and not 0 <= v[0] <= v[-1] < self.X):
                 raise ValidationError("table rows must be unique, sorted by (v, t), with "
                                       f"v in [0, {self.X}) and count >= 1")
-        self._offsets = memoryview(np.cumsum(np.concatenate(
-            [[0], *(np.bincount(tab[:, 0], minlength=self.X + 1) for tab in tables)])))
+        self._offsets = _offsets((tab[:, 0] for tab in tables), self.X)
         self._t_values = np.unique(np.concatenate([tab[:, 1] for tab in tables]))
         rank = np.concatenate([np.searchsorted(self._t_values, tab[:, 1]) for tab in tables])
         self._rank, self._count = (memoryview(a.astype(np.min_scalar_type(a.max(initial=0))))
@@ -95,13 +95,18 @@ class ParamIndex:
 
     def tables(self) -> list[dict[int, dict[int, int]]]:
         """Plain-dict view of the count tables, in (v, t) order (for persistence and tests)."""
-        t = self._t_values[np.asarray(self._rank)].tolist()
-        count, at = self._count.tolist(), self._offsets.tolist()
+        t, count = self._t_values[np.asarray(self._rank)].tolist(), self._count.tolist()
         out: list[dict[int, dict[int, int]]] = [{} for _ in range(self.K)]
-        for c in np.flatnonzero(np.diff(self._offsets)).tolist():
-            k, v = divmod(c, self.X + 1)
-            out[k][v] = dict(zip(t[at[c]:at[c + 1]], count[at[c]:at[c + 1]]))
+        for k, v, a, b in _lists(self._offsets, self.X):
+            out[k][v] = dict(zip(t[a:b], count[a:b]))
         return out
+
+
+def _column(values, name: str, X: int | None = None) -> np.ndarray:
+    """values as an int64 column, one integer per row (see ``index._int_table``)."""
+    if (column := _int_table(values, name, X)).ndim == 1:
+        return column
+    raise ValidationError(f"{name} holds a cell that is not one integer")
 
 
 def build_param_index(rows, X: int) -> ParamIndex:
@@ -111,11 +116,11 @@ def build_param_index(rows, X: int) -> ParamIndex:
         raise ValidationError("cannot build a parameter index from no rows")
     if len({len(x) for x, _ in rows}) > 1:
         raise ValidationError("feature vectors differ in length")
-    t_values, t_rank = np.unique(_int_table([t for _, t in rows], "t"), return_inverse=True)
+    t_values, t_rank = np.unique(_column([t for _, t in rows], "t"), return_inverse=True)
     T = len(t_values)
     tables = []
     for k in range(len(rows[0][0])):
-        v = _int_table([x[k] for x, _ in rows], f"dimension {k}", X)  # so v * T cannot overflow
+        v = _column([x[k] for x, _ in rows], f"dimension {k}", X)  # so v * T cannot overflow
         # one key per (v, t) pair, so sorted keys are the sorted (v, t) pairs
         key, count = np.unique(v * T + t_rank, return_counts=True)
         tables.append(np.column_stack((key // T, t_values[key % T], count)))
@@ -124,8 +129,8 @@ def build_param_index(rows, X: int) -> ParamIndex:
 
 def predict_histogram(idx: ParamIndex, x) -> ParamHistogram:
     """Parameter histogram for x: counts[t] = sum over k of table hits."""
-    cells = [k * (idx.X + 1) + v for k, v in enumerate(_vector(x, idx.K, idx.X))]
-    starts, ends = [idx._offsets[c] for c in cells], [idx._offsets[c + 1] for c in cells]
+    x = _vector(x, idx.K, idx.X)
+    starts, ends = _windows(idx._offsets, idx.X, x, x)
     acc = np.bincount(_gather(idx._rank, starts, ends), weights=_gather(idx._count, starts, ends),
                       minlength=len(idx._t_values))
     return ParamHistogram(idx._t_values, acc.astype(np.int64))

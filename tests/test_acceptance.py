@@ -91,10 +91,11 @@ def test_criterion_3_partition_invariants():
     m = Model(k_dim, x_range, 3)
 
     def full_scan():
+        views = m.postings  # every dimension's view, read once per scan
         for k in range(k_dim):
             seen = set()
             total = 0
-            for ids in m.postings[k].values():
+            for ids in views[k].values():
                 total += len(ids)
                 for n in ids:
                     assert n not in seen
@@ -103,8 +104,9 @@ def test_criterion_3_partition_invariants():
 
     for i, row in enumerate(rng.integers(0, x_range, size=(10_000, k_dim)), start=1):
         new_id = m.insert_class(row.tolist())
+        views = m.postings  # every dimension's view, read once per insert
         for k in range(k_dim):
-            lists = m.postings[k].values()  # dimension k's view, built once per insert
+            lists = views[k].values()
             # mass: per dimension the posting lists hold exactly N entries
             assert sum(len(ids) for ids in lists) == m.N
             # the fresh id landed in exactly one list of this dimension;

@@ -40,7 +40,9 @@ class TestConstruction:
     def test_empty_model(self):
         m = Model(3, 256, 0)
         assert m.N == 0 and m.K == 3
-        assert all(not p for p in m.postings)
+        assert m.postings == [{}, {}, {}]
+        with pytest.raises(ValidationError):
+            m.avg_height()
 
     def test_engine_sized_model(self):
         m = Model(26, 256, 25)
@@ -484,7 +486,8 @@ class TestDenseScan:
         """Votes per class equal the brute-force per-dimension count, and
         touched the window entries, on both voting paths, over a snapshot
         alone, a snapshot with a tail and a merged snapshot. The dense scan
-        is the path whose votes come in the unsigned tally dtype."""
+        is the path whose votes come in the unsigned tally dtype. Then,
+        past the merged snapshot, the views read a merged one."""
         m, rows, head, queries, radii = case
         tally = np.min_scalar_type(m.K)
         for stop in (head, head + head // 8, len(rows)):
@@ -500,6 +503,17 @@ class TestDenseScan:
                     elif radius == m.X - 1:
                         assert hist.votes.dtype == tally  # every entry: the scan
             assert m._state[0] == (head if stop < len(rows) else stop)  # tail, then merged
+        stored = np.concatenate([rows, rows[:head // 8]])
+        m.insert_classes(stored[len(rows):])
+        assert m._state[0] == len(rows)  # a tail past the snapshot
+        postings = plain_loop_index(stored.tolist(), m.K)[0]
+        assert m.postings == postings
+        assert m._state[0] == len(stored)  # the read published a merged snapshot
+        assert m.avg_height() == m.K * len(stored) / sum(map(len, postings))
+        for q in queries:
+            for radius in radii:
+                near = np.abs(stored - q) <= radius
+                assert m.classify(q, radius).votes.tolist() == [0, *near.sum(axis=1).tolist()]
 
 
 def test_refresh_of_a_current_snapshot_keeps_it():

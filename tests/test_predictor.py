@@ -246,6 +246,17 @@ class TestIntegerInputs:
         with pytest.raises(ValidationError):
             build_param_index(rows, X=4)
 
+    @pytest.mark.parametrize("rows", [
+        [(([1, 2],), 5)],                     # a feature cell holding two values
+        [((1,), [5, 6])],                     # a t holding two values
+        [(([1, 2],), 5), (([3],), 5)],        # ragged feature cells
+        [((1, 2), 5), ((1, [2, 3]), 5)],      # one row with a nested cell
+        [((1,), 5), ((2,), [5, 6])],          # one row with a nested t
+    ])
+    def test_build_rejects_nested_cells(self, rows):
+        with pytest.raises(ValidationError):
+            build_param_index(rows, X=4)
+
     def test_numpy_integers_accepted(self):
         idx = build_param_index([((np.int64(1), np.uint8(2)), np.int32(7))], X=4)
         assert idx.tables() == [{1: {7: 1}}, {2: {7: 1}}]
