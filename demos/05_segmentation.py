@@ -19,6 +19,7 @@ from invpat import (
     save_label_map,
     save_pnm,
     segment_image,
+    train_pixels,
 )
 
 rng = np.random.default_rng(3)
@@ -38,9 +39,9 @@ def teach(radius):
     table = LabelTable()
     for label, (r0, c0) in zip(names, subareas):
         before = model.N
-        for r in range(r0, r0 + 30):
-            for c in range(c0, c0 + 30):
-                model.train_step(tuple(int(v) for v in img.pixels[r, c]))
+        mask = np.zeros((size, size), bool)
+        mask[r0:r0 + 30, c0:c0 + 30] = True
+        train_pixels(model, img, mask)
         for n in range(before + 1, model.N + 1):
             table.attach(n, label)
     return model, table

@@ -114,7 +114,11 @@ def build_param_index(rows, X: int) -> ParamIndex:
     rows = list(rows)
     if not rows:
         raise ValidationError("cannot build a parameter index from no rows")
-    if len({len(x) for x, _ in rows}) > 1:
+    try:
+        lengths = {len(x) for x, _ in rows}
+    except (TypeError, ValueError):  # a row that is not a pair, or a vector without a length
+        raise ValidationError("rows must be (feature vector, t) pairs") from None
+    if len(lengths) > 1:
         raise ValidationError("feature vectors differ in length")
     t_values, t_rank = np.unique(_column([t for _, t in rows], "t"), return_inverse=True)
     T = len(t_values)

@@ -13,9 +13,11 @@ inverse patterns: per channel, a table from each sample value to the
 classes within R of it, one bit per class packed into little-endian uint64
 words, ANDed across the channels; the winner is the lowest set bit. The
 tables are built once per (model N, R, mask) and kept in one slot on the
-``Model``, so a stream of query frames reuses them.
+``Model``, so a stream of query frames reuses them. ``train_pixels`` grows
+the same inverse patterns, as Python ints, one class at a time.
 
-Masks are plain boolean numpy arrays of shape (height, width).
+Masks are boolean numpy arrays of shape (height, width); ``train_pixels``
+reads a 0/1 integer mask as one.
 """
 
 from __future__ import annotations
@@ -102,16 +104,44 @@ def diff_mask(a: RasterImage, b: RasterImage, window: int = 3, threshold: int = 
 
 
 def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
-    """Run one training step per masked pixel; returns classes created."""
+    """Train the model on the masked pixels in row-major order; returns classes created.
+
+    The result is that of one ``model.train_step`` per masked pixel, reached
+    through the inverse patterns that detection reads: per channel, one
+    Python int per sample value with bit n set when class n lies within R of
+    that value. A pixel's full match is the lowest set bit of its K ints
+    ANDed; a miss becomes class N + 1 and sets that bit in the values within
+    R of each of its samples. Every sample is checked against X first and
+    the new classes are stored together at the end, so a failing call
+    stores nothing."""
     if model.K != img.channels:
         raise ValidationError(f"model K={model.K} does not match {img.channels} channels")
-    if mask.shape != (img.height, img.width):
+    if np.shape(mask) != (img.height, img.width):
         raise ValidationError("mask shape does not match image")
-    created = 0
-    for r, c in np.argwhere(mask):
-        _, new = model.train_step(tuple(int(v) for v in img.pixels[r, c]))
-        created += int(new)
-    return created
+    colors = img.pixels[np.asarray(mask, bool)]
+    top = min(model.X, 256) - 1  # the largest sample value that can occur
+    if colors.size and colors.max() >= model.X:
+        raise ValidationError(f"feature value {colors.max()} outside [0, {model.X})")
+    r, n = model.R, model.N
+    values = np.arange(top + 1)[:, None]
+    patterns = [[int.from_bytes(row.tobytes(), "little") << 1  # bit n is class n
+                 for row in np.packbits(np.abs(values - column) <= r, axis=1, bitorder="little")]
+                for column in model._rows().T.astype(np.int64)]
+    new = []
+    for color in colors.tolist():
+        hit = -1
+        for bits, v in zip(patterns, color):
+            hit &= bits[v]
+        if not hit:
+            n += 1
+            new.append(color)
+            bit = 1 << n
+            for bits, v in zip(patterns, color):
+                for u in range(max(v - r, 0), min(v + r, top) + 1):
+                    bits[u] |= bit
+    if new:
+        model._append(new)
+    return len(new)
 
 
 def _inverse_patterns(model: Model, r: int, masked) -> list[np.ndarray]:

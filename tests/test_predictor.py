@@ -257,6 +257,17 @@ class TestIntegerInputs:
         with pytest.raises(ValidationError):
             build_param_index(rows, X=4)
 
+    @pytest.mark.parametrize("rows", [
+        [(5, 3)],                   # a bare value where the feature vector goes
+        [((1, 2), 7, 9)],           # a row of three parts
+        [((1, 2), 7), ((1, 2),)],   # a row of one part
+        [7],                        # a row that is not a pair
+        [((1, 2), 7), (np.int64(5), 7)],
+    ])
+    def test_build_rejects_malformed_rows(self, rows):
+        with pytest.raises(ValidationError):
+            build_param_index(rows, X=8)
+
     def test_numpy_integers_accepted(self):
         idx = build_param_index([((np.int64(1), np.uint8(2)), np.int32(7))], X=4)
         assert idx.tables() == [{1: {7: 1}}, {2: {7: 1}}]

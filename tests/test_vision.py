@@ -116,6 +116,48 @@ class TestTrainPixels:
         distinct = {tuple(p) for p in frame.reshape(-1, 3)}
         assert m.N < len(distinct)
 
+    def test_out_of_range_sample_stores_nothing(self):
+        frame = np.zeros((1, 4, 3), dtype=np.uint8)
+        frame[0, :, 0] = (10, 50, 200, 70)  # the third sample lies outside [0, 100)
+        m = Model(3, 100, 2)
+        m.insert_class((90, 90, 90))
+        with pytest.raises(ValidationError):
+            train_pixels(m, img(frame), np.ones((1, 4), dtype=bool))
+        assert m.N == 1 and m.prototypes == [(90, 90, 90)]
+
+    def test_integer_mask_selects_like_bool(self):
+        rng = np.random.default_rng(89)
+        frame = rng.integers(0, 256, size=(9, 7, 3)).astype(np.uint8)
+        chosen = rng.random((9, 7)) < 0.5
+        by_bool, by_uint8 = Model(3, 256, 20), Model(3, 256, 20)
+        train_pixels(by_bool, img(frame), chosen)
+        train_pixels(by_uint8, img(frame), chosen.astype(np.uint8))
+        assert by_uint8.prototypes == by_bool.prototypes
+
+    @pytest.mark.parametrize("stored", [0, 25])
+    @pytest.mark.parametrize("x_range", [100, 256, 300])
+    @pytest.mark.parametrize("radius", [0, 1, 10, 40, 254, 255])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_train_step_loop(self, channels, radius, x_range, stored):
+        """Same created count, per-pixel ids and prototypes as one train_step
+        per masked pixel, on a model that may already hold classes."""
+        rng = np.random.default_rng([channels, radius, x_range, stored])
+        radius = min(radius, x_range - 1)
+        prior = rng.integers(0, x_range, size=(stored, channels))
+        for step in (1, 16, 64):  # coarser steps repeat colours, so pixels match classes
+            frame = img(rng.integers(0, min(x_range, 256), size=(11, 13, channels)) // step * step)
+            mask = rng.random((11, 13)) < rng.random()
+            loop, fast = Model(channels, x_range, radius), Model(channels, x_range, radius)
+            loop.insert_classes(prior)
+            fast.insert_classes(prior)
+            steps = [loop.train_step(tuple(int(v) for v in frame.pixels[r, c]))
+                     for r, c in np.argwhere(mask)]
+            assert train_pixels(fast, frame, mask) == sum(new for _, new in steps)
+            assert fast.prototypes == loop.prototypes
+            # a pixel's id is its smallest full match then, and no later class is smaller
+            ids = _match_winners(fast, frame.pixels[mask].astype(np.int64))
+            assert ids.tolist() == [n for n, _ in steps]
+
 
 class TestMaskingAndSelection:
     def build(self):
