@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"invpat: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"invpat: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - map everything else to exit 3

@@ -11,13 +11,21 @@ integer range [0, X) in one array pass over the table, recording the
 training bounds in the schema so test-time rows reuse (and clamp to) them;
 a scaled value that overflows clamps too.
 
-Model files are a small binary envelope around a canonical JSON payload:
-magic, little-endian version and payload length, payload, CRC32 trailer.
-Saving the same object twice yields identical bytes; truncation, bit
-corruption and unknown future versions are all detected before any model
-state is built, and a payload that does not describe a valid model raises
-FormatError too. Models are rebuilt only through their public constructors;
-a parameter index gets one int64 array per table, not a tuple per entry.
+Model files are a small binary envelope around a payload: magic,
+little-endian version and payload length, payload, CRC32 trailer; the file
+ends at the trailer. ``save_model`` writes version 2, whose payload is a
+little-endian head length, a canonical JSON head, then the raw
+little-endian bytes of the big arrays in head order: a numeric model's
+(N, K) prototype table in the store's dtype, and each (v, t, count) table
+of a parameter index in the smallest integer dtype holding it. The head is
+the model's JSON description with each of those arrays replaced by a
+``{dtype, shape}`` descriptor. ``load_model`` reads versions 1 (all JSON,
+only read) and 2, and no other. Saving the same object twice yields
+identical bytes; truncation, bit corruption, trailing bytes and unknown
+versions are all detected before any model state is built, and a payload
+that does not describe a valid model raises FormatError too. Models are
+rebuilt only through their public validating constructors
+(``Model.insert_classes``, ``ParamIndex``), whatever the version.
 """
 
 from __future__ import annotations
@@ -255,15 +263,18 @@ def save_histogram(counts: dict[int, int], path) -> None:
 
 
 MAGIC = b"IPAT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # the version save_model writes; load_model reads 1 to it
 _HEADER = struct.Struct("<4sHQ")
 _TRAILER = struct.Struct("<I")
+_HEAD = struct.Struct("<Q")  # v2: the length of the JSON head
+_DTYPES = ("|u1", "|i1", "<u2", "<i2", "<u4", "<i4", "<u8", "<i8")  # v2 array dtypes
 
 
 def _payload(obj, schema: ColumnSchema | None) -> dict:
+    """The JSON description of obj, holding its big arrays at ``_slots``."""
     if isinstance(obj, Model):
         body = {"kind": "numeric", "K": obj.K, "X": obj.X, "R": obj.R,
-                "prototypes": obj._rows().tolist()}
+                "prototypes": obj._rows()}
         if obj.labels is not None:
             body["labels"] = {str(k): v for k, v in obj.labels.labels().items()}
     elif isinstance(obj, CategoricalModel):
@@ -272,8 +283,7 @@ def _payload(obj, schema: ColumnSchema | None) -> dict:
                 "stored": [sorted(s) for s in obj.stored]}
     elif isinstance(obj, ParamIndex):
         body = {"kind": "param_index", "K": obj.K, "X": obj.X, "rows": obj.rows,
-                "tables": [[[v, list(pairs.items())] for v, pairs in table.items()]
-                           for table in obj.tables()]}
+                "tables": list(map(_narrowest, obj.table_arrays()))}
     elif isinstance(obj, LevelStack):
         body = {"kind": "stack",
                 "levels": [{"model": _payload(lvl.model, None),
@@ -289,10 +299,34 @@ def _payload(obj, schema: ColumnSchema | None) -> dict:
     return body
 
 
+def _narrowest(table: np.ndarray) -> np.ndarray:
+    """table in the smallest v2 dtype holding its values (never uint64, which
+    ``ParamIndex`` refuses)."""
+    lo, hi = int(table.min(initial=0)), int(table.max(initial=0))
+    info = (np.iinfo(d) for d in _DTYPES if d != "<u8")
+    return table.astype(next(i.dtype for i in info if i.min <= lo and hi <= i.max))
+
+
+def _slots(body: dict):
+    """(container, key) of each big array of a payload body, in head order:
+    a numeric model's prototype table and a parameter index's tables."""
+    kind = body.get("kind")
+    if kind == "numeric":
+        yield body, "prototypes"
+    elif kind == "param_index":
+        yield from ((body["tables"], i) for i in range(len(body["tables"])))
+    elif kind == "stack":
+        for level in body["levels"]:
+            yield from _slots(level["model"])
+
+
 def _param_table(table) -> np.ndarray:
-    """A saved table, [[v, [[t, count], ...]], ...], as one int64 array of
+    """A v1 saved table, [[v, [[t, count], ...]], ...], as one int64 array of
     (v, t, count) rows, built without a tuple per row. Every cell must be a
-    JSON integer: numpy would read 1.5 as 1 and true as 1."""
+    JSON integer: numpy would read 1.5 as 1 and true as 1. A v2 table is
+    already an array and passes as it is."""
+    if isinstance(table, np.ndarray):
+        return table
     values, pairs = zip(*table) if table else ((), ())
     sizes = list(map(len, pairs))
     pairs = list(chain.from_iterable(pairs))
@@ -333,10 +367,43 @@ def _restore(body: dict):
     return obj
 
 
+def _read_v2(payload: bytes) -> dict:
+    """The body of a v2 payload, each array descriptor replaced by a read-only
+    view of its bytes; the descriptors and the byte count are checked first."""
+    room = len(payload) - _HEAD.size
+    if room < 0 or (size := _HEAD.unpack_from(payload)[0]) > room:
+        raise FormatError("head length past the payload")
+    body = json.loads(payload[_HEAD.size:_HEAD.size + size])
+    if not isinstance(body, dict):
+        raise FormatError("head is not a JSON object")
+    slots, specs = list(_slots(body)), []
+    for node, key in slots:
+        desc = node[key]
+        if not (isinstance(desc, dict) and desc.keys() == {"dtype", "shape"}
+                and desc["dtype"] in _DTYPES and isinstance(desc["shape"], list)
+                and all(type(n) is int and n >= 0 for n in desc["shape"])):
+            raise FormatError(f"bad array descriptor {desc!r}")
+        specs.append((np.dtype(desc["dtype"]), desc["shape"]))
+    data = memoryview(payload)[_HEAD.size + size:]
+    if sum(d.itemsize * math.prod(shape) for d, shape in specs) != len(data):
+        raise FormatError(f"array descriptors do not add up to the {len(data)} bytes "
+                          "after the head")
+    offset = 0
+    for (node, key), (dtype, shape) in zip(slots, specs):
+        node[key] = np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape)
+        offset += node[key].nbytes
+    return body
+
+
 def save_model(obj, path, schema: ColumnSchema | None = None) -> None:
     """Write obj with ``schema``, or with the schema it carries when none is given."""
-    payload = json.dumps(_payload(obj, schema), sort_keys=True,
-                         separators=(",", ":")).encode()
+    body, arrays = _payload(obj, schema), []
+    for node, key in _slots(body):
+        a = node[key]
+        arrays.append(a.astype(a.dtype.newbyteorder("<"), copy=False))
+        node[key] = {"dtype": arrays[-1].dtype.str, "shape": list(a.shape)}
+    head = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    payload = b"".join([_HEAD.pack(len(head)), head, *(a.tobytes() for a in arrays)])
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(payload)))
         fh.write(payload)
@@ -344,6 +411,7 @@ def save_model(obj, path, schema: ColumnSchema | None = None) -> None:
 
 
 def load_model(path):
+    """The object saved at path, from a version 1 or 2 file."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size + _TRAILER.size:
@@ -351,18 +419,21 @@ def load_model(path):
     magic, version, length = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
-    if version > FORMAT_VERSION:
-        raise FormatError(f"{path}: format version {version} is newer than "
-                          f"supported {FORMAT_VERSION}")
-    if len(data) < _HEADER.size + length + _TRAILER.size:
+    if not 1 <= version <= FORMAT_VERSION:
+        raise FormatError(f"{path}: format version {version} is not supported "
+                          f"(1 to {FORMAT_VERSION})")
+    end = _HEADER.size + length + _TRAILER.size
+    if len(data) < end:
         raise FormatError(f"{path}: truncated file ({len(data)} bytes for a "
                           f"{length}-byte payload)")
+    if len(data) > end:
+        raise FormatError(f"{path}: {len(data) - end} bytes past the checksum")
     payload = data[_HEADER.size:_HEADER.size + length]
     (crc,) = _TRAILER.unpack_from(data, _HEADER.size + length)
     if zlib.crc32(payload) != crc:
         raise FormatError(f"{path}: checksum mismatch, file is corrupted")
     try:
-        return _restore(json.loads(payload))
+        return _restore(json.loads(payload) if version == 1 else _read_v2(payload))
     except (AttributeError, LookupError, TypeError, ValueError, OverflowError, MemoryError,
-            InvpatError) as exc:  # MemoryError: sizes (X) past what can be allocated
+            RecursionError, InvpatError) as exc:  # MemoryError: sizes (X) past what fits
         raise FormatError(f"{path}: malformed payload: {exc!r}") from exc

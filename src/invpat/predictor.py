@@ -93,6 +93,14 @@ class ParamIndex:
         self.t_max = int(self._t_values[-1]) if self._t_values.size else None
         self.schema = None  # optional ColumnSchema, saved with the index
 
+    def table_arrays(self) -> list[np.ndarray]:
+        """The (v, t, count) int64 rows of each dimension's table, as the constructor takes them."""
+        at = np.asarray(self._offsets)
+        v = np.repeat(np.arange(len(at) - 1) % (self.X + 1), np.diff(at))
+        rows = np.column_stack((v, self._t_values[np.asarray(self._rank)],
+                                np.asarray(self._count, np.int64)))
+        return np.split(rows, at[(self.X + 1) * np.arange(1, self.K)])
+
     def tables(self) -> list[dict[int, dict[int, int]]]:
         """Plain-dict view of the count tables, in (v, t) order (for persistence and tests)."""
         t, count = self._t_values[np.asarray(self._rank)].tolist(), self._count.tolist()

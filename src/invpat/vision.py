@@ -90,13 +90,12 @@ def diff_mask(a: RasterImage, b: RasterImage, window: int = 3, threshold: int = 
     if window < 1 or window % 2 == 0:
         raise ConfigError(f"window must be odd and >= 1, got {window}")
     diff = np.abs(a.pixels.astype(np.int64) - b.pixels.astype(np.int64)).sum(axis=2)
-    pad = window // 2
-    if pad:
-        diff = np.pad(diff, pad, mode="edge")
-        view = np.lib.stride_tricks.sliding_window_view(diff, (window, window))
-        sums = view.sum(axis=(-2, -1))
-    else:
-        sums = diff
+    diff = np.pad(diff, window // 2, mode="edge")
+    # summed areas: area[i, j] is the sum of diff[:i, :j], so each window sum is four reads
+    area = np.zeros((diff.shape[0] + 1, diff.shape[1] + 1), np.int64)
+    np.cumsum(np.cumsum(diff, axis=0, out=diff), axis=1, out=area[1:, 1:])
+    sums = (area[window:, window:] - area[:-window, window:]
+            - area[window:, :-window] + area[:-window, :-window])
     return sums > threshold * window * window * a.channels
 
 

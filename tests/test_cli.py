@@ -280,6 +280,26 @@ class TestDetectSegment:
         assert code == 1 and "radius" in err
 
 
+class TestUnreadablePaths:
+    """A path that names a directory is a data error, exit 2, not an internal fault."""
+
+    def test_directory_as_data_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "train", str(tmp_path))
+        assert code == 2 and "internal error" not in err
+
+    def test_directory_as_model_to_classify(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("1,2\n")
+        code, _, err = run(capsys, "classify", str(data), "--model", str(tmp_path))
+        assert code == 2 and "internal error" not in err
+
+    def test_directory_as_model_to_train(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("1,2\n")
+        code, _, err = run(capsys, "train", str(data), "--model", str(tmp_path))
+        assert code == 2 and "internal error" not in err
+
+
 class TestInternalFault:
     @pytest.mark.parametrize("fault", [LevelError(2, ValueError("boom")), KeyError("boom")])
     def test_internal_fault_exits_3(self, capsys, monkeypatch, fault):

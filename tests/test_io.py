@@ -50,6 +50,19 @@ GOLDEN_BYTES = (
     b'[[0,[[100,1]]],[1,[[-4,1]]],[2,[[5,2]]],[3,[[7,1]]]]]}'
     b'\x0b\x15tz')
 
+# The same index as save_model writes it, in format v2: magic, version 2,
+# payload length; head length, JSON head; each table's (v, t, count) rows as int8.
+GOLDEN_BYTES_V2 = (
+    b'IPAT\x02\x00\xbc\x00\x00\x00\x00\x00\x00\x00'
+    b'\x90\x00\x00\x00\x00\x00\x00\x00'
+    b'{"K":3,"X":4,"kind":"param_index","rows":5,"tables":'
+    b'[{"dtype":"|i1","shape":[4,3]},{"dtype":"|i1","shape":[4,3]},'
+    b'{"dtype":"|i1","shape":[4,3]}]}'
+    b'\x00\x05\x02' b'\x00\x07\x01' b'\x02\xfc\x01' b'\x03\x64\x01'
+    b'\x00\x64\x01' b'\x01\x05\x02' b'\x01\x07\x01' b'\x03\xfc\x01'
+    b'\x00\x64\x01' b'\x01\xfc\x01' b'\x02\x05\x02' b'\x03\x07\x01'
+    b"\xaf'\x92\x87")
+
 # A numeric model with labels, a schema and a class past its snapshot, and
 # its file bytes: pins the v1 numeric layout whatever the in-memory store.
 GOLDEN_MODEL_BYTES = (
@@ -61,6 +74,20 @@ GOLDEN_MODEL_BYTES = (
     b'{"max":1.0,"min":-1.0,"name":"c","role":"feature"},'
     b'{"max":null,"min":null,"name":"unit","role":"id"}]}}'
     b'!\xeb\xb1u')
+
+# The same model in format v2: the (5, 3) prototype table as little-endian uint16.
+GOLDEN_MODEL_BYTES_V2 = (
+    b'IPAT\x02\x00\x84\x01\x00\x00\x00\x00\x00\x00'
+    b'\x5e\x01\x00\x00\x00\x00\x00\x00'
+    b'{"K":3,"R":2,"X":300,"kind":"numeric","labels":{"1":"edge","3":"mid","5":"tail"},'
+    b'"prototypes":{"dtype":"<u2","shape":[5,3]},'
+    b'"schema":{"columns":[{"max":29.9,"min":0.0,"name":"a","role":"feature"},'
+    b'{"max":29.9,"min":0.0,"name":"b","role":"feature"},'
+    b'{"max":1.0,"min":-1.0,"name":"c","role":"feature"},'
+    b'{"max":null,"min":null,"name":"unit","role":"id"}]}}'
+    b'\x00\x00\x01\x00\x2b\x01' b'\x05\x00\x05\x00\x05\x00' b'\x28\x00\x29\x00\x2a\x00'
+    b'\x2b\x01\x00\x00\x96\x00' b'\x06\x00\x04\x00\x07\x00'
+    b'\xa4\x1e\x15Q')
 
 
 def roundtrip(obj):
@@ -105,6 +132,61 @@ MALFORMED_BODIES = [
     {"kind": "numeric", "K": 1, "X": 2**40, "R": 0, "prototypes": [[0]]},
     {"kind": "param_index", "K": 1, "X": 2**40, "rows": 1, "tables": [[[0, [[5, 1]]]]]},
 ]
+
+
+def envelope_v2(head, data=b"", head_length=None) -> bytes:
+    """A v2 model file with a valid header and checksum around any JSON head
+    and array bytes; head_length overrides the head's true length."""
+    head = json.dumps(head).encode()
+    return wrap(2, struct.pack("<Q", len(head) if head_length is None else head_length)
+                + head + data)
+
+
+def wrap(version, payload) -> bytes:
+    """payload inside a header of the given version and its own checksum."""
+    return (struct.pack("<4sHQ", b"IPAT", version, len(payload)) + payload
+            + struct.pack("<I", zlib.crc32(payload)))
+
+
+def numeric_head(dtype, shape, X=16):
+    return {"kind": "numeric", "K": 2, "X": X, "R": 0,
+            "prototypes": {"dtype": dtype, "shape": shape}}
+
+
+def param_head(dtype, shape):
+    return {"kind": "param_index", "K": 1, "X": 4, "rows": 1,
+            "tables": [{"dtype": dtype, "shape": shape}]}
+
+
+MALFORMED_V2 = {  # name: (head, array bytes, head length or None)
+    "float dtype": (numeric_head("<f8", [1, 2]), struct.pack("<2d", 1, 2), None),
+    "big-endian dtype": (numeric_head(">u2", [1, 2]), struct.pack(">2H", 1, 2), None),
+    "object dtype": (numeric_head("|O", [1, 2]), bytes(16), None),
+    "dtype not a string": (numeric_head(["|u1"], [1, 2]), bytes(2), None),
+    "negative shape": (numeric_head("|u1", [-1, 2]), b"", None),
+    "shape not a list": (numeric_head("|u1", 2), bytes(2), None),
+    "bool in shape": (numeric_head("|u1", [True, 2]), bytes(2), None),
+    "0-d shape": (numeric_head("|u1", []), bytes(1), None),
+    "descriptor without a shape": ({**numeric_head("|u1", []), "prototypes": {"dtype": "|u1"}},
+                                   b"", None),
+    "JSON prototypes": ({**numeric_head("|u1", []), "prototypes": [[1, 2]]}, b"", None),
+    "too few array bytes": (numeric_head("|u1", [2, 2]), bytes(3), None),
+    "too many array bytes": (numeric_head("|u1", [2, 2]), bytes(5), None),
+    "head length past the payload": (numeric_head("|u1", [1, 2]), bytes(2), 10**6),
+    "head length past 2**63": (numeric_head("|u1", [1, 2]), bytes(2), 2**64 - 1),
+    "head not an object": ([numeric_head("|u1", [1, 2])], bytes(2), None),
+    "uint64 prototype above int64": (numeric_head("<u8", [1, 2]),
+                                     struct.pack("<2Q", 2**63 + 1, 1), None),
+    "uint64 param table above int64": (param_head("<u8", [1, 3]),
+                                       struct.pack("<3Q", 2**63 + 1, 5, 1), None),
+    "unsorted param table": (param_head("|u1", [2, 3]), bytes([1, 5, 1, 0, 5, 1]), None),
+    "duplicate param rows": (param_head("|u1", [2, 3]), bytes([0, 5, 1, 0, 5, 1]), None),
+    "param count 0": (param_head("|u1", [1, 3]), bytes([0, 5, 0]), None),
+    "param v out of range": (param_head("|u1", [1, 3]), bytes([4, 5, 1]), None),
+    "param table of pairs": (param_head("|u1", [1, 2]), bytes([0, 5]), None),
+    "prototype out of range": (numeric_head("|u1", [1, 2]), bytes([1, 16]), None),
+    "prototype of the wrong K": (numeric_head("|u1", [1, 3]), bytes([1, 2, 3]), None),
+}
 
 
 class TestNormalize:
@@ -637,13 +719,15 @@ class TestModelFiles:
     def test_param_index_bytes_pinned(self, tmp_path):
         p = tmp_path / "g.ipat"
         save_model(build_param_index(GOLDEN_ROWS, X=4), p)
-        assert p.read_bytes() == GOLDEN_BYTES
-        p.write_bytes(GOLDEN_BYTES)
-        back, idx = load_model(p), build_param_index(GOLDEN_ROWS, X=4)
-        assert back.tables() == idx.tables()
-        assert (back.K, back.X, back.rows, back.t_min, back.t_max) == (3, 4, 5, -4, 100)
-        for q in np.ndindex(4, 4, 4):
-            assert predict_histogram(back, q).counts == predict_histogram(idx, q).counts
+        assert p.read_bytes() == GOLDEN_BYTES_V2
+        for golden in (GOLDEN_BYTES, GOLDEN_BYTES_V2):  # v1 files stay readable
+            p.write_bytes(golden)
+            back, idx = load_model(p), build_param_index(GOLDEN_ROWS, X=4)
+            assert back.tables() == idx.tables()
+            assert (back.K, back.X, back.rows, back.t_min, back.t_max) == (3, 4, 5, -4, 100)
+            for q in np.ndindex(4, 4, 4):
+                assert predict_histogram(back, q).counts == predict_histogram(idx, q).counts
+            assert model_bytes(back) == GOLDEN_BYTES_V2
 
     def test_model_bytes_pinned(self, tmp_path):
         m = Model(3, 300, 2)
@@ -657,14 +741,15 @@ class TestModelFiles:
                                  ColumnSpec("c", "feature", -1.0, 1.0), ColumnSpec("unit", "id")])
         p = tmp_path / "m.ipat"
         save_model(m, p)
-        assert p.read_bytes() == GOLDEN_MODEL_BYTES
-        p.write_bytes(GOLDEN_MODEL_BYTES)
-        back = load_model(p)
-        assert (back.K, back.X, back.R, back.prototypes) == (m.K, m.X, m.R, m.prototypes)
-        assert back.labels == m.labels and back.schema.to_dict() == m.schema.to_dict()
-        for q in [(0, 1, 299), (5, 5, 5), (6, 4, 7), (299, 299, 0)]:
-            assert back.classify(q).counts == m.classify(q).counts
-        assert model_bytes(back) == GOLDEN_MODEL_BYTES
+        assert p.read_bytes() == GOLDEN_MODEL_BYTES_V2
+        for golden in (GOLDEN_MODEL_BYTES, GOLDEN_MODEL_BYTES_V2):  # v1 files stay readable
+            p.write_bytes(golden)
+            back = load_model(p)
+            assert (back.K, back.X, back.R, back.prototypes) == (m.K, m.X, m.R, m.prototypes)
+            assert back.labels == m.labels and back.schema.to_dict() == m.schema.to_dict()
+            for q in [(0, 1, 299), (5, 5, 5), (6, 4, 7), (299, 299, 0)]:
+                assert back.classify(q).counts == m.classify(q).counts
+            assert model_bytes(back) == GOLDEN_MODEL_BYTES_V2
 
     @given(st.lists(st.tuples(st.tuples(*[st.integers(0, 5)] * 3),
                               st.one_of(st.integers(-9, 40), st.just(10**9))),
@@ -771,6 +856,176 @@ class TestModelFiles:
         save_model(Model(1, 16, 0), p, schema=schema)
         back = load_model(p)
         assert back.schema.to_dict() == schema.to_dict()
+
+
+class TestModelFileV2:
+    @pytest.mark.parametrize("name", MALFORMED_V2)
+    def test_malformed_v2_detected(self, tmp_path, name):
+        p = tmp_path / "m.ipat"
+        p.write_bytes(envelope_v2(*MALFORMED_V2[name]))
+        with pytest.raises(FormatError, match="malformed"):
+            load_model(p)
+        data = tmp_path / "d.csv"
+        data.write_text("1,2\n")
+        assert main(["classify", str(data), "--model", str(p)]) == 2
+
+    @pytest.mark.parametrize("payload", [b"", b"\x01\x02", struct.pack("<Q", 1)])
+    def test_payload_shorter_than_its_head_detected(self, tmp_path, payload):
+        p = tmp_path / "m.ipat"
+        p.write_bytes(wrap(2, payload))
+        with pytest.raises(FormatError, match="head length"):
+            load_model(p)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_deeply_nested_payload_detected(self, tmp_path, version):
+        """JSON nested past the parser's recursion limit is a malformed payload."""
+        nested = b"[" * 100_000 + b"]" * 100_000
+        p = tmp_path / "m.ipat"
+        p.write_bytes(wrap(version, nested if version == 1
+                           else struct.pack("<Q", len(nested)) + nested))
+        with pytest.raises(FormatError, match="malformed"):
+            load_model(p)
+        data = tmp_path / "d.csv"
+        data.write_text("1,2\n")
+        assert main(["classify", str(data), "--model", str(p)]) == 2
+
+    def test_well_formed_envelope_loads(self, tmp_path):
+        """The helper above builds files the reader accepts: the cases fail for their fault."""
+        p = tmp_path / "m.ipat"
+        p.write_bytes(envelope_v2(numeric_head("|u1", [2, 2]), bytes([1, 2, 15, 0])))
+        assert load_model(p).prototypes == [(1, 2), (15, 0)]
+        p.write_bytes(envelope_v2(param_head("<i2", [2, 3]), struct.pack("<6h", 0, -5, 1, 3, 7, 2)))
+        assert load_model(p).tables() == [{0: {-5: 1}, 3: {7: 2}}]
+
+    def test_arrays_are_stored_raw(self):
+        """A numeric model's arrays are its store's bytes, in its own dtype; a
+        parameter table takes the smallest integer dtype holding it."""
+        m = Model(2, 70000, 0)
+        m.insert_classes([[1, 69999], [65536, 0]])
+        blob = model_bytes(m)
+        assert blob[22 + struct.unpack_from("<Q", blob, 14)[0]:-4] == struct.pack(
+            "<4I", 1, 69999, 65536, 0)
+        for rows, X, dtypes in [([((0, 1), 7), ((1, 300), 40)], 400, ["|u1", "<u2"]),
+                                ([((0,), -1), ((1,), 127)], 2, ["|i1"]),
+                                ([((0,), -1), ((1,), 128)], 2, ["<i2"]),
+                                ([((0,), 2**32)], 2, ["<i8"])]:
+            blob = model_bytes(build_param_index(rows, X=X))
+            head = json.loads(blob[22:22 + struct.unpack_from("<Q", blob, 14)[0]])
+            assert [t["dtype"] for t in head["tables"]] == dtypes
+
+    def test_version_zero_rejected(self, tmp_path):
+        p = tmp_path / "m.ipat"
+        p.write_bytes(b"IPAT\x00\x00" + GOLDEN_MODEL_BYTES[6:])  # read as v1 by older readers
+        with pytest.raises(FormatError, match="version 0"):
+            load_model(p)
+        data = tmp_path / "d.csv"
+        data.write_text("1,2,3\n")
+        assert main(["classify", str(data), "--model", str(p)]) == 2
+
+    @pytest.mark.parametrize("golden", [GOLDEN_MODEL_BYTES, GOLDEN_MODEL_BYTES_V2],
+                             ids=["v1", "v2"])
+    @pytest.mark.parametrize("tail", [b"\x00", b"IPAT", GOLDEN_MODEL_BYTES_V2],
+                             ids=["zero", "magic", "file"])
+    def test_bytes_past_the_trailer_rejected(self, tmp_path, golden, tail):
+        p = tmp_path / "m.ipat"
+        p.write_bytes(golden + tail)
+        with pytest.raises(FormatError, match="past the checksum"):
+            load_model(p)
+        data = tmp_path / "d.csv"
+        data.write_text("1,2,3\n")
+        assert main(["classify", str(data), "--model", str(p)]) == 2
+
+
+# v1 bodies of a categorical model and a level stack (save_model writes only v2); the
+# objects they describe are built in fuzz_objects
+V1_CATEGORICAL = {"K": 12, "grow": False, "kind": "categorical", "stored": [[1, 4, 9], [2, 3]],
+                  "threshold": 2}
+V1_STACK = {"kind": "stack", "levels": [
+    {"labels": {"1": "low", "2": "high"}, "threshold": 2,
+     "model": {"K": 2, "R": 1, "X": 16, "kind": "numeric", "prototypes": [[3, 3], [9, 9]]}},
+    {"labels": None, "threshold": 1,
+     "model": {"K": 2, "grow": True, "kind": "categorical", "stored": [[1], [1, 2]],
+               "threshold": 1}}]}
+
+
+def fuzz_objects():
+    """One small object of each kind, as v1 files load them."""
+    numeric = Model(3, 300, 2)
+    numeric.insert_classes([[0, 1, 299], [5, 5, 5], [40, 41, 42], [299, 0, 150], [6, 4, 7]])
+    numeric.labels = LabelTable({1: "edge", 3: "mid", 5: "tail"})
+    numeric.schema = ColumnSchema([ColumnSpec("a", "feature", 0.0, 29.9),
+                                   ColumnSpec("b", "feature", 0.0, 29.9),
+                                   ColumnSpec("c", "feature", -1.0, 1.0), ColumnSpec("unit", "id")])
+    categorical = CategoricalModel(12, 2)
+    for stored in ({1, 4, 9}, {2, 3}):
+        categorical.insert_class(stored)
+    level1, level2 = Model(2, 16, 1), CategoricalModel(2, 1, grow=True)
+    level1.insert_classes([[3, 3], [9, 9]])
+    level2.insert_class({1})
+    level2.insert_class({1, 2})
+    stack = LevelStack([Level(level1, 2, LabelTable({1: "low", 2: "high"})), Level(level2, 1)])
+    return {"numeric": (GOLDEN_MODEL_BYTES, numeric),
+            "categorical": (envelope(V1_CATEGORICAL), categorical),
+            "param_index": (GOLDEN_BYTES, build_param_index(GOLDEN_ROWS, X=4)),
+            "stack": (envelope(V1_STACK), stack)}
+
+
+FUZZ_FILES = {f"{kind} v{v}": blob if v == 1 else model_bytes(obj)
+              for kind, (blob, obj) in fuzz_objects().items() for v in (1, 2)}
+
+
+def test_v1_files_resave_as_v2(tmp_path):
+    """Each v1 fuzz file loads to the object it describes: both save the same v2 bytes."""
+    for kind, (blob, obj) in fuzz_objects().items():
+        (tmp_path / kind).write_bytes(blob)
+        assert model_bytes(load_model(tmp_path / kind)) == model_bytes(obj), kind
+
+
+def mutate(blob: bytes, rng) -> bytes:
+    """blob with one seeded fault: bit flips, a truncation, random bytes
+    spliced over a range, a range of blob copied elsewhere, or a changed
+    decimal digit (which keeps JSON well-formed)."""
+    b, n = bytearray(blob), len(blob)
+    op = rng.integers(5)
+    digits = [i for i, c in enumerate(blob) if 48 <= c <= 57]
+    if op == 4 and digits:
+        b[digits[rng.integers(len(digits))]] = b"0123456789-"[rng.integers(11)]
+    elif op == 0:
+        for at in rng.integers(0, n, size=rng.integers(1, 4)):
+            b[at] ^= 1 << int(rng.integers(8))
+    elif op == 1:
+        del b[rng.integers(n):]
+    elif op == 2:
+        at = int(rng.integers(n))
+        b[at:at + int(rng.integers(0, 9))] = rng.integers(0, 256, rng.integers(0, 9)).astype(
+            np.uint8).tobytes()
+    else:
+        a, c = sorted(rng.integers(0, n + 1, size=2).tolist())
+        at = int(rng.integers(n + 1))
+        b[at:at] = blob[a:c]
+    return bytes(b)
+
+
+@pytest.mark.parametrize("name", FUZZ_FILES)
+def test_mutated_files_fail_only_with_format_error(tmp_path, name):
+    """Seeded mutations of a whole file, and of its payload with the length and
+    checksum made valid again (so they reach the payload reader), either load or
+    raise FormatError, and the CLI exits 2 exactly when loading raises."""
+    blob = FUZZ_FILES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    p, data = tmp_path / "m.ipat", tmp_path / "d.csv"
+    data.write_text("1,2,3\n")
+    for i in range(100):
+        faulty = mutate(blob, rng) if i % 2 else wrap(blob[4], mutate(blob[14:-4], rng))
+        p.write_bytes(faulty)
+        try:
+            load_model(p)
+        except FormatError:
+            loads = False
+        else:
+            loads = True
+        code = main(["classify", str(data), "--model", str(p)])
+        assert code in ((0, 2) if loads else (2,)), faulty
 
 
 class TestHistogramExport:

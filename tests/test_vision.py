@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invpat import (
     CategoricalModel,
@@ -77,6 +78,32 @@ class TestDiffMask:
         for window, threshold in [(1, 30), (3, 60), (5, 90)]:
             got = diff_mask(a, b, window, threshold)
             assert np.array_equal(got, brute_diff_mask(a, b, window, threshold))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 3]),
+           st.sampled_from([1, 3, 5, 9, 15]), st.integers(0, 2**32 - 1), st.integers(-1, 1))
+    def test_summed_areas_match_brute_force(self, h, w, channels, window, seed, step):
+        """Random shapes, 1x1 and windows wider than the image among them, at a
+        threshold next to or at the window mean of one pixel."""
+        rng = np.random.default_rng(seed)
+        a, b = (img(rng.integers(0, 256, size=(h, w, channels))) for _ in range(2))
+        r, c, pad = int(rng.integers(h)), int(rng.integers(w)), window // 2
+        rows = np.clip(np.arange(r - pad, r + pad + 1), 0, h - 1)
+        cols = np.clip(np.arange(c - pad, c + pad + 1), 0, w - 1)
+        total = np.abs(a.pixels.astype(int) - b.pixels.astype(int))[np.ix_(rows, cols)].sum()
+        threshold = int(total) // (window * window * channels) + step
+        got = diff_mask(a, b, window, threshold)
+        assert np.array_equal(got, brute_diff_mask(a, b, window, threshold))
+
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_threshold_at_the_exact_mean(self, window):
+        """A mean equal to the threshold does not exceed it; one above does."""
+        rng = np.random.default_rng(79)
+        a = rng.integers(0, 200, size=(5, 4, 3))
+        d = int(rng.integers(1, 56))
+        first, second = img(a), img(a + d)
+        assert not diff_mask(first, second, window, d).any()
+        assert diff_mask(first, second, window, d - 1).all()
 
     def test_errors(self):
         a = img(np.zeros((4, 4, 3)))
