@@ -74,29 +74,21 @@ def cmd_train(args) -> int:
     rows = load_csv(args.data)
     schema = load_schema(args.schema) if args.schema else None
     t0 = time.perf_counter()
-    if schema is not None and schema.parameter_index() is not None:
-        vectors = _vectors(args.data, rows, schema, args.x)
-        ts = _checked(args.data, extract_parameter, rows, schema)
-        idx = _checked(args.data, build_param_index, list(zip(vectors, ts)), X=args.x)
-        elapsed = time.perf_counter() - t0
-        print(_report_header(args))
-        print(f"param-index rows={idx.rows} K={idx.K} X={idx.X} "
-              f"t=[{idx.t_min},{idx.t_max}] wall={elapsed:.3f}s")
-        if args.model:
-            save_model(idx, args.model, schema=schema)
-        return 0
     vectors = _vectors(args.data, rows, schema, args.x)
-    model = Model(len(vectors[0]), args.x, _resolve_radius(args, args.x))
-    created = 0
-    for i, v in enumerate(vectors):
-        _, new = _checked(f"{args.data}: row {i}", model.train_step, v)
-        created += int(new)
+    if schema is not None and schema.parameter_index() is not None:
+        ts = _checked(args.data, extract_parameter, rows, schema)
+        obj = _checked(args.data, build_param_index, list(zip(vectors, ts)), X=args.x)
+        summary = f"param-index rows={obj.rows} K={obj.K} X={obj.X} t=[{obj.t_min},{obj.t_max}]"
+    else:
+        obj = Model(len(vectors[0]), args.x, _resolve_radius(args, args.x))
+        created = sum(_checked(f"{args.data}: row {i}", obj.train_step, v)[1]
+                      for i, v in enumerate(vectors))
+        summary = f"trained N={obj.N} created={created} h={obj.avg_height():.3f}"
     elapsed = time.perf_counter() - t0
+    if args.model:  # saved before anything is printed, so a failed save reports no model
+        save_model(obj, args.model, schema=schema)
     print(_report_header(args))
-    print(f"trained N={model.N} created={created} h={model.avg_height():.3f} "
-          f"wall={elapsed:.3f}s")
-    if args.model:
-        save_model(model, args.model, schema=schema)
+    print(f"{summary} wall={elapsed:.3f}s")
     return 0
 
 

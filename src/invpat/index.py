@@ -36,6 +36,12 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 
 
+def _is_int(v) -> bool:
+    """v is an int or a numpy integer, and not a bool: the one integer rule of
+    feature values, radii, categories and model configuration."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _vector(x, K: int, X: int) -> tuple[int, ...]:
     """x as K Python ints in [0, X); bools, floats and other types are rejected."""
     if len(x) != K:
@@ -43,7 +49,7 @@ def _vector(x, K: int, X: int) -> tuple[int, ...]:
     exact = True
     for v in x:
         if type(v) is not int:  # the exact type test keeps plain ints on the fast path
-            if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            if not _is_int(v):
                 raise ValidationError(f"feature value {v!r} is not an integer")
             exact = False
         if not 0 <= v < X:
@@ -80,7 +86,7 @@ def _offsets(value_columns, X: int) -> memoryview:
     sorted by dimension k, then by value ``value_columns[k]``. Offset
     ``k * (X + 1) + v`` is the position of dimension k's first entry with
     value >= v; the last is the entry count. Only ``_offsets``, ``_windows``,
-    ``_lists`` and ``_gather`` address the layout."""
+    ``_entries``, ``_lists`` and ``_gather`` address the layout."""
     counts = np.concatenate([[0], *(np.bincount(c, minlength=X + 1) for c in value_columns)])
     return memoryview(np.cumsum(counts, out=counts))
 
@@ -90,6 +96,12 @@ def _windows(offsets: memoryview, X: int, lo, hi) -> tuple[list[int], list[int]]
     base = range(0, len(lo) * (X + 1), X + 1)
     return ([offsets[o + a] for o, a in zip(base, lo)],
             [offsets[o + b + 1] for o, b in zip(base, hi)])
+
+
+def _entries(offsets: memoryview, X: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, ends): each entry's value in layout order, each dimension's end."""
+    at = np.asarray(offsets)
+    return np.repeat(np.arange(len(at) - 1) % (X + 1), np.diff(at)), at[X + 1::X + 1]
 
 
 def _lists(offsets: memoryview, X: int):
@@ -107,7 +119,7 @@ def _gather(view: memoryview, starts, ends) -> np.ndarray:
 def _radius(radius, default: int) -> int:
     """radius (default when None) as a Python int; bools, floats and negatives are rejected."""
     r = default if radius is None else radius
-    if isinstance(r, (bool, np.bool_)) or not isinstance(r, (int, np.integer)) or r < 0:
+    if not _is_int(r) or r < 0:
         raise ValidationError(f"radius must be a non-negative integer, got {r!r}")
     return int(r)
 
@@ -165,12 +177,12 @@ class Model:
     """
 
     def __init__(self, K: int, X: int, R: int):
-        if K < 1:
-            raise ConfigError(f"K must be >= 1, got {K}")
-        if X < 2:
-            raise ConfigError(f"X must be >= 2, got {X}")
-        if not 0 <= R < X:
-            raise ConfigError(f"R must satisfy 0 <= R < X, got R={R}, X={X}")
+        if not _is_int(K) or K < 1:
+            raise ConfigError(f"K must be an integer >= 1, got {K!r}")
+        if not _is_int(X) or X < 2:
+            raise ConfigError(f"X must be an integer >= 2, got {X!r}")
+        if not _is_int(R) or not 0 <= R < X:
+            raise ConfigError(f"R must be an integer with 0 <= R < X, got R={R!r}, X={X}")
         self.K = int(K)
         self.X = int(X)
         self.R = int(R)
@@ -351,10 +363,13 @@ class CategoricalModel:
     """
 
     def __init__(self, num_categories: int, recognition_threshold: int, grow: bool = False):
-        if num_categories < 1:
-            raise ConfigError(f"need at least one category, got {num_categories}")
-        if recognition_threshold < 1:
-            raise ConfigError(f"recognition threshold must be >= 1, got {recognition_threshold}")
+        if not _is_int(num_categories) or num_categories < 1:
+            raise ConfigError(f"the category count must be an integer >= 1, got {num_categories!r}")
+        if not _is_int(recognition_threshold) or recognition_threshold < 1:
+            raise ConfigError("recognition threshold must be an integer >= 1, "
+                              f"got {recognition_threshold!r}")
+        if not isinstance(grow, bool):
+            raise ConfigError(f"grow must be a bool, got {grow!r}")
         self.K = int(num_categories)
         self.recognition_threshold = int(recognition_threshold)
         self.grow = grow
@@ -366,6 +381,8 @@ class CategoricalModel:
     def _check(self, present, training: bool) -> None:
         """Validate every category, then (training, grow mode) widen K."""
         for k in present:
+            if not _is_int(k):
+                raise ValidationError(f"category index {k!r} is not an integer")
             if k < 1:
                 raise ValidationError(f"category index {k} must be >= 1")
             if k > self.K and not self.grow:

@@ -25,7 +25,9 @@ identical bytes; truncation, bit corruption, trailing bytes and unknown
 versions are all detected before any model state is built, and a payload
 that does not describe a valid model raises FormatError too. Models are
 rebuilt only through their public validating constructors
-(``Model.insert_classes``, ``ParamIndex``), whatever the version.
+(``Model.insert_classes``, ``ParamIndex``), whatever the version; a v1
+parameter table's cells are checked by ``index._int_table``, the one
+validator of integer tables, on their way to one (v, t, count) array.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ import struct
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
 from .errors import DataError, FormatError, InvpatError
-from .index import CategoricalModel, Model
+from .index import CategoricalModel, Model, _int_table
 from .levels import Level, LabelTable, LevelStack
 from .predictor import ParamIndex
 
@@ -321,23 +323,13 @@ def _slots(body: dict):
 
 
 def _param_table(table) -> np.ndarray:
-    """A v1 saved table, [[v, [[t, count], ...]], ...], as one int64 array of
-    (v, t, count) rows, built without a tuple per row. Every cell must be a
-    JSON integer: numpy would read 1.5 as 1 and true as 1. A v2 table is
-    already an array and passes as it is."""
+    """A saved table as one int64 array of (v, t, count) rows: a v2 table as it
+    is, a v1 table, [[v, [[t, count], ...]], ...], through ``index._int_table``
+    (numpy alone would read 1.5 as 1 and true as 1)."""
     if isinstance(table, np.ndarray):
         return table
-    values, pairs = zip(*table) if table else ((), ())
-    sizes = list(map(len, pairs))
-    pairs = list(chain.from_iterable(pairs))
-    if set(map(len, pairs)) - {2}:
-        raise FormatError("a param_index entry is not a (t, count) pair")
-    cells = [*values, *chain.from_iterable(pairs)]
-    if not {int}.issuperset(map(type, cells)):
-        raise FormatError("a param_index table holds a cell that is not an integer")
-    cells = np.fromiter(cells, np.int64, len(cells))
-    return np.column_stack((np.repeat(cells[:len(values)], sizes),
-                            cells[len(values):].reshape(-1, 2)))
+    rows = [(v, t, count) for v, pairs in table for t, count in pairs]
+    return _int_table(rows or np.empty((0, 3), np.int64), "a param_index table")
 
 
 def _restore(body: dict):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NoEvidenceError, ValidationError
-from .index import _gather, _int_table, _lists, _offsets, _vector, _windows
+from .index import _entries, _gather, _int_table, _is_int, _lists, _offsets, _vector, _windows
 
 
 class ParamHistogram:
@@ -71,12 +71,13 @@ class ParamIndex:
         """Index over ``tables[k]``: dimension k's (v, t, count) rows of integers,
         sorted by (v, t) without repeats; value v was seen ``count`` times with t."""
         tables = [_int_table(tab, f"table {k}") for k, tab in enumerate(tables)]
-        if any(tab.size and (tab.ndim != 2 or tab.shape[1] != 3) for tab in tables):
+        if any(tab.shape != (0,) and (tab.ndim != 2 or tab.shape[1] != 3) for tab in tables):
             raise ValidationError("table rows must be (v, t, count) triples")
         tables = [tab.reshape(-1, 3) for tab in tables]
+        if not tables or not _is_int(X) or X < 1:
+            raise ConfigError(f"ParamIndex needs K >= 1 and an integer X >= 1, "
+                              f"got K={len(tables)}, X={X!r}")
         self.K, self.X = len(tables), int(X)
-        if self.K < 1 or self.X < 1:
-            raise ConfigError(f"ParamIndex needs K >= 1 and X >= 1, got K={self.K}, X={X}")
         for v, t, count in (tab.T for tab in tables):
             step = np.diff(v)
             if (((step < 0) | ((step == 0) & (np.diff(t) <= 0))).any() or (count < 1).any()
@@ -95,11 +96,10 @@ class ParamIndex:
 
     def table_arrays(self) -> list[np.ndarray]:
         """The (v, t, count) int64 rows of each dimension's table, as the constructor takes them."""
-        at = np.asarray(self._offsets)
-        v = np.repeat(np.arange(len(at) - 1) % (self.X + 1), np.diff(at))
+        v, ends = _entries(self._offsets, self.X)
         rows = np.column_stack((v, self._t_values[np.asarray(self._rank)],
                                 np.asarray(self._count, np.int64)))
-        return np.split(rows, at[(self.X + 1) * np.arange(1, self.K)])
+        return np.split(rows, ends[:-1])
 
     def tables(self) -> list[dict[int, dict[int, int]]]:
         """Plain-dict view of the count tables, in (v, t) order (for persistence and tests)."""

@@ -13,8 +13,9 @@ inverse patterns: per channel, a table from each sample value to the
 classes within R of it, one bit per class packed into little-endian uint64
 words, ANDed across the channels; the winner is the lowest set bit. The
 tables are built once per (model N, R, mask) and kept in one slot on the
-``Model``, so a stream of query frames reuses them. ``train_pixels`` grows
-the same inverse patterns, as Python ints, one class at a time.
+``Model``, so a stream of query frames reuses them. ``train_pixels`` starts
+from those tables (``_inverse_patterns``), each row read as one Python int,
+and grows them one class at a time.
 
 Masks are boolean numpy arrays of shape (height, width); ``train_pixels``
 reads a 0/1 integer mask as one.
@@ -106,26 +107,23 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
     """Train the model on the masked pixels in row-major order; returns classes created.
 
     The result is that of one ``model.train_step`` per masked pixel, reached
-    through the inverse patterns that detection reads: per channel, one
-    Python int per sample value with bit n set when class n lies within R of
-    that value. A pixel's full match is the lowest set bit of its K ints
-    ANDed; a miss becomes class N + 1 and sets that bit in the values within
-    R of each of its samples. Every sample is checked against X first and
-    the new classes are stored together at the end, so a failing call
-    stores nothing."""
+    through the inverse patterns that detection reads, ``_inverse_patterns``'
+    tables at R with each row read as one Python int: per channel, bit n of
+    sample value v's int is set when class n lies within R of v. A pixel's
+    full match is the lowest set bit of its K ints ANDed; a miss becomes
+    class N + 1 and sets that bit in the values within R of each of its
+    samples. Every sample is checked against X first and the new classes
+    are stored together at the end, so a failing call stores nothing."""
     if model.K != img.channels:
         raise ValidationError(f"model K={model.K} does not match {img.channels} channels")
     if np.shape(mask) != (img.height, img.width):
         raise ValidationError("mask shape does not match image")
     colors = img.pixels[np.asarray(mask, bool)]
-    top = min(model.X, 256) - 1  # the largest sample value that can occur
     if colors.size and colors.max() >= model.X:
         raise ValidationError(f"feature value {colors.max()} outside [0, {model.X})")
     r, n = model.R, model.N
-    values = np.arange(top + 1)[:, None]
-    patterns = [[int.from_bytes(row.tobytes(), "little") << 1  # bit n is class n
-                 for row in np.packbits(np.abs(values - column) <= r, axis=1, bitorder="little")]
-                for column in model._rows().T.astype(np.int64)]
+    patterns = [[int.from_bytes(row.tobytes(), "little") for row in table]  # bit n is class n
+                for table in _inverse_patterns(model, r, None)]
     new = []
     for color in colors.tolist():
         hit = -1
@@ -136,7 +134,7 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
             new.append(color)
             bit = 1 << n
             for bits, v in zip(patterns, color):
-                for u in range(max(v - r, 0), min(v + r, top) + 1):
+                for u in range(max(v - r, 0), min(v + r, 255) + 1):
                     bits[u] |= bit
     if new:
         model._append(new)

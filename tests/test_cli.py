@@ -5,7 +5,16 @@ import pytest
 
 from invpat import Model, RasterImage, build_param_index, cli, save_model, save_pnm
 from invpat.cli import main
-from invpat.errors import LevelError
+from invpat.errors import (
+    ConfigError,
+    DataError,
+    FormatError,
+    InvpatError,
+    LevelError,
+    NoEvidenceError,
+    ValidationError,
+)
+from invpat.io_persist import ColumnSchema, ColumnSpec, save_schema
 
 
 def run(capsys, *argv):
@@ -296,19 +305,39 @@ class TestUnreadablePaths:
     def test_directory_as_model_to_train(self, capsys, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("1,2\n")
-        code, _, err = run(capsys, "train", str(data), "--model", str(tmp_path))
-        assert code == 2 and "internal error" not in err
+        code, out, err = run(capsys, "train", str(data), "--model", str(tmp_path))
+        assert (code, out) == (2, "") and "internal error" not in err  # no report of a model
+
+    def test_directory_as_index_to_train(self, capsys, tmp_path):
+        data, schema = tmp_path / "d.csv", tmp_path / "s.json"
+        data.write_text("1,2\n3,4\n")
+        save_schema(ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("t", "parameter-t")]),
+                    schema)
+        code, out, err = run(capsys, "train", str(data), "--schema", str(schema),
+                             "--model", str(tmp_path))
+        assert (code, out) == (2, "") and "internal error" not in err
 
 
-class TestInternalFault:
-    @pytest.mark.parametrize("fault", [LevelError(2, ValueError("boom")), KeyError("boom")])
-    def test_internal_fault_exits_3(self, capsys, monkeypatch, fault):
-        def broken(args):
-            raise fault
+EXIT_CODES = [  # (error raised by a command, exit code)
+    (ConfigError("bad K"), 1), (ValidationError("bad row"), 1),
+    (DataError("bad cell"), 2), (FormatError("bad file"), 2),
+    (IsADirectoryError(21, "is a directory"), 2), (PermissionError(13, "denied"), 2),
+    (NoEvidenceError("empty"), 3), (LevelError(2, ValueError("boom")), 3),
+    (InvpatError("base"), 3), (KeyError("boom"), 3),
+]
 
-        monkeypatch.setattr(cli, "cmd_bench", broken)
-        code, _, err = run(capsys, "bench")
-        assert code == 3 and "internal error" in err and "boom" in err
+
+@pytest.mark.parametrize("error, code", EXIT_CODES, ids=[type(e).__name__ for e, _ in EXIT_CODES])
+def test_exit_code_per_error_class(capsys, monkeypatch, error, code):
+    """1 for usage, 2 for data, 3 for internal faults, whichever command raises;
+    the message names the error, and only an exit 3 calls it internal."""
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_bench", broken)
+    got, out, err = run(capsys, "bench")
+    assert (got, out) == (code, "") and str(error) in err
+    assert ("internal error" in err) == (code == 3)
 
 
 class TestBench:

@@ -48,7 +48,9 @@ class TestConstruction:
         m = Model(26, 256, 25)
         assert (m.K, m.X, m.R) == (26, 256, 25)
 
-    @pytest.mark.parametrize("k,x,r", [(3, 256, 256), (0, 256, 0), (3, 1, 0), (3, 256, -1)])
+    @pytest.mark.parametrize("k,x,r", [(3, 256, 256), (0, 256, 0), (3, 1, 0), (3, 256, -1),
+                                       (2.0, 16, 0), (True, 16, 0), (2, 16.9, 0), (2, 16.0, 0),
+                                       (2, 16, 1.5), (2, 16, True), (2, 16, "1")])
     def test_bad_config(self, k, x, r):
         with pytest.raises(ConfigError):
             Model(k, x, r)
@@ -368,6 +370,35 @@ class TestIntegerValidation:
         m.insert_class((3, 2))
         with pytest.raises(ValidationError):
             m.classify((3, 2), radius=radius)
+
+    def test_numpy_integer_config_accepted(self):
+        m = Model(np.int64(2), np.uint16(16), np.int8(1))
+        assert (m.K, m.X, m.R) == (2, 16, 1) and all(type(v) is int for v in (m.K, m.X, m.R))
+        c = CategoricalModel(np.int32(3), np.uint8(1))
+        assert (c.K, c.recognition_threshold) == (3, 1)
+
+    @pytest.mark.parametrize("args", [(3.0, 1, False), (True, 1, False), (3, 1.5, False),
+                                      (3, True, False), (3, "1", False), (3, 1, 1),
+                                      (3, 1, "yes"), (3, 1, None)])
+    def test_non_integer_categorical_config_rejected(self, args):
+        with pytest.raises(ConfigError):
+            CategoricalModel(*args)
+
+    @pytest.mark.parametrize("bad", [{1.5, 3}, {3.0}, {True}, {np.True_, 2}, {"a"}, {None}])
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_non_integer_categories_rejected(self, bad, grow):
+        m = CategoricalModel(5, 1, grow=grow)
+        m.insert_class({2, 3})
+        for call in (m.insert_class, m.train_step, m.classify):
+            with pytest.raises(ValidationError):
+                call(bad)
+        assert (m.K, m.N, m.postings, m.stored) == (5, 1, {2: [1], 3: [1]}, [frozenset({2, 3})])
+
+    def test_numpy_integer_categories_accepted(self):
+        m = CategoricalModel(5, 1)
+        assert m.insert_class({np.int64(2), np.uint8(3)}) == 1
+        assert m.stored == [frozenset({2, 3})] and all(type(k) is int for k in m.stored[0])
+        assert m.classify({np.int16(3)}).argmax == 1
 
 
 def check_query(m, q, radius):

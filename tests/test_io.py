@@ -134,6 +134,39 @@ MALFORMED_BODIES = [
 ]
 
 
+# bodies that load only when their integers are checked: config and category
+# values numpy or int() would truncate, and v1 param_index cells past int64,
+# null or nested, in each column
+MALFORMED_INTEGERS = {
+    "numeric X 16.9": {"kind": "numeric", "K": 2, "X": 16.9, "R": 0, "prototypes": [[1, 2]]},
+    "numeric R 1.5": {"kind": "numeric", "K": 2, "X": 16, "R": 1.5, "prototypes": [[1, 2]]},
+    "numeric R true": {"kind": "numeric", "K": 2, "X": 16, "R": True, "prototypes": [[1, 2]]},
+    "numeric K 2.0": {"kind": "numeric", "K": 2.0, "X": 16, "R": 0, "prototypes": [[1, 2]]},
+    "categorical threshold 1.5": {"kind": "categorical", "K": 3, "threshold": 1.5,
+                                  "grow": False, "stored": [[1]]},
+    "categorical stored 1.5": {"kind": "categorical", "K": 3, "threshold": 1, "grow": False,
+                               "stored": [[1.5]]},
+    "param_index X 4.5": {"kind": "param_index", "K": 1, "X": 4.5, "rows": 1,
+                          "tables": [[[0, [[5, 1]]]]]},
+    **{f"param_index {name}": {"kind": "param_index", "K": 1, "X": 4, "rows": 1, "tables": [table]}
+       for name, table in {
+           "v 2**63": [[2**63, [[5, 1]]]],
+           "t 2**63": [[0, [[2**63, 1]]]],
+           "count 2**63": [[0, [[5, 2**63]]]],
+           "t -2**63 - 1": [[0, [[-2**63 - 1, 1]]]],
+           "v null": [[None, [[5, 1]]]],
+           "t null": [[0, [[None, 1]]]],
+           "count null": [[0, [[5, None]]]],
+           "pairs null": [[0, None]],
+           "v nested": [[[0], [[5, 1]]]],
+           "t nested": [[0, [[[5], 1]]]],
+           "every cell nested": [[[0], [[[5], [1]]]]],
+           "every cell an empty list": [[[], [[[], []]]]],
+           "pair nested": [[0, [[[5, 1]]]]],
+       }.items()},
+}
+
+
 def envelope_v2(head, data=b"", head_length=None) -> bytes:
     """A v2 model file with a valid header and checksum around any JSON head
     and array bytes; head_length overrides the head's true length."""
@@ -715,6 +748,10 @@ class TestModelFiles:
         data = tmp_path / "d.csv"
         data.write_text("1,2\n")
         assert main(["classify", str(data), "--model", str(p)]) == 2
+
+    @pytest.mark.parametrize("body", MALFORMED_INTEGERS.values(), ids=MALFORMED_INTEGERS)
+    def test_malformed_integer_detected(self, tmp_path, body):
+        self.test_malformed_payload_detected(tmp_path, body)
 
     def test_param_index_bytes_pinned(self, tmp_path):
         p = tmp_path / "g.ipat"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from invpat import (
+    ConfigError,
     NoEvidenceError,
     ParamHistogram,
     ParamIndex,
@@ -98,6 +99,15 @@ class TestBuild:
         with pytest.raises(ValidationError):
             ParamIndex(tables, X=4)
 
+    @pytest.mark.parametrize("X", [4.5, 4.0, True, "4", None])
+    def test_constructor_rejects_a_non_integer_x(self, X):
+        with pytest.raises(ConfigError):
+            ParamIndex([[(0, 5, 1)]], X=X)
+
+    def test_constructor_takes_a_numpy_integer_x(self):
+        idx = ParamIndex([[(0, 5, 1)]], X=np.uint8(4))
+        assert idx.X == 4 and type(idx.X) is int
+
 
 def assert_matches_scan(idx, rows, queries):
     """tables(), histograms and predictions of idx against the brute-force scans of rows."""
@@ -152,6 +162,23 @@ class TestLayoutProperties:
             assert predict_histogram(index, (0, 0)).total == 0
             with pytest.raises(NoEvidenceError):
                 predict_value(index, (0, 0))
+
+
+@pytest.mark.parametrize("tables", [
+    [[], [(0, 5, 2), (3, -1, 1)], [(1, 5, 1)]],  # an empty dimension first
+    [[(0, 5, 2), (3, -1, 1)], [], [(1, 5, 1)]],  # in the middle
+    [[(0, 5, 2), (3, -1, 1)], [(1, 5, 1)], []],  # last
+    [[], [(2, 7, 1)], [], []],                   # several, around one
+    [[], [], []],                                # every dimension empty
+    [[(3, 9, 1)]],                               # one dimension, at the last value
+])
+def test_table_arrays_gives_back_the_tables(tables):
+    idx = ParamIndex(tables, X=4)
+    arrays = idx.table_arrays()
+    assert len(arrays) == len(tables)
+    assert all(a.dtype == np.int64 and a.shape == (len(t), 3) for a, t in zip(arrays, tables))
+    assert [a.tolist() for a in arrays] == [[list(row) for row in t] for t in tables]
+    assert ParamIndex(arrays, X=4).tables() == idx.tables()
 
 
 class TestPredictHistogram:

@@ -185,6 +185,30 @@ class TestTrainPixels:
             ids = _match_winners(fast, frame.pixels[mask].astype(np.int64))
             assert ids.tolist() == [n for n, _ in steps]
 
+    def test_masked_slot_creates_no_class(self):
+        """Pixels that only match masked classes still match: training reads
+        the unmasked inverse patterns, whatever table the slot holds, and a
+        masked query afterwards still gives the brute-force winners."""
+        rng = np.random.default_rng(97)
+        m = Model(3, 256, 6)
+        m.insert_classes(rng.integers(0, 256, size=(40, 3)))
+        masked = frozenset(range(1, 41, 2))
+        colors = rng.integers(0, 256, size=(200, 3)).astype(np.uint8)
+        colors[:40] = m.prototypes
+        oracle_check(m, colors, None, masked)
+        assert m._tables[0][2] == masked  # the slot holds the masked table
+        frame = np.array(m.prototypes, np.uint8)[::-1][None]  # masked classes too
+        assert train_pixels(m, img(frame), np.ones(frame.shape[:2], bool)) == 0
+        assert m.N == 40
+        oracle_check(m, colors, None, masked)
+        oracle_check(m, colors, None, None)
+
+    @pytest.mark.parametrize("x_range, radius", [(20, 15), (20, 19), (255, 254)])
+    def test_radius_past_the_top_below_256(self, x_range, radius):
+        """X < 256 with v + R past X - 1, on an empty and a pre-populated model."""
+        for stored in (0, 25):
+            self.test_matches_train_step_loop(3, radius, x_range, stored)
+
 
 class TestMaskingAndSelection:
     def build(self):
