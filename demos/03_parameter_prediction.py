@@ -22,15 +22,15 @@ for unit in range(60):
         sensors = np.clip(
             (np.array([80, 120, 160, 60]) + wear * np.array([60, -40, 50, 90])
              + rng.normal(0, 4, size=4)).astype(int), 0, 255)
-        rows.append((tuple(int(s) for s in sensors), remaining))
+        rows.append((sensors, remaining))  # the integer sensor array itself
 
 idx = build_param_index(rows, X=256)
 print(f"trained on {idx.rows} flights, t in [{idx.t_min}, {idx.t_max}]")
 
 for true_remaining in (150, 60, 12):
     wear = 1.0 - true_remaining / 260
-    q = tuple(int(v) for v in np.clip(
-        (np.array([80, 120, 160, 60]) + wear * np.array([60, -40, 50, 90])), 0, 255))
+    q = np.clip(np.array([80, 120, 160, 60]) + wear * np.array([60, -40, 50, 90]),
+                0, 255).astype(int)
     h = predict_histogram(idx, q)
     mode, mean, skew = histogram_spread(h)
     print(f"true remaining {true_remaining:>3}: predicted {predict_value(idx, q):>3}"

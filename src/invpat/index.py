@@ -44,6 +44,8 @@ def _is_int(v) -> bool:
 
 def _vector(x, K: int, X: int) -> tuple[int, ...]:
     """x as K Python ints in [0, X); bools, floats and other types are rejected."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
+        x = x.tolist()  # Python ints take the fast path below; a 2-D row keeps its lists
     if len(x) != K:
         raise ValidationError(f"expected {K} features, got {len(x)}")
     exact = True

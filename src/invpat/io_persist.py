@@ -204,8 +204,9 @@ def _read_lines(path) -> list[tuple[float, ...]]:
 # -- normalization ----------------------------------------------------------------
 
 
-def normalize_columns(rows, schema: ColumnSchema, X: int) -> list[tuple[int, ...]]:
-    """Feature vectors scaled to integers in [0, X), in one array pass.
+def normalize_columns(rows, schema: ColumnSchema, X: int) -> np.ndarray:
+    """Feature vectors scaled to integers in [0, X), in one array pass: an (n, K)
+    int64 array, one row per input row and one column per feature column.
 
     v = trunc((raw - min) / (max - min) * X) clipped to [0, X - 1]: overflow to +-inf
     clamps, and a NaN (both differences overflow) is a DataError naming its row. Bounds
@@ -214,7 +215,7 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> list[tuple[int, ...
     """
     rows = list(rows)
     if not rows:
-        return []
+        return np.empty((0, len(schema.feature_indices())), np.int64)
     feat, table = schema.feature_indices(), np.array(rows, np.float64)
     if feat[-1] >= table.shape[1]:
         raise DataError(f"rows lack column {feat[-1] + 1} ({schema.columns[feat[-1]].name!r})")
@@ -232,7 +233,7 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> list[tuple[int, ...
     nan = np.isnan(table).any(axis=1)
     if nan.any():
         raise DataError(f"row {nan.argmax()}: scales to NaN (raw - min and max - min overflow)")
-    return list(map(tuple, np.clip(table, 0, X - 1, out=table).astype(np.int64).tolist()))
+    return np.clip(table, 0, X - 1, out=table).astype(np.int64)
 
 
 def extract_parameter(rows, schema: ColumnSchema) -> list[int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvpatError, LevelError
-from .index import CategoricalModel, ClassHistogram, Model
+from .index import CategoricalModel, ClassHistogram, Model, _is_int
 
 UNLABELED = "unlabeled"
 
@@ -26,12 +26,14 @@ class LabelTable:
     """Inner class id -> external label; missing ids are "unlabeled"."""
 
     def __init__(self, labels: dict[int, str] | None = None):
-        self._labels: dict[int, str] = dict(labels or {})
+        self._labels: dict[int, str] = {}
+        for inner, label in (labels or {}).items():
+            self.attach(inner, label)
 
     def attach(self, inner: int, label: str) -> None:
-        if inner < 1:
-            raise ConfigError(f"class id must be >= 1, got {inner}")
-        self._labels[inner] = label
+        if not _is_int(inner) or inner < 1:
+            raise ConfigError(f"class id must be an integer >= 1, got {inner!r}")
+        self._labels[int(inner)] = label
 
     def lookup(self, inner: int) -> str:
         return self._labels.get(inner, UNLABELED)
@@ -75,9 +77,12 @@ class LevelStack:
     def __init__(self, levels: list[Level]):
         if not levels:
             raise ConfigError("a stack needs at least one level")
-        for i, lvl in enumerate(levels[1:], start=2):
-            if not isinstance(lvl.model, CategoricalModel):
+        for i, lvl in enumerate(levels, start=1):
+            if i > 1 and not isinstance(lvl.model, CategoricalModel):
                 raise ConfigError(f"level {i} must be categorical")
+            if not _is_int(lvl.threshold) or lvl.threshold < 1:
+                raise ConfigError(f"level {i} threshold must be an integer >= 1, "
+                                  f"got {lvl.threshold!r}")
         self.levels = list(levels)
         self.schema = None  # optional ColumnSchema, saved with the stack
 

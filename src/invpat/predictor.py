@@ -118,21 +118,25 @@ def _column(values, name: str, X: int | None = None) -> np.ndarray:
 
 
 def build_param_index(rows, X: int) -> ParamIndex:
-    """Build an index from (feature vector, t) pairs sharing one K."""
+    """Build an index from (feature vector, t) pairs sharing one K; a vector may
+    be a tuple, a list or an integer array row (``normalize_columns`` gives those)."""
     rows = list(rows)
     if not rows:
         raise ValidationError("cannot build a parameter index from no rows")
     try:
-        lengths = {len(x) for x, _ in rows}
+        xs, ts = [x for x, _ in rows], [t for _, t in rows]
+        lengths = set(map(len, xs))
     except (TypeError, ValueError):  # a row that is not a pair, or a vector without a length
         raise ValidationError("rows must be (feature vector, t) pairs") from None
     if len(lengths) > 1:
         raise ValidationError("feature vectors differ in length")
-    t_values, t_rank = np.unique(_column([t for _, t in rows], "t"), return_inverse=True)
+    t_values, t_rank = np.unique(_column(ts, "t"), return_inverse=True)
     T = len(t_values)
+    table = _int_table(xs, "feature vectors", X)  # values below X, so v * T cannot overflow
+    if table.ndim != 2:
+        raise ValidationError("feature vectors hold a cell that is not one integer")
     tables = []
-    for k in range(len(rows[0][0])):
-        v = _column([x[k] for x, _ in rows], f"dimension {k}", X)  # so v * T cannot overflow
+    for v in table.T:
         # one key per (v, t) pair, so sorted keys are the sorted (v, t) pairs
         key, count = np.unique(v * T + t_rank, return_counts=True)
         tables.append(np.column_stack((key // T, t_values[key % T], count)))

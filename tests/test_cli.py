@@ -14,7 +14,14 @@ from invpat.errors import (
     NoEvidenceError,
     ValidationError,
 )
-from invpat.io_persist import ColumnSchema, ColumnSpec, save_schema
+from invpat.io_persist import (
+    ColumnSchema,
+    ColumnSpec,
+    load_csv,
+    load_schema,
+    normalize_columns,
+    save_schema,
+)
 
 
 def run(capsys, *argv):
@@ -102,6 +109,36 @@ class TestTrainClassify:
         train.write_text("1,2\n-1,4\n")
         code, _, err = run(capsys, "train", str(train), "--x", "16")
         assert code == 2 and "row 1" in err and "-1" in err
+
+    def test_features_only_schema(self, capsys, tmp_path):
+        """train --schema without a parameter column, then classify: the same lines as
+        the library's classify loop over tuple vectors."""
+        schema, train, test, model = (tmp_path / n for n in ("s.json", "t.csv", "q.csv", "m.ipat"))
+        save_schema(ColumnSchema([ColumnSpec("unit", "id")]
+                                 + [ColumnSpec(c, "feature") for c in "abc"]), schema)
+        rng = np.random.default_rng(223)
+        raw = rng.normal(0, 10, size=(60, 4)).round(2)
+        raw[:, 0] = np.arange(60) // 10
+        raw[40:, 1:] = raw[:20, 1:]  # repeated rows
+        queries = np.vstack([raw[::7], rng.normal(0, 20, size=(8, 4)).round(2)])  # some past the bounds
+        for path, table in ((train, raw), (test, queries)):
+            path.write_text("".join(",".join(map(str, r)) + "\n" for r in table.tolist()))
+        code, out, _ = run(capsys, "train", str(train), "--schema", str(schema), "--x", "32",
+                           "--r", "2", "--model", str(model))
+        assert code == 0 and "trained N=" in out
+        code, out, _ = run(capsys, "classify", str(test), "--model", str(model))
+
+        lib_schema, m, want = load_schema(schema), Model(3, 32, 2), []
+        for v in normalize_columns(load_csv(train), lib_schema, 32).tolist():
+            m.train_step(tuple(v))
+        for i, v in enumerate(normalize_columns(load_csv(test), lib_schema, 32).tolist()):
+            hist = m.classify(tuple(v))
+            n = m.recognized(hist)
+            want.append(f"{i} unrecognized max={hist.max_count}" if n is None
+                        else f"{i} class={n} votes={hist.max_count}")
+        lines = out.splitlines()
+        assert code == 0 and lines[0].startswith("# invpat ") and lines[1:] == want
+        assert any("class=" in ln for ln in want) and any("unrecognized" in ln for ln in want)
 
     def test_train_param_index_rejection_is_data_error(self, capsys, tmp_path):
         schema = tmp_path / "s.json"

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invpat import CategoricalModel, ConfigError, Model, ValidationError, load_model, save_model
+from invpat import (
+    CategoricalModel,
+    ConfigError,
+    Model,
+    ValidationError,
+    build_param_index,
+    load_model,
+    predict_value,
+    save_model,
+)
 
 
 def brute_force_counts(model, x, radius=None):
@@ -399,6 +408,47 @@ class TestIntegerValidation:
         assert m.insert_class({np.int64(2), np.uint8(3)}) == 1
         assert m.stored == [frozenset({2, 3})] and all(type(k) is int for k in m.stored[0])
         assert m.classify({np.int16(3)}).argmax == 1
+
+
+class TestArrayRows:
+    """Integer array rows, as ``normalize_columns`` gives them, act as the tuples
+    of their values in every call that takes a feature vector."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+    def test_same_results_as_tuples(self, dtype):
+        rng = np.random.default_rng(211)
+        table = rng.integers(0, 100, size=(120, 3)).astype(dtype)
+        table[60:] = table[:60]  # repeats, so full matches as well as new classes
+        by_array, by_tuple = Model(3, 100, 4), Model(3, 100, 4)
+        for row in table:
+            assert by_array.train_step(row) == by_tuple.train_step(tuple(row.tolist()))
+        assert by_array.prototypes == by_tuple.prototypes
+        for row in rng.integers(0, 100, size=(30, 3)).astype(dtype):
+            assert by_array.classify(row).counts == by_tuple.classify(tuple(row.tolist())).counts
+        ts = rng.integers(0, 20, size=len(table)).tolist()
+        idx = build_param_index([(tuple(x), t) for x, t in zip(table.tolist(), ts)], X=100)
+        for row in table[:40]:
+            assert predict_value(idx, row) == predict_value(idx, tuple(row.tolist()))
+
+    @pytest.mark.parametrize("row", [
+        np.array([1, 0, 1], dtype=bool),
+        np.array([1.0, 2.0, 3.0]),
+        np.array([[1, 2, 3]]),                 # 2-D, one row of K
+        np.array([[1, 2], [3, 4], [5, 6]]),    # 2-D, K rows
+        np.array([1, 2]),                      # too short
+        np.array([1, 2, 3, 4]),                # too long
+        np.array([1, -1, 3], dtype=np.int8),
+        np.array([1, 100, 3]),                 # X
+        np.array([1, 2**63, 3], dtype=np.uint64),
+    ])
+    def test_bad_rows_rejected(self, row):
+        m = Model(3, 100, 1)
+        m.insert_class((1, 2, 3))
+        idx = build_param_index([((1, 2, 3), 7)], X=100)
+        for call in (m.train_step, m.classify, lambda x: predict_value(idx, x)):
+            with pytest.raises(ValidationError):
+                call(row)
+        assert m.N == 1 and m.prototypes == [(1, 2, 3)]
 
 
 def check_query(m, q, radius):

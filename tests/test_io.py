@@ -164,6 +164,12 @@ MALFORMED_INTEGERS = {
            "every cell an empty list": [[[], [[[], []]]]],
            "pair nested": [[0, [[[5, 1]]]]],
        }.items()},
+    **{f"stack threshold {name}": {"kind": "stack", "levels": [
+        {"labels": None, "threshold": threshold,
+         "model": {"kind": "categorical", "K": 3, "threshold": 1, "grow": False, "stored": [[1]]}}]}
+       for name, threshold in {"1.5": 1.5, "true": True, "0": 0}.items()},
+    "numeric label 0": {"kind": "numeric", "K": 2, "X": 16, "R": 0, "prototypes": [[1, 2]],
+                        "labels": {"0": "car"}},
 }
 
 
@@ -228,23 +234,31 @@ class TestNormalize:
 
     def test_boundary_mapping(self):
         rows = [(0.0, 10.0), (5.0, 20.0), (10.0, 30.0)]
-        out = normalize_columns(rows, self.schema(), 256)
+        out = vectors(normalize_columns(rows, self.schema(), 256))
         assert out[0] == (0, 0)
         assert out[2] == (255, 255)  # raw = max clamps to X-1
         assert out[1] == (128, 128)  # midpoint
 
+    @pytest.mark.parametrize("rows", [[], [(0.0, 7.0, 10.0), (5.0, 8.0, 20.0), (10.0, 9.0, 30.0)]])
+    def test_returns_an_int64_table(self, rows):
+        schema = ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("u", "id"),
+                               ColumnSpec("b", "feature")])
+        out = normalize_columns(rows, schema, 256)
+        assert isinstance(out, np.ndarray) and out.dtype == np.int64
+        assert out.shape == (len(rows), 2)
+
     def test_recorded_bounds_reused(self):
         schema = self.schema()
         rows = [(0.0, 1.0), (4.0, 9.0)]
-        first = normalize_columns(rows, schema, 64)
+        first = vectors(normalize_columns(rows, schema, 64))
         assert schema.columns[0].min == 0.0 and schema.columns[0].max == 4.0
-        again = normalize_columns(rows, schema, 64)
+        again = vectors(normalize_columns(rows, schema, 64))
         assert first == again
 
     def test_test_split_clamps(self):
         schema = self.schema()
         normalize_columns([(0.0, 0.0), (10.0, 10.0)], schema, 16)
-        out = normalize_columns([(-5.0, 25.0)], schema, 16)
+        out = vectors(normalize_columns([(-5.0, 25.0)], schema, 16))
         assert out == [(0, 15)]
 
     def test_constant_column_warns(self):
@@ -286,6 +300,12 @@ class TestNormalize:
             ColumnSchema([ColumnSpec("t", "parameter-t")])
         with pytest.raises(DataError):
             ColumnSpec("a", "bogus")
+
+
+def vectors(table):
+    """normalize_columns' (n, K) int64 array as the tuples of Python ints it is compared with."""
+    assert isinstance(table, np.ndarray) and table.dtype == np.int64 and table.ndim == 2
+    return [tuple(row) for row in table.tolist()]
 
 
 def per_cell_normalize(rows, schema, X):
@@ -367,6 +387,7 @@ def test_normalize_matches_per_cell_loop(case, X):
             assert all(0 <= v < X for vec in got for v in vec)
             return
         got, got_warnings = warned(normalize_columns, rows, schema, X)
+        got = vectors(got)
         assert got == want and all(type(v) is int for vec in got for v in vec)
         assert got_warnings == want_warnings
         assert ([(repr(c.min), repr(c.max)) for c in schema.columns]
@@ -387,7 +408,7 @@ def test_normalize_matches_per_cell_loop_on_every_tenth(X):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the min == max columns
         want = per_cell_normalize(rows, ColumnSchema(copy.deepcopy(columns)), X)
-        assert normalize_columns(rows, ColumnSchema(columns), X) == want
+        assert vectors(normalize_columns(rows, ColumnSchema(columns), X)) == want
 
 
 @pytest.mark.parametrize("column", [(-0.0, 0.0, 1.0), (0.0, -0.0, 1.0), (-1.0, 0.0, -0.0),
@@ -395,7 +416,7 @@ def test_normalize_matches_per_cell_loop_on_every_tenth(X):
 def test_signed_zero_bounds_follow_min_and_max(column):
     rows = [(v,) for v in column]
     want_schema, schema = uniform_schema(1), uniform_schema(1)
-    assert normalize_columns(rows, schema, 16) == per_cell_normalize(rows, want_schema, 16)
+    assert vectors(normalize_columns(rows, schema, 16)) == per_cell_normalize(rows, want_schema, 16)
     assert (repr(schema.columns[0].min), repr(schema.columns[0].max)) == (
         repr(want_schema.columns[0].min), repr(want_schema.columns[0].max))
 
@@ -406,7 +427,7 @@ class TestNormalizeFaults:
     def test_far_out_values_clamp(self):
         schema = ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("b", "feature")])
         normalize_columns([(0.0, 0.0), (1e-300, 1e-300)], schema, 16)
-        assert normalize_columns([(1e10, -1e10), (5e-301, 1e-300)], schema, 16) == [
+        assert vectors(normalize_columns([(1e10, -1e10), (5e-301, 1e-300)], schema, 16)) == [
             (15, 0), (8, 15)]
 
     def test_nan_is_data_error_naming_the_row(self):

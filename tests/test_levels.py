@@ -17,6 +17,8 @@ from invpat import (
     UNLABELED,
     ValidationError,
     histogram_to_metapattern,
+    load_model,
+    save_model,
     signature_common,
 )
 
@@ -87,6 +89,24 @@ class TestLabelTable:
         t.attach(5, "water")
         t.attach(5, "buildings")
         assert t.lookup(5) == "buildings"
+
+    @pytest.mark.parametrize("inner", [1.5, 2.0, True, np.bool_(True), 0, -1, "2", None])
+    def test_ids_must_be_integers_of_at_least_one(self, inner):
+        with pytest.raises(ConfigError):
+            LabelTable().attach(inner, "car")
+        with pytest.raises(ConfigError):
+            LabelTable({inner: "car"})
+
+    def test_numpy_integer_ids_are_kept_as_ints(self, tmp_path):
+        t = LabelTable({np.int64(2): "car"})
+        t.attach(np.uint8(3), "bus")
+        assert t.labels() == {2: "car", 3: "bus"}
+        assert all(type(inner) is int for inner in t.labels())
+        m = Model(2, 8, 0)
+        m.insert_classes([[1, 1], [2, 2], [3, 3]])
+        m.labels = t
+        save_model(m, tmp_path / "m.ipat")
+        assert load_model(tmp_path / "m.ipat").labels == t
 
 
 class TestSignatureCommon:
@@ -186,6 +206,18 @@ class TestStack:
     def test_upper_levels_must_be_categorical(self):
         with pytest.raises(ConfigError):
             LevelStack([Level(Model(2, 8, 0)), Level(Model(2, 8, 0))])
+
+    @pytest.mark.parametrize("threshold", [1.5, 2.0, True, 0, -1, "2", None])
+    def test_threshold_must_be_an_integer_of_at_least_one(self, threshold):
+        with pytest.raises(ConfigError, match="level 1 threshold"):
+            LevelStack([Level(Model(2, 8, 0), threshold=threshold)])
+        with pytest.raises(ConfigError, match="level 2 threshold"):
+            LevelStack([Level(Model(2, 8, 0)), Level(CategoricalModel(1, 1), threshold=threshold)])
+
+    def test_numpy_integer_threshold_accepted(self):
+        stack = LevelStack([Level(Model(2, 8, 0), threshold=np.int64(1)),
+                            Level(CategoricalModel(1, 1, grow=True))])
+        assert stack.run([(1, 1)], train=True).counts == {1: 1}
 
     def test_one_level_equals_bare_model(self):
         rng = np.random.default_rng(67)

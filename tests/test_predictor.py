@@ -50,6 +50,66 @@ def rows_and_queries(draw):
     return rows, X, draw(st.lists(vec, min_size=1, max_size=5))
 
 
+@st.composite
+def pair_tables(draw):
+    """An (n, K) int64 table of feature vectors, one t per row, and query rows."""
+    K, X, n = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    row = st.lists(st.integers(0, X - 1), min_size=K, max_size=K)
+    table = np.array(draw(st.lists(row, min_size=n, max_size=n)), np.int64)
+    ts = draw(st.lists(st.integers(-5, 25), min_size=n, max_size=n))
+    queries = np.array(draw(st.lists(row, min_size=1, max_size=5)), np.int64)
+    return table, ts, X, np.vstack([queries, table[:3]])
+
+
+@given(pair_tables())
+def test_every_kind_of_pair_builds_the_dense_oracle_index(case):
+    table, ts, X, queries = case
+    builds = [build_param_index(list(zip(table, ts)), X),  # array rows, as normalize_columns gives
+              build_param_index([(tuple(x), t) for x, t in zip(table.tolist(), ts)], X),
+              build_param_index([(x, t) for x, t in zip(table.tolist(), ts)], X)]
+    want = builds[1].table_arrays()
+    for idx in builds:
+        got = idx.table_arrays()
+        assert len(got) == len(want)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+    # dense oracle: counts[k, v, t - lo] rows with x[k] == v and t; ties to the smallest t
+    K, lo = table.shape[1], min(ts)
+    counts = np.zeros((K, X, max(ts) - lo + 1), np.int64)
+    np.add.at(counts, (np.arange(K), table, np.subtract(ts, lo)[:, None]), 1)
+    for k, rows in enumerate(want):
+        v, t = np.nonzero(counts[k])
+        assert rows.tolist() == np.column_stack((v, t + lo, counts[k, v, t])).tolist()
+    for q in queries:
+        acc = counts[np.arange(K), q].sum(axis=0)
+        for idx in builds:
+            if acc.any():
+                assert predict_value(idx, q) == int(acc.argmax()) + lo
+            else:
+                with pytest.raises(NoEvidenceError):
+                    predict_value(idx, q)
+
+
+@pytest.mark.parametrize("array_rows, tuple_rows", [
+    ([(np.array([1, 2]), 7), (np.array([True, False]), 7)],   # a bool row among int rows
+     [((1, 2), 7), ((True, False), 7)]),
+    ([(np.array([1, 2]), 7), (np.array([1.0, 2.0]), 7)],       # a float row
+     [((1, 2), 7), ((1.0, 2.0), 7)]),
+    ([(np.array([[1, 2], [3, 0]]), 7)],                        # 2-D cells
+     [(((1, 2), (3, 0)), 7)]),
+    ([(np.array([1, 2]), 7), (np.array([[1, 2], [3, 0]]), 7)],
+     [((1, 2), 7), (((1, 2), (3, 0)), 7)]),
+    ([(np.array([1, 2]), 7), (np.array([1, 2, 3]), 7)],        # vectors of different lengths
+     [((1, 2), 7), ((1, 2, 3), 7)]),
+])
+def test_array_rows_are_rejected_as_tuple_rows_are(array_rows, tuple_rows):
+    errors = []
+    for rows in (array_rows, tuple_rows):
+        with pytest.raises(ValidationError) as caught:
+            build_param_index(rows, X=4)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
 class TestBuild:
     def test_single_row(self):
         idx = build_param_index([((0, 0), 7)], X=4)
