@@ -114,13 +114,12 @@ class TestTrainClassify:
         """train --schema without a parameter column, then classify: the same lines as
         the library's classify loop over tuple vectors."""
         schema, train, test, model = (tmp_path / n for n in ("s.json", "t.csv", "q.csv", "m.ipat"))
-        save_schema(ColumnSchema([ColumnSpec("unit", "id")]
-                                 + [ColumnSpec(c, "feature") for c in "abc"]), schema)
+        save_schema(ColumnSchema([ColumnSpec(c, "feature") for c in "abc"]), schema)
         rng = np.random.default_rng(223)
-        raw = rng.normal(0, 10, size=(60, 4)).round(2)
-        raw[:, 0] = np.arange(60) // 10
-        raw[40:, 1:] = raw[:20, 1:]  # repeated rows
-        queries = np.vstack([raw[::7], rng.normal(0, 20, size=(8, 4)).round(2)])  # some past the bounds
+        raw = rng.normal(0, 10, size=(60, 3)).round(2)
+        raw[40:] = raw[:20]  # repeated rows
+        # queries: training rows and rows past the training bounds
+        queries = np.vstack([raw[::7], rng.normal(0, 20, size=(8, 3)).round(2)])
         for path, table in ((train, raw), (test, queries)):
             path.write_text("".join(",".join(map(str, r)) + "\n" for r in table.tolist()))
         code, out, _ = run(capsys, "train", str(train), "--schema", str(schema), "--x", "32",
