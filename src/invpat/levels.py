@@ -45,10 +45,15 @@ class LabelTable:
         return isinstance(other, LabelTable) and self._labels == other._labels
 
 
+def _check_threshold(threshold) -> None:
+    """An output threshold is an integer >= 1; bools and floats are not."""
+    if not _is_int(threshold) or threshold < 1:
+        raise ConfigError(f"threshold must be an integer >= 1, got {threshold!r}")
+
+
 def histogram_to_metapattern(h: ClassHistogram, threshold: int) -> frozenset[int]:
     """Present categories of the next level: ids with count >= threshold."""
-    if threshold < 1:
-        raise ConfigError(f"threshold must be >= 1, got {threshold}")
+    _check_threshold(threshold)
     return frozenset(np.flatnonzero(h.votes >= threshold).tolist())
 
 

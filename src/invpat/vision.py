@@ -7,15 +7,20 @@ arbitrary background trains on a thresholded difference image, masks the
 pixel classes that fire on the background, groups the surviving pixels
 by a vectorised union-find over the pixel pairs within the cluster
 distance and recognizes each cluster's class histogram at a categorical
-second level; detection keeps the pixels in arrays from the winner map to
-the per-cluster histograms. Both find a pixel's winning class through
-inverse patterns: per channel, a table from each sample value to the
-classes within R of it, one bit per class packed into little-endian uint64
-words, ANDed across the channels; the winner is the lowest set bit. The
-tables are built once per (model N, R, mask) and kept in one slot on the
-``Model``, so a stream of query frames reuses them. ``train_pixels`` starts
-from those tables (``_inverse_patterns``), each row read as one Python int,
-and grows them one class at a time.
+second level. Both find a pixel's winning class through inverse patterns:
+per channel, a table from each sample value to the classes within R of it,
+one bit per class packed into little-endian uint64 words, ANDed across the
+channels; the winner is the lowest set bit. Before any AND, the pixels are
+intersected channel by channel, fewest non-empty table rows first, so only
+the pixels whose every sample value has some live class gather their rows;
+a query frame of masked background usually keeps none. Detection reads the
+result sparse, as the matched pixels' flat indices and winners, from the
+winner kernel to the per-cluster histograms; segmentation scatters it into a
+dense map. The tables, their non-empty rows and the channel order are
+built once per (model N, R, mask) and kept in one slot on the ``Model``, so
+a stream of query frames reuses them. ``train_pixels`` starts from those
+tables (``_inverse_patterns``), each row read as one Python int, and grows
+them one class at a time.
 
 Masks are boolean numpy arrays of shape (height, width); ``train_pixels``
 reads a 0/1 integer mask as one.
@@ -28,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .index import CategoricalModel, ClassHistogram, Model, _radius
-from .levels import UNLABELED, LabelTable, histogram_to_metapattern
+from .index import CategoricalModel, ClassHistogram, Model, _is_int, _radius
+from .levels import UNLABELED, LabelTable, _check_threshold, histogram_to_metapattern
 
 
 @dataclass
@@ -123,7 +128,7 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
         raise ValidationError(f"feature value {colors.max()} outside [0, {model.X})")
     r, n = model.R, model.N
     patterns = [[int.from_bytes(row.tobytes(), "little") for row in table]  # bit n is class n
-                for table in _inverse_patterns(model, r, None)]
+                for table in _inverse_patterns(model, r, None)[0]]
     new = []
     for color in colors.tolist():
         hit = -1
@@ -141,12 +146,16 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
     return len(new)
 
 
-def _inverse_patterns(model: Model, r: int, masked) -> list[np.ndarray]:
-    """Per channel c a (256, W) table of little-endian uint64 words: bit n of
-    row v is set when class n lies within r of sample value v and is not
-    masked (bit 0, "no class", never is). Built once per (N, r, mask) and
-    published in ``model._tables`` in one assignment, so concurrent readers
-    never see half of it; an insert grows N, which invalidates it."""
+def _inverse_patterns(model: Model, r: int, masked
+                      ) -> tuple[list[np.ndarray], np.ndarray, list[int]]:
+    """(tables, nonempty, order). Per channel c a (256, W) table of
+    little-endian uint64 words: bit n of row v is set when class n lies within
+    r of sample value v and is not masked (bit 0, "no class", never is).
+    ``nonempty[c, v]`` says whether that row has a bit set, and ``order`` lists
+    the channels by their count of non-empty rows, fewest first. Built once per
+    (N, r, mask) and published in ``model._tables`` in one assignment, so
+    concurrent readers never see half of it; an insert grows N, which
+    invalidates it."""
     rows, mask = model._rows(), frozenset(masked or ())
     n, slot = len(rows), model._tables
     if slot is not None and slot[0] == (n, r, mask):
@@ -155,33 +164,45 @@ def _inverse_patterns(model: Model, r: int, masked) -> list[np.ndarray]:
     protos[1:] = rows
     live = ~np.isin(np.arange(n + 1), [0, *mask])
     values = np.arange(256)[:, None]
-    tables = []
+    tables, nonempty = [], np.zeros((model.K, 256), bool)
     for c in range(model.K):
-        packed = np.packbits((np.abs(values - protos[:, c]) <= r) & live, axis=1,
-                             bitorder="little")
+        hits = (np.abs(values - protos[:, c]) <= r) & live
+        nonempty[c] = hits.any(axis=1)
+        packed = np.packbits(hits, axis=1, bitorder="little")
         words = np.zeros((256, 8 * -(-(n + 1) // 64)), np.uint8)  # W whole words
         words[:, :packed.shape[1]] = packed
         tables.append(words.view("<u8"))
-    model._tables = ((n, r, mask), tables)
-    return tables
+    patterns = tables, nonempty, np.argsort(nonempty.sum(axis=1), kind="stable").tolist()
+    model._tables = ((n, r, mask), patterns)
+    return patterns
 
 
-def _match_winners(model: Model, colors: np.ndarray, radius: int | None = None,
-                   masked: frozenset[int] | set[int] | None = None) -> np.ndarray:
-    """Smallest unmasked fully matching class id per row of 8-bit samples (0 = none).
+def _sparse_winners(model: Model, colors: np.ndarray, radius: int | None = None,
+                    masked=None) -> tuple[np.ndarray, np.ndarray]:
+    """(at, ids): the ascending indices of the rows of 8-bit samples that fully
+    match an unmasked class, and each such row's smallest one.
 
     Full match means Chebyshev distance <= R from a stored prototype, i.e.
-    a vote count of K under classification. A colour ANDs its K rows of the
-    packed inverse-pattern tables (a range-encoded bitmap index, Chan &
-    Ioannidis); the winner is the lowest set bit, ``64 * w +
-    bitwise_count((x & -x) - 1)`` for the first nonzero word x at index w.
+    a vote count of K under classification. The rows are intersected channel
+    by channel, the channel with the fewest non-empty table rows first
+    (smallest first, Culpepper & Moffat): one ``np.take`` over the survivors
+    keeps those whose sample value has some live class in that channel. Only
+    the rows left at the end AND their K rows of the packed inverse-pattern
+    tables (a range-encoded bitmap index, Chan & Ioannidis); the winner is the
+    lowest set bit, ``64 * w + bitwise_count((x & -x) - 1)`` for the first
+    nonzero word x at index w.
     """
-    tables = _inverse_patterns(model, _radius(radius, model.R), masked)
-    winners = np.zeros(len(colors), np.int64)
-    ones = np.ones(tables[0].shape[1], np.float32)
-    chunk = max(1, 32_768 // len(ones))  # 256 KB: bigger gathers page-fault per call
-    for start in range(0, len(colors), chunk):
-        block = colors[start:start + chunk]
+    tables, nonempty, order = _inverse_patterns(model, _radius(radius, model.R), masked)
+    first, *rest = order
+    at = np.flatnonzero(np.take(nonempty[first], colors[:, first]))
+    for c in rest:  # flat reads: a strided column would be copied whole by np.take
+        at = at[np.take(nonempty[c], np.take(colors, model.K * at + c))]
+    ids = np.zeros(len(at), np.int64)
+    words = tables[0].shape[1]
+    ones = np.ones(words, np.float32)
+    chunk = max(1, 32_768 // words)  # 256 KB: bigger gathers page-fault per call
+    for start in range(0, len(at), chunk):
+        block = np.take(colors, at[start:start + chunk], axis=0)
         hit = np.take(tables[0], block[:, 0], axis=0)
         for c in range(1, model.K):
             hit &= np.take(tables[c], block[:, c], axis=0)
@@ -189,18 +210,34 @@ def _match_winners(model: Model, colors: np.ndarray, radius: int | None = None,
         # rows with a set bit; numpy reduces a short last axis one row at a
         # time, a matrix-vector product counts the nonzero words in one call
         rows = np.flatnonzero(nonzero.astype(np.float32) @ ones)
-        w = nonzero[rows].argmax(axis=1)
-        x = hit[rows, w]
-        winners[start + rows] = 64 * w + np.bitwise_count((x & -x) - 1)
+        w = np.take(nonzero, rows, axis=0).argmax(axis=1)
+        x = np.take(hit, rows * words + w)
+        ids[start + rows] = 64 * w + np.bitwise_count((x & -x) - 1)
+    full = ids != 0
+    return at[full], ids[full]
+
+
+def _match_winners(model: Model, colors: np.ndarray, radius: int | None = None,
+                   masked: frozenset[int] | set[int] | None = None) -> np.ndarray:
+    """Smallest unmasked fully matching class id per row of 8-bit samples
+    (0 = none): ``_sparse_winners`` scattered into one dense array."""
+    at, ids = _sparse_winners(model, colors, radius, masked)
+    winners = np.zeros(len(colors), np.int64)
+    winners[at] = ids
     return winners
+
+
+def _colors(model: Model, img: RasterImage) -> np.ndarray:
+    """The image's samples, one row per pixel in row-major order."""
+    if model.K != img.channels:
+        raise ValidationError(f"model K={model.K} does not match {img.channels} channels")
+    return img.pixels.reshape(-1, img.channels)
 
 
 def _winner_map(model: Model, img: RasterImage, radius: int | None = None,
                 masked=None) -> np.ndarray:
     """Per-pixel winner ids (0 = none) of the image's samples."""
-    if model.K != img.channels:
-        raise ValidationError(f"model K={model.K} does not match {img.channels} channels")
-    wins = _match_winners(model, img.pixels.reshape(-1, img.channels), radius, masked)
+    wins = _match_winners(model, _colors(model, img), radius, masked)
     return wins.reshape(img.height, img.width)
 
 
@@ -210,7 +247,8 @@ def build_class_mask(model: Model, background: RasterImage, freq_threshold: int)
     A class enters the mask set when it wins (full match) on more than
     ``freq_threshold`` background pixels.
     """
-    counts = np.bincount(_winner_map(model, background).ravel(), minlength=model.N + 1)
+    _, ids = _sparse_winners(model, _colors(model, background))
+    counts = np.bincount(ids, minlength=model.N + 1)
     return set((np.flatnonzero(counts[1:] > freq_threshold) + 1).tolist())
 
 
@@ -218,9 +256,9 @@ def select_pixel_classes(model: Model, img: RasterImage,
                          masked: set[int] | frozenset[int]) -> dict[tuple[int, int], int]:
     """(row, col) -> smallest unmasked fully matching class, for all pixels
     that have one."""
-    wins = _winner_map(model, img, masked=frozenset(masked))
-    rows, cols = np.nonzero(wins)
-    return dict(zip(zip(rows.tolist(), cols.tolist()), wins[rows, cols].tolist()))
+    at, ids = _sparse_winners(model, _colors(model, img), masked=masked)
+    rows, cols = np.divmod(at, img.width)
+    return dict(zip(zip(rows.tolist(), cols.tolist()), ids.tolist()))
 
 
 def select_pixels(model: Model, img: RasterImage,
@@ -240,6 +278,12 @@ def _squeeze(values: np.ndarray, d: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(gaps)])
 
 
+def _check_distance(d) -> None:
+    """A cluster distance is an integer >= 1; bools and floats are not."""
+    if not _is_int(d) or d < 1:
+        raise ConfigError(f"cluster distance must be an integer >= 1, got {d!r}")
+
+
 def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray, int]:
     """Clusters of distinct int64 points given in row-major order, two points
     being adjacent when their Chebyshev distance is <= d.
@@ -253,8 +297,7 @@ def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray,
     jumps pointers until every point points at its root, and drops the pairs
     already joined. A root is always its cluster's smallest point index.
     """
-    if d < 1:
-        raise ConfigError(f"cluster distance must be >= 1, got {d}")
+    _check_distance(d)
     n = len(rows)
     if n == 0:
         return np.zeros(0, np.int64), 0
@@ -314,11 +357,11 @@ def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = 
 def _cluster_votes(model: Model, img: RasterImage, masked, d: int) -> np.ndarray:
     """(k, N + 1) pixel-class counts of the k clusters of the image's selected
     pixels, one row per cluster in ``cluster_pixels`` order."""
-    wins = _winner_map(model, img, masked=frozenset(masked))
-    rows, cols = np.nonzero(wins)
+    at, ids = _sparse_winners(model, _colors(model, img), masked=masked)
+    rows, cols = np.divmod(at, img.width)
     labels, k = _components(rows, cols, d)
     width = model.N + 1
-    return np.bincount(labels * width + wins[rows, cols], minlength=k * width).reshape(k, width)
+    return np.bincount(labels * width + ids, minlength=k * width).reshape(k, width)
 
 
 # -- cluster recognition -------------------------------------------------------
@@ -339,7 +382,9 @@ def recognize_clusters(level2: CategoricalModel, clusters: list[PixelCluster],
 
 
 def _recognize(level2: CategoricalModel, histograms, threshold: int) -> tuple[int, int] | None:
-    """``recognize_clusters`` over the clusters' class histograms alone."""
+    """``recognize_clusters`` over the clusters' class histograms alone; the
+    threshold is checked even when there is no cluster."""
+    _check_threshold(threshold)
     activities = np.zeros(level2.N + 1, np.int64)
     for hist in histograms:
         meta = histogram_to_metapattern(hist, threshold)
@@ -369,7 +414,10 @@ def train_detector(background: RasterImage, object_frame: RasterImage, *, radius
     image marks, its classes winning on more than ``freq_threshold`` background
     pixels are masked, and the largest cluster of the rest (the first on ties)
     trains level 2, whose recognition threshold is ``meta_votes``. With no
-    cluster or an empty meta-pattern, level 2 stays empty."""
+    cluster or an empty meta-pattern, level 2 stays empty. The meta threshold
+    and the cluster distance are checked before any training."""
+    _check_threshold(meta_threshold)
+    _check_distance(cluster_dist)
     level1 = Model(background.channels, 256, radius)
     train_pixels(level1, object_frame, diff_mask(background, object_frame, window, threshold))
     masked = build_class_mask(level1, background, freq_threshold)

@@ -74,6 +74,12 @@ class TestMetapattern:
         with pytest.raises(ConfigError):
             histogram_to_metapattern(hist({1: 1}), 0)
 
+    @pytest.mark.parametrize("threshold", [1.5, 2.0, True, np.bool_(True), "2", None])
+    def test_non_integer_threshold_rejected(self, threshold):
+        """1.5 would act as 2 and True as 1."""
+        with pytest.raises(ConfigError, match="integer"):
+            histogram_to_metapattern(hist({1: 1, 2: 2}), threshold)
+
 
 class TestLabelTable:
     def test_attach_lookup(self):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invpat import (
     CategoricalModel,
@@ -33,7 +33,14 @@ from invpat import (
     train_detector,
     train_pixels,
 )
-from invpat.vision import _match_winners, _winner_map
+from invpat.vision import (
+    _cluster_votes,
+    _components,
+    _inverse_patterns,
+    _match_winners,
+    _sparse_winners,
+    _winner_map,
+)
 
 
 def img(arr):
@@ -328,6 +335,16 @@ class TestClustering:
 
     def test_empty(self):
         assert cluster_pixels(set(), 1) == []
+
+    @pytest.mark.parametrize("d", [1.5, 2.0, True, np.bool_(True), 0, "1", None])
+    def test_non_integer_distance_rejected(self, d):
+        """A fractional distance once escaped as TypeError from range and True
+        acted as 1."""
+        rows, cols = np.array([0, 0]), np.array([0, 2])
+        for call in (lambda: _components(rows, cols, d), lambda: cluster_pixels({(0, 0)}, d),
+                     lambda: cluster_pixels(set(), d)):
+            with pytest.raises(ConfigError, match="cluster distance"):
+                call()
 
     def test_union_find_oracle(self):
         rng = np.random.default_rng(101)
@@ -649,6 +666,23 @@ class TestTrainDetector:
         assert (level1.N, level2.N, masked) == (0, 0, set())
         assert detect_objects(level1, level2, masked, background, 2, 1) is None
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, 0])
+    def test_non_integer_meta_threshold_and_distance_rejected(self, bad):
+        """Both are checked before any training, and at detection also on a
+        frame with no cluster."""
+        background, object_frame = detection_scene(*PIPELINE_SCENE)
+        for kwargs in ({"meta_threshold": bad}, {"cluster_dist": bad}):
+            with pytest.raises(ConfigError, match="integer"):
+                train_detector(background, object_frame, **{
+                    "radius": 10, "window": 3, "threshold": 12, "freq_threshold": 3,
+                    "cluster_dist": 1, "meta_threshold": 2, "meta_votes": 1, **kwargs})
+        level1, level2, masked = trained_detector(background, object_frame, 2)
+        for frame in (background, object_frame):
+            with pytest.raises(ConfigError, match="threshold must be an integer"):
+                detect_objects(level1, level2, masked, frame, bad, 1)
+            with pytest.raises(ConfigError, match="cluster distance"):
+                detect_objects(level1, level2, masked, frame, 2, bad)
+
     def test_empty_meta_pattern_leaves_level2_untrained(self):
         background, object_frame = detection_scene(*PIPELINE_SCENE)
         level1, level2, _ = trained_detector(background, object_frame, 10**6)
@@ -784,9 +818,110 @@ def test_match_winners_word_edges(channels, classes):
     assert ids & EDGES <= seen  # each edge bit present wins somewhere
 
 
+def sparse_case(channels, radius, x_range, dead, narrow, classes, masking, seed):
+    """A model at R=0 with prototypes spread over [0, 256), channel ``narrow``
+    crowded into a band of 8 values, channel ``dead`` (if any) past the reach
+    of every 8-bit sample at ``radius``, and some values past 255 when X
+    allows; the masked set; and colours near the prototypes, then random."""
+    rng = np.random.default_rng(seed)
+    protos = rng.integers(0, 256, size=(classes, channels))
+    protos[:, narrow] = rng.integers(0, 248) + rng.integers(0, 8, size=classes)
+    if x_range > 256:
+        past = rng.random(protos.shape) < 0.2
+        protos[past] = rng.integers(256, x_range, size=past.sum())
+    if dead is not None:
+        protos[:, dead] = rng.integers(256 + radius, x_range, size=classes)
+    m = Model(channels, x_range, 0)
+    m.insert_classes(protos)
+    masked = {"none": set(), "some": set(rng.permutation(classes)[:classes // 2] + 1),
+              "all": set(range(1, classes + 1))}[masking]
+    colors = rng.integers(0, 256, size=(2 * classes + 10, channels))
+    colors[:classes] = np.clip(protos + rng.integers(-radius - 1, radius + 2, size=protos.shape),
+                               0, 255)
+    return m, masked, colors.astype(np.uint8)
+
+
+@st.composite
+def sparse_cases(draw):
+    channels = draw(st.integers(1, 3))
+    radius = draw(st.integers(0, 255))
+    dead = draw(st.none() | st.integers(0, channels - 1))
+    x_range = 70000 if dead is not None else draw(st.sampled_from([256, 70000]))
+    return (channels, radius, x_range, dead, draw(st.integers(0, channels - 1)),
+            draw(st.integers(0, 70)), draw(st.sampled_from(["none", "some", "all"])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_cases())
+@example((3, 2, 256, None, 2, 40, "none", 1))  # the narrow channel 2 goes first
+@example((3, 4, 70000, 1, 0, 40, "some", 2))  # channel 1 has no non-empty row
+@example((2, 0, 256, None, 1, 70, "some", 3))  # two words of classes
+@example((1, 255, 256, None, 0, 0, "none", 4))  # no classes
+def test_sparse_winners_oracle(case):
+    """(at, ids) lists, ascending, the rows with a brute-force winner and
+    those winners, whichever channel the intersection starts with; the dense
+    winners are its scatter, also for no colours."""
+    m, masked, colors = sparse_case(*case)
+    radius = case[1]
+    want = np.array(brute_winners(m, colors, radius, masked), np.int64)
+    for rows in (colors, colors[:0]):
+        at, ids = _sparse_winners(m, rows, radius, masked)
+        assert at.tolist() == np.flatnonzero(want[:len(rows)]).tolist()
+        assert ids.tolist() == want[at].tolist()
+        dense = np.zeros(len(rows), np.int64)
+        dense[at] = ids
+        assert np.array_equal(_match_winners(m, rows, radius, masked), dense)
+    _, nonempty, order = _inverse_patterns(m, radius, masked)
+    counts = nonempty.sum(axis=1)
+    assert counts[order].tolist() == sorted(counts.tolist())
+    if case[3] is not None:
+        assert counts[case[3]] == 0 == counts[order[0]]
+
+
+def histogram_rows(clusters, width):
+    """The clusters' class histograms as the rows of one (k, width) array."""
+    rows = np.zeros((len(clusters), width), np.int64)
+    for row, cl in zip(rows, clusters):
+        row[:len(cl.class_histogram.votes)] = cl.class_histogram.votes
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cluster_votes_match_cluster_pixels(d):
+    """Each row of _cluster_votes is the class histogram of the cluster at
+    that place in cluster_pixels(select_pixel_classes(...)) order."""
+    background, object_frame = detection_scene(*CRITERION_10_SCENE)
+    level1, _, masked = train_detector(
+        background, object_frame, radius=10, window=3, threshold=12, freq_threshold=3,
+        cluster_dist=d, meta_threshold=2, meta_votes=1)
+    for frame in query_frames(background, object_frame, CRITERION_10_SCENE[0]):
+        classes = select_pixel_classes(level1, frame, masked)
+        want = histogram_rows(cluster_pixels(set(classes), d, classes), level1.N + 1)
+        assert np.array_equal(_cluster_votes(level1, frame, masked, d), want)
+
+
+def nonempty_oracle(model, radius, masked):
+    """Per channel and sample value, whether some unmasked class lies within
+    radius, by a scan over the prototypes."""
+    protos = [p for n, p in enumerate(model.prototypes, start=1) if n not in masked]
+    return np.array([[any(abs(v - p[c]) <= radius for p in protos) for v in range(256)]
+                     for c in range(model.K)], bool).reshape(model.K, 256)
+
+
 def oracle_check(model, colors, radius, masked):
-    want = brute_winners(model, colors, model.R if radius is None else radius, masked or ())
+    """The winners, the slot's non-empty rows and its channel order against
+    scans of the prototypes."""
+    r = model.R if radius is None else radius
+    want = brute_winners(model, colors, r, masked or ())
     assert _match_winners(model, colors, radius, masked).tolist() == want
+    at, ids = _sparse_winners(model, colors, radius, masked)
+    assert (at.tolist(), ids.tolist()) == ([i for i, n in enumerate(want) if n],
+                                          [n for n in want if n])
+    _, nonempty, order = model._tables[1]
+    assert np.array_equal(nonempty, nonempty_oracle(model, r, masked or ()))
+    counts = nonempty.sum(axis=1).tolist()
+    assert order == sorted(range(model.K), key=counts.__getitem__)
 
 
 class TestInversePatternCache:
@@ -817,12 +952,19 @@ class TestInversePatternCache:
             oracle_check(self.model, self.colors, None, self.masks[i % 2])
 
     def test_concurrent_readers_alternating_masks(self):
-        want = [brute_winners(self.model, self.colors, 8, masked) for masked in self.masks]
+        frame = img(self.colors.reshape(15, 20, 3))
+        want = []
+        for masked in self.masks:
+            winners = brute_winners(self.model, self.colors, 8, masked)
+            classes = {divmod(i, 20): n for i, n in enumerate(winners) if n}
+            clusters = cluster_pixels(set(classes), 2, classes)
+            want.append((winners, histogram_rows(clusters, self.model.N + 1).tolist()))
 
         def reader(model, start, results, i):
             start.wait()
-            results[i] = [_match_winners(model, self.colors, None, self.masks[(i + j) % 2]).tolist()
-                          for j in range(6)]
+            results[i] = [(_match_winners(model, self.colors, None, masked).tolist(),
+                           _cluster_votes(model, frame, masked, 2).tolist())
+                          for masked in (self.masks[(i + j) % 2] for j in range(6))]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
