@@ -5,8 +5,9 @@ feature vector, classifies it against a small teacher-labeled pixel model
 and paints the label of the winning inner class. Detection against an
 arbitrary background trains on a thresholded difference image, masks the
 pixel classes that fire on the background, groups the surviving pixels
-by a vectorised union-find over the pixel pairs within the cluster
-distance and recognizes each cluster's class histogram at a categorical
+by a vectorised union-find over their row runs (a row's pixels with column
+gaps up to the cluster distance), joining the runs that come within that
+distance, and recognizes each cluster's class histogram at a categorical
 second level. Both find a pixel's winning class through inverse patterns:
 per channel, a table from each sample value to the classes within R of it,
 one bit per class packed into little-endian uint64 words, ANDed across the
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .index import CategoricalModel, ClassHistogram, Model, _is_int, _radius
+from .index import CategoricalModel, ClassHistogram, Model, _int_table, _is_int, _radius
 from .levels import UNLABELED, LabelTable, _check_threshold, histogram_to_metapattern
 
 
@@ -50,9 +51,7 @@ class RasterImage:
         if px.ndim != 3 or px.shape[2] not in (1, 3):
             raise ValidationError(f"expected (h, w, 1|3) samples, got shape {px.shape}")
         if px.dtype != np.uint8:
-            if px.min() < 0 or px.max() > 255:
-                raise ValidationError("sample values outside [0, 256)")
-            px = px.astype(np.uint8)
+            px = _int_table(px, "image samples", 256).astype(np.uint8)
         self.pixels = px
 
     @property
@@ -152,7 +151,8 @@ def _inverse_patterns(model: Model, r: int, masked
     little-endian uint64 words: bit n of row v is set when class n lies within
     r of sample value v and is not masked (bit 0, "no class", never is).
     ``nonempty[c, v]`` says whether that row has a bit set, and ``order`` lists
-    the channels by their count of non-empty rows, fewest first. Built once per
+    the channels by their count of non-empty rows, fewest first, leaving out
+    those with all 256 rows non-empty, which keep every pixel. Built once per
     (N, r, mask) and published in ``model._tables`` in one assignment, so
     concurrent readers never see half of it; an insert grows N, which
     invalidates it."""
@@ -172,7 +172,9 @@ def _inverse_patterns(model: Model, r: int, masked
         words = np.zeros((256, 8 * -(-(n + 1) // 64)), np.uint8)  # W whole words
         words[:, :packed.shape[1]] = packed
         tables.append(words.view("<u8"))
-    patterns = tables, nonempty, np.argsort(nonempty.sum(axis=1), kind="stable").tolist()
+    counts = nonempty.sum(axis=1)
+    order = [c for c in np.argsort(counts, kind="stable").tolist() if counts[c] < 256]
+    patterns = tables, nonempty, order
     model._tables = ((n, r, mask), patterns)
     return patterns
 
@@ -186,23 +188,27 @@ def _sparse_winners(model: Model, colors: np.ndarray, radius: int | None = None,
     a vote count of K under classification. The rows are intersected channel
     by channel, the channel with the fewest non-empty table rows first
     (smallest first, Culpepper & Moffat): one ``np.take`` over the survivors
-    keeps those whose sample value has some live class in that channel. Only
+    keeps those whose sample value has some live class in that channel; a
+    channel with all 256 rows non-empty is not tested, as it keeps all. Only
     the rows left at the end AND their K rows of the packed inverse-pattern
     tables (a range-encoded bitmap index, Chan & Ioannidis); the winner is the
     lowest set bit, ``64 * w + bitwise_count((x & -x) - 1)`` for the first
     nonzero word x at index w.
     """
     tables, nonempty, order = _inverse_patterns(model, _radius(radius, model.R), masked)
-    first, *rest = order
-    at = np.flatnonzero(np.take(nonempty[first], colors[:, first]))
-    for c in rest:  # flat reads: a strided column would be copied whole by np.take
-        at = at[np.take(nonempty[c], np.take(colors, model.K * at + c))]
+    if order:
+        at = np.flatnonzero(np.take(nonempty[order[0]], colors[:, order[0]]))
+        for c in order[1:]:  # flat reads: a strided column would be copied whole by np.take
+            at = at[np.take(nonempty[c], np.take(colors, model.K * at + c))]
+        colors = np.take(colors, at, axis=0)  # the survivors' samples, in order
+    else:  # every channel keeps every row
+        at = np.arange(len(colors))
     ids = np.zeros(len(at), np.int64)
     words = tables[0].shape[1]
     ones = np.ones(words, np.float32)
     chunk = max(1, 32_768 // words)  # 256 KB: bigger gathers page-fault per call
     for start in range(0, len(at), chunk):
-        block = np.take(colors, at[start:start + chunk], axis=0)
+        block = colors[start:start + chunk]
         hit = np.take(tables[0], block[:, 0], axis=0)
         for c in range(1, model.K):
             hit &= np.take(tables[c], block[:, c], axis=0)
@@ -274,8 +280,9 @@ def _squeeze(values: np.ndarray, d: int) -> np.ndarray:
     """Sorted int64 values renumbered from 0 with every gap above d cut to d + 1,
     so each difference up to d stays exact and the rest stay above d. A gap
     that wraps in int64 is read back exactly as uint64."""
-    gaps = np.minimum(np.diff(values).view(np.uint64), d + 1).astype(np.int64)
-    return np.concatenate([[0], np.cumsum(gaps)])
+    out = np.zeros(len(values), np.int64)
+    np.cumsum(np.minimum(np.diff(values).view(np.uint64), d + 1), out=out[1:])
+    return out
 
 
 def _check_distance(d) -> None:
@@ -289,29 +296,43 @@ def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray,
     being adjacent when their Chebyshev distance is <= d.
 
     Returns (labels, k): point i lies in cluster ``labels[i]`` of k, numbered in
-    the order of the clusters' first points. Each point gets a sorted key
-    ``row * M + col`` over squeezed coordinates, so one ``searchsorted`` per
-    forward offset finds every adjacent pair and memory stays linear in the
-    points, however far apart they lie. A vectorised union-find joins the
-    pairs: each round hooks the larger root of every pair onto the smaller,
-    jumps pointers until every point points at its root, and drops the pairs
-    already joined. A root is always its cluster's smallest point index.
+    the order of the clusters' first points. The points are cut into runs,
+    consecutive points of one row with column gaps <= d, and the runs are
+    joined instead of the points (He, Chao & Suzuki's run-based labeling): two
+    runs at most d rows apart are adjacent exactly when their column intervals
+    come within d, since no gap inside a run exceeds d. The run rows and end
+    columns are squeezed into sorted keys ``row * M + col``, so memory stays
+    linear in the points however far apart they lie. For each row offset up to
+    d, one ``searchsorted`` over the end keys and one over the start keys give
+    the range of runs each run reaches; runs in a row are sorted and disjoint,
+    so there are O(runs * d) pairs. A vectorised union-find joins them: each
+    round hooks the larger root of every pair onto the smaller, jumps pointers
+    until every run points at its root, and drops the pairs already joined. A
+    root is always its cluster's smallest run index, which holds the cluster's
+    first point; each point takes its run's label.
     """
     _check_distance(d)
     n = len(rows)
     if n == 0:
         return np.zeros(0, np.int64), 0
-    values, at = np.unique(cols, return_inverse=True)
-    r, c = _squeeze(rows, d), _squeeze(values, d)[at]
-    m = int(c.max()) + 2 * d + 1  # no offset reaches into the next row
-    keys = r * m + c
-    offsets = np.array([dr * m + dc for dr in range(d + 1) for dc in range(-d, d + 1)
-                        if (dr, dc) > (0, 0)])
-    targets = (keys + offsets[:, None]).ravel()
-    found = np.searchsorted(keys, targets)
-    pairs = np.flatnonzero(keys[np.minimum(found, n - 1)] == targets)
-    a, b = pairs % n, found[pairs]
-    parent = np.arange(n)
+    breaks = (np.diff(rows) != 0) | (np.diff(cols).view(np.uint64) > d)
+    bounds = np.flatnonzero(np.concatenate([[True], breaks, [True]]))  # run starts, then n
+    starts, runs = bounds[:-1], len(bounds) - 1
+    values, at = np.unique(np.concatenate([cols[starts], cols[bounds[1:] - 1]]),
+                           return_inverse=True)
+    c = _squeeze(values, d)[at]
+    r = _squeeze(rows[starts], d)
+    m = int(c.max()) + 2 * d + 1  # no reach crosses into another row
+    first, last = r * m + c[:runs], r * m + c[runs:]
+    offsets = np.arange(1, min(d, int(r[-1])) + 1)[:, None] * m  # none past the last row
+    # per offset and run: the first run that ends at its first column - d or
+    # later, and the one past the last that starts by its last column + d
+    lo = np.searchsorted(last, (first + (offsets - d)).ravel())
+    hi = np.searchsorted(first, (last + (offsets + d)).ravel(), "right")
+    counts = hi - lo
+    a = np.repeat(np.tile(np.arange(runs), len(offsets)), counts)
+    b = np.arange(len(a)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    parent = np.arange(runs)
     while a.size:
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while True:
@@ -322,8 +343,8 @@ def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray,
         a, b = parent[a], parent[b]
         joined = a == b
         a, b = a[~joined], b[~joined]
-    roots = parent == np.arange(n)
-    return (np.cumsum(roots) - 1)[parent], int(roots.sum())
+    roots = parent == np.arange(runs)
+    return np.repeat((np.cumsum(roots) - 1)[parent], np.diff(bounds)), int(roots.sum())
 
 
 def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = None
@@ -332,11 +353,16 @@ def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = 
 
     Two pixels are adjacent when their Chebyshev distance is <= d (d=1 is
     classic 8-connectivity); clusters are found by union-find over the
-    adjacent pixel pairs. They come back ordered by their topmost-leftmost
-    member; when ``classes`` maps coordinates to pixel class ids, each
-    cluster carries its member-class histogram.
+    pixels' row runs (``_components``). They come back ordered by their
+    topmost-leftmost member; when ``classes`` maps coordinates to pixel class
+    ids, each cluster carries its member-class histogram, and every pixel must
+    map to an integer id >= 1.
     """
     points = sorted(set(pixels))
+    ids = None if classes is None else [classes.get(p) for p in points]
+    for p, n in zip(points, ids or ()):
+        if type(n) is not int and not _is_int(n) or n < 1:  # plain ints skip _is_int
+            raise ValidationError(f"pixel {p} has no class id >= 1 in classes, got {n!r}")
     rows, cols = np.array(points, np.int64).reshape(-1, 2).T
     labels, k = _components(rows, cols, d)
     if not k:
@@ -348,7 +374,7 @@ def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = 
     members = list(zip(rows.tolist(), cols.tolist()))
     bboxes = zip(rows[starts].tolist(), np.minimum.reduceat(cols, starts).tolist(),
                  rows[ends - 1].tolist(), np.maximum.reduceat(cols, starts).tolist())
-    ids = None if classes is None else [classes[points[i]] for i in order.tolist()]
+    ids = None if ids is None else [ids[i] for i in order.tolist()]
     return [PixelCluster(members[s:e], bbox,
                          None if ids is None else ClassHistogram(np.bincount(ids[s:e])))
             for s, e, bbox in zip(starts.tolist(), ends.tolist(), bboxes)]

@@ -364,6 +364,20 @@ class TestClustering:
             seen |= ms
         assert seen == pts
 
+    @pytest.mark.parametrize("classes", [{(0, 0): 1}, {(0, 0): 1, (0, 1): -1},
+                                         {(0, 0): 1, (0, 1): 0}, {(0, 0): 1, (0, 1): 2.0},
+                                         {(0, 0): 1, (0, 1): True}, {(0, 0): 1, (0, 1): None}])
+    def test_bad_class_id_rejected(self, classes):
+        """A pixel missing from classes once raised KeyError and a class id of -1
+        numpy's ValueError from bincount."""
+        with pytest.raises(ValidationError, match=r"pixel \(0, 1\)"):
+            cluster_pixels({(0, 0), (0, 1)}, 1, classes)
+
+    def test_numpy_class_ids_accepted(self):
+        classes = {(0, 0): np.int64(2), (5, 5): np.uint8(3)}
+        assert view(cluster_pixels(set(classes), 1, classes)) == [
+            ([(0, 0)], (0, 0, 0, 0), {2: 1}), ([(5, 5)], (5, 5, 5, 5), {3: 1})]
+
     def test_bbox_and_histogram(self):
         classes = {(0, 0): 1, (0, 1): 1, (1, 1): 2}
         clusters = cluster_pixels(set(classes), 1, classes)
@@ -471,6 +485,78 @@ def test_cluster_pixels_matches_scipy_label():
             assert [cl.members for cl in got] == want
             assert [cl.class_histogram.counts for cl in got] == [
                 dict(sorted(Counter(classes[p] for p in g).items())) for g in want]
+
+
+def flood_fill_labels(points, d):
+    """Cluster label of each point (row-major order), the clusters numbered by
+    their first points, by a flood fill over each point's (2d + 1)^2
+    neighbourhood in exact Python ints."""
+    at = {p: i for i, p in enumerate(points)}
+    labels = [-1] * len(points)
+    k = 0
+    for i, p in enumerate(points):
+        if labels[i] >= 0:
+            continue
+        labels[i], stack = k, [p]
+        while stack:
+            r, c = stack.pop()
+            for q in ((r + dr, c + dc) for dr in range(-d, d + 1) for dc in range(-d, d + 1)):
+                j = at.get(q)
+                if j is not None and labels[j] < 0:
+                    labels[j] = k
+                    stack.append(q)
+        k += 1
+    return labels, k
+
+
+def placed(steps, where):
+    """Coordinates with the given gaps, around 0, from -2**63 up, down to
+    2**63 - 1, or both: the first half from the bottom and the rest from the
+    top, so their gap wraps int64."""
+    up = np.cumsum([0, *steps]).tolist()
+    low, high = [-2**63 + v for v in up], [2**63 - 1 - up[-1] + v for v in up]
+    half = len(up) // 2
+    return {"origin": [v - up[half] for v in up], "low": low, "high": high,
+            "both": low[:half] + high[half:]}[where]
+
+
+@st.composite
+def component_cases(draw):
+    """(row-major points, d): a random mask on an h x w grid whose row and
+    column lines lie 1 to d + 2 apart, placed near 0 or near either end of
+    int64."""
+    d = draw(st.integers(1, 5))
+    h, w = draw(st.integers(1, 10)), draw(st.integers(1, 24))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = placed(rng.integers(1, d + 3, size=h - 1).tolist(),
+                  draw(st.sampled_from(["origin", "low", "high", "both"])))
+    cols = placed(rng.integers(1, d + 3, size=w - 1).tolist(),
+                  draw(st.sampled_from(["origin", "low", "high", "both"])))
+    return [(rows[i], cols[j]) for i, j in zip(*np.nonzero(rng.random((h, w)) < density))], d
+
+
+LONG_OVER_SHORT = [(0, c) for c in range(20)] + [(1, 0), (1, 3), (1, 6), (2, 9), (2, 10),
+                                                 (3, 14), (3, 22), (4, 30)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(component_cases())
+@example(([(0, 0), (0, 3), (0, 6), (1, 1), (1, 4), (2, 8)], 1))  # single-point runs
+@example(([(0, 0), (0, 3), (0, 6), (1, 1), (1, 4), (2, 8)], 2))
+@example(([(0, 0), (1, 1), (2, 2), (2, 5), (3, 4), (5, 0), (6, 2)], 1))  # diagonal touches only
+@example((LONG_OVER_SHORT, 1))  # one long run over several short runs in the next rows
+@example((LONG_OVER_SHORT, 3))
+@example(([(-2**63, -2**63), (-2**63, 2**63 - 1), (-2**63 + 1, -2**63 + 1),
+           (2**63 - 2, 0), (2**63 - 1, -2**63), (2**63 - 1, 2**63 - 1)], 1))  # wrapping gaps
+@example(([(0, -2**63), (0, 2**63 - 1), (5, 0)], 5))
+def test_components_match_flood_fill(case):
+    """_components' labels and count equal a flood fill's, clusters numbered
+    by their first points."""
+    points, d = case
+    rows, cols = np.array(points, np.int64).reshape(-1, 2).T
+    labels, k = _components(rows, cols, d)
+    assert (labels.tolist(), k) == flood_fill_labels(points, d)
 
 
 class TestRecognizeClusters:
@@ -858,10 +944,12 @@ def sparse_cases(draw):
 @example((3, 4, 70000, 1, 0, 40, "some", 2))  # channel 1 has no non-empty row
 @example((2, 0, 256, None, 1, 70, "some", 3))  # two words of classes
 @example((1, 255, 256, None, 0, 0, "none", 4))  # no classes
+@example((3, 255, 256, None, 1, 5, "some", 5))  # every channel full: no channel is tested
 def test_sparse_winners_oracle(case):
     """(at, ids) lists, ascending, the rows with a brute-force winner and
     those winners, whichever channel the intersection starts with; the dense
-    winners are its scatter, also for no colours."""
+    winners are its scatter, also for no colours. The channel order leaves
+    out the channels with all 256 rows non-empty."""
     m, masked, colors = sparse_case(*case)
     radius = case[1]
     want = np.array(brute_winners(m, colors, radius, masked), np.int64)
@@ -874,9 +962,11 @@ def test_sparse_winners_oracle(case):
         assert np.array_equal(_match_winners(m, rows, radius, masked), dense)
     _, nonempty, order = _inverse_patterns(m, radius, masked)
     counts = nonempty.sum(axis=1)
-    assert counts[order].tolist() == sorted(counts.tolist())
+    assert counts[order].tolist() == sorted(n for n in counts.tolist() if n < 256)
     if case[3] is not None:
         assert counts[case[3]] == 0 == counts[order[0]]
+    if case[1:3] == (255, 256) and case[5] and case[6] != "all":  # some live class at R=255
+        assert order == []
 
 
 def histogram_rows(clusters, width):
@@ -921,7 +1011,8 @@ def oracle_check(model, colors, radius, masked):
     _, nonempty, order = model._tables[1]
     assert np.array_equal(nonempty, nonempty_oracle(model, r, masked or ()))
     counts = nonempty.sum(axis=1).tolist()
-    assert order == sorted(range(model.K), key=counts.__getitem__)
+    assert order == sorted((c for c in range(model.K) if counts[c] < 256),
+                           key=counts.__getitem__)
 
 
 class TestInversePatternCache:
@@ -1011,6 +1102,28 @@ def test_build_class_mask_matches_counter_scan(freq_threshold):
     assert type(got) is set
 
 class TestImageChecks:
+    @pytest.mark.parametrize("samples", [np.full((2, 2, 3), 0.5), np.full((2, 2), 2.7),
+                                         np.full((1, 1), np.nan), np.ones((2, 2), bool),
+                                         [[1, 2.5]], np.full((2, 2), 256), np.full((2, 2), -1)])
+    def test_non_integer_or_out_of_range_samples_rejected(self, samples):
+        """Floats were truncated (0.5 -> 0, 2.7 -> 2) and NaN cast with a warning."""
+        with pytest.raises(ValidationError, match="image samples"):
+            RasterImage(samples)
+
+    @pytest.mark.parametrize("samples", [np.zeros((0, 4, 3), np.int64), np.zeros((3, 0)),
+                                         np.zeros((0, 0, 1), np.uint16)])
+    def test_empty_samples(self, samples):
+        """An empty array once raised numpy's zero-size reduction error."""
+        px = RasterImage(samples).pixels
+        shape = samples.shape if samples.ndim == 3 else samples.shape + (1,)
+        assert px.dtype == np.uint8 and px.shape == shape
+
+    def test_integer_samples_kept(self):
+        samples = np.array([[[0, 128, 255]]], np.int64)
+        px = RasterImage(samples).pixels
+        assert px.dtype == np.uint8 and px.tolist() == samples.tolist()
+        assert RasterImage([[3, 4]]).pixels.tolist() == [[[3], [4]]]
+
     @pytest.mark.parametrize("model_k, image_channels", [(1, 3), (3, 1)])
     def test_channel_mismatch_rejected(self, model_k, image_channels):
         m = Model(model_k, 256, 0)
