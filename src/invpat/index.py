@@ -29,7 +29,7 @@ one ``np.bincount`` over the posting lists of the present categories.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -74,8 +74,9 @@ def _int_table(values, name: str, X: int | None = None) -> np.ndarray:
         raise ValidationError(f"{name} holds values that are not int64 integers ({table.dtype})")
     if not isinstance(values, np.ndarray):  # a bool reads as 0 or 1: type-check rows holding one
         at = np.flatnonzero((table <= 1).reshape(len(table), -1).any(axis=1)).tolist()
-        suspects = [values[i] for i in at]
-        cells = chain.from_iterable(suspects) if table.ndim > 1 else suspects
+        cells = [values[i] for i in at]
+        for _ in range(table.ndim - 1):  # down to the cells, however deep the rows nest
+            cells = chain.from_iterable(cells)
         if not {bool, np.bool_}.isdisjoint(map(type, cells)):
             raise ValidationError(f"{name} holds bools, not integers")
     if X is not None and (table.min() < 0 or table.max() >= X):
@@ -381,21 +382,31 @@ class CategoricalModel:
         self.schema = None  # optional ColumnSchema, saved with the model
 
     def _check(self, present, training: bool) -> None:
-        """Validate every category, then (training, grow mode) widen K."""
-        for k in present:
-            if not _is_int(k):
-                raise ValidationError(f"category index {k!r} is not an integer")
-            if k < 1:
-                raise ValidationError(f"category index {k} must be >= 1")
-            if k > self.K and not self.grow:
-                raise ValidationError(f"category index {k} outside [1, {self.K}]")
+        """Validate every category, then (training, grow mode) widen K.
+
+        Plain ints, the usual case, are checked in bulk: their types as one
+        set, their range by one ``min`` and one ``max``. Any other type sends
+        every category through ``_is_int`` first, so a bool, a float or a
+        string is rejected wherever it stands."""
+        if not {int}.issuperset(map(type, present)):  # the exact type test keeps bools out
+            for k in present:
+                if not _is_int(k):
+                    raise ValidationError(f"category index {k!r} is not an integer")
+        low, high = min(present, default=1), max(present, default=0)
+        if low < 1:
+            raise ValidationError(f"category index {low} must be >= 1")
+        if high > self.K and not self.grow:
+            raise ValidationError(f"category index {high} outside [1, {self.K}]")
         if training and self.grow:
-            self.K = max([self.K, *(int(k) for k in present)])
+            self.K = max(self.K, int(high))
 
     def classify(self, present) -> ClassHistogram:
-        """Vote histogram: votes[n] = |stored set of n ∩ present|."""
+        """Vote histogram: votes[n] = |stored set of n ∩ present|. The posting
+        lists of the present categories are joined at C level and counted by
+        one ``np.bincount``."""
         self._check(present, training=False)
-        ids = [n for k in present for n in self.postings.get(k, ())]
+        lists = map(self.postings.get, present, repeat(()))
+        ids = np.fromiter(chain.from_iterable(lists), np.int64)
         return ClassHistogram(np.bincount(ids, minlength=self.N + 1))
 
     def recognized(self, hist: ClassHistogram) -> int | None:

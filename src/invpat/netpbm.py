@@ -60,14 +60,12 @@ def load_pnm(path) -> RasterImage:
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise FormatError(f"expected single whitespace after maxval at byte {pos}")
     pos += 1
-    need = width * height * channels
-    payload = data[pos:pos + need]
-    if len(payload) < need:
+    need, have = width * height * channels, len(data) - pos
+    if have < need:
         raise FormatError(
-            f"truncated payload at byte {pos + len(payload)}: "
-            f"need {need} sample bytes, have {len(payload)}")
-    samples = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return RasterImage(samples.copy())
+            f"truncated payload at byte {pos + have}: need {need} sample bytes, have {have}")
+    samples = np.frombuffer(data, np.uint8, need, pos).reshape(height, width, channels)
+    return RasterImage(samples.copy())  # the one copy: writable, and not a view of data
 
 
 def save_pnm(img: RasterImage, path) -> None:

@@ -14,12 +14,14 @@ one bit per class packed into little-endian uint64 words, ANDed across the
 channels; the winner is the lowest set bit. Before any AND, the pixels are
 intersected channel by channel, fewest non-empty table rows first, so only
 the pixels whose every sample value has some live class gather their rows;
-a query frame of masked background usually keeps none. Detection reads the
-result sparse, as the matched pixels' flat indices and winners, from the
-winner kernel to the per-cluster histograms; segmentation scatters it into a
-dense map. The tables, their non-empty rows and the channel order are
-built once per (model N, R, mask) and kept in one slot on the ``Model``, so
-a stream of query frames reuses them. ``train_pixels`` starts from those
+a query frame of masked background usually keeps none, and the intersection
+stops at the first channel that leaves no pixel. Detection reads the result
+sparse, as the matched pixels' flat indices and winners, from the winner
+kernel to the per-cluster histograms, and a frame with no matched pixel skips
+clustering; segmentation scatters it into a dense map. The tables, their
+non-empty rows and the channel order are built once per (model N, R, mask)
+and kept in one slot on the ``Model``, so a stream of query frames reuses
+them. ``train_pixels`` starts from those
 tables (``_inverse_patterns``), each row read as one Python int, and grows
 them one class at a time.
 
@@ -50,8 +52,8 @@ class RasterImage:
             px = px[:, :, None]
         if px.ndim != 3 or px.shape[2] not in (1, 3):
             raise ValidationError(f"expected (h, w, 1|3) samples, got shape {px.shape}")
-        if px.dtype != np.uint8:
-            px = _int_table(px, "image samples", 256).astype(np.uint8)
+        if px.dtype != np.uint8:  # the samples as given: a nested list may hold bools
+            px = _int_table(self.pixels, "image samples", 256).astype(np.uint8).reshape(px.shape)
         self.pixels = px
 
     @property
@@ -189,17 +191,23 @@ def _sparse_winners(model: Model, colors: np.ndarray, radius: int | None = None,
     by channel, the channel with the fewest non-empty table rows first
     (smallest first, Culpepper & Moffat): one ``np.take`` over the survivors
     keeps those whose sample value has some live class in that channel; a
-    channel with all 256 rows non-empty is not tested, as it keeps all. Only
-    the rows left at the end AND their K rows of the packed inverse-pattern
-    tables (a range-encoded bitmap index, Chan & Ioannidis); the winner is the
-    lowest set bit, ``64 * w + bitwise_count((x & -x) - 1)`` for the first
-    nonzero word x at index w.
+    channel with all 256 rows non-empty is not tested, as it keeps all. Once
+    no row is left, the empty (at, ids) comes back at once: no later channel,
+    gather or scan runs. Only the rows left at the end AND their K rows of
+    the packed inverse-pattern tables (a range-encoded bitmap index, Chan &
+    Ioannidis); the winner is the lowest set bit,
+    ``64 * w + bitwise_count((x & -x) - 1)`` for the first nonzero word x at
+    index w.
     """
     tables, nonempty, order = _inverse_patterns(model, _radius(radius, model.R), masked)
     if order:
         at = np.flatnonzero(np.take(nonempty[order[0]], colors[:, order[0]]))
         for c in order[1:]:  # flat reads: a strided column would be copied whole by np.take
+            if not len(at):
+                break
             at = at[np.take(nonempty[c], np.take(colors, model.K * at + c))]
+        if not len(at):  # an empty intersection stays empty: nothing to gather
+            return at, np.zeros(0, np.int64)
         colors = np.take(colors, at, axis=0)  # the survivors' samples, in order
     else:  # every channel keeps every row
         at = np.arange(len(colors))
@@ -302,14 +310,17 @@ def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray,
     runs at most d rows apart are adjacent exactly when their column intervals
     come within d, since no gap inside a run exceeds d. The run rows and end
     columns are squeezed into sorted keys ``row * M + col``, so memory stays
-    linear in the points however far apart they lie. For each row offset up to
-    d, one ``searchsorted`` over the end keys and one over the start keys give
-    the range of runs each run reaches; runs in a row are sorted and disjoint,
-    so there are O(runs * d) pairs. A vectorised union-find joins them: each
-    round hooks the larger root of every pair onto the smaller, jumps pointers
-    until every run points at its root, and drops the pairs already joined. A
-    root is always its cluster's smallest run index, which holds the cluster's
-    first point; each point takes its run's label.
+    linear in the points however far apart they lie; the end columns are
+    squeezed in the order of one stable argsort and scattered back, and as a
+    zero gap stays zero, runs that share a column share its key. For each row
+    offset up to d, one ``searchsorted`` over the end keys and one over the
+    start keys give the range of runs each run reaches; runs in a row are
+    sorted and disjoint, so there are O(runs * d) pairs. A vectorised
+    union-find joins them: each round hooks the larger root of every pair onto
+    the smaller, jumps pointers until every run points at its root, and drops
+    the pairs already joined. A root is always its cluster's smallest run
+    index, which holds the cluster's first point; each point takes its run's
+    label.
     """
     _check_distance(d)
     n = len(rows)
@@ -318,9 +329,10 @@ def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray,
     breaks = (np.diff(rows) != 0) | (np.diff(cols).view(np.uint64) > d)
     bounds = np.flatnonzero(np.concatenate([[True], breaks, [True]]))  # run starts, then n
     starts, runs = bounds[:-1], len(bounds) - 1
-    values, at = np.unique(np.concatenate([cols[starts], cols[bounds[1:] - 1]]),
-                           return_inverse=True)
-    c = _squeeze(values, d)[at]
+    edges = np.concatenate([cols[starts], cols[bounds[1:] - 1]])
+    order = np.argsort(edges, kind="stable")
+    c = np.empty(2 * runs, np.int64)
+    c[order] = _squeeze(edges[order], d)
     r = _squeeze(rows[starts], d)
     m = int(c.max()) + 2 * d + 1  # no reach crosses into another row
     first, last = r * m + c[:runs], r * m + c[runs:]
@@ -384,9 +396,12 @@ def _cluster_votes(model: Model, img: RasterImage, masked, d: int) -> np.ndarray
     """(k, N + 1) pixel-class counts of the k clusters of the image's selected
     pixels, one row per cluster in ``cluster_pixels`` order."""
     at, ids = _sparse_winners(model, _colors(model, img), masked=masked)
+    width = model.N + 1
+    if not len(at):  # no pixel matched, so no cluster; the distance is still checked
+        _check_distance(d)
+        return np.zeros((0, width), np.int64)
     rows, cols = np.divmod(at, img.width)
     labels, k = _components(rows, cols, d)
-    width = model.N + 1
     return np.bincount(labels * width + ids, minlength=k * width).reshape(k, width)
 
 

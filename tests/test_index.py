@@ -17,6 +17,7 @@ from invpat import (
     predict_value,
     save_model,
 )
+from invpat.index import _int_table
 
 
 def brute_force_counts(model, x, radius=None):
@@ -324,31 +325,51 @@ class TestCategorical:
         assert inserted.K == 9
 
 
+INT_TYPES = (int, np.int64, np.uint8, np.int16)
+
+
 @st.composite
 def categorical_case(draw):
     """(grow, K, threshold, training patterns, queries); in grow mode the
-    categories run past K, and queries may name categories no class holds."""
+    categories run past K, and queries may name categories no class holds.
+    Each category is a Python int or a numpy integer."""
     grow = draw(st.booleans())
     K = draw(st.integers(1, 8))
-    category = st.integers(1, 12 if grow else K)
+    category = st.builds(lambda k, kind: kind(k), st.integers(1, 12 if grow else K),
+                         st.sampled_from(INT_TYPES))
     patterns = draw(st.lists(st.frozensets(category, min_size=1, max_size=5), max_size=12))
     queries = draw(st.lists(st.frozensets(category, max_size=6), min_size=1, max_size=5))
     return grow, K, draw(st.integers(1, 3)), patterns, queries
 
 
+def overlap_counts(stored, q):
+    """class id -> |stored set ∩ q| of every class sharing a category with q."""
+    return {n: len(s & q) for n, s in enumerate(stored, start=1) if s & q}
+
+
 class TestCategoricalOracle:
     @given(categorical_case())
     def test_classify_matches_set_overlap_scan(self, case):
+        """classify and train_step against a count over the stored sets: a
+        training step recognizes the smallest class of the best overlap when it
+        reaches the threshold, else appends its pattern."""
         grow, K, threshold, patterns, queries = case
         m = CategoricalModel(K, threshold, grow=grow)
         stored = []
         for p in patterns:
-            if m.train_step(p)[1]:
-                stored.append(p)
-        assert m.stored == stored
+            overlap = overlap_counts(stored, p)
+            best = max(overlap.values(), default=0)
+            if best >= threshold:
+                want = min(n for n, c in overlap.items() if c == best), False
+            else:
+                want = len(stored) + 1, True
+                stored.append(frozenset(map(int, p)))
+            assert m.train_step(p) == want
+        assert m.stored == stored and m.N == len(stored)
+        assert m.K == max([K, *(int(k) for p in patterns for k in p)] if grow else [K])
         for q in queries:
             h = m.classify(q)
-            overlap = {n: len(s & q) for n, s in enumerate(stored, start=1) if s & q}
+            overlap = overlap_counts(stored, q)
             best = max(overlap.values(), default=0)
             assert h.counts == overlap and h.max_count == best
             assert h.argmax == min((n for n, c in overlap.items() if c == best), default=None)
@@ -400,6 +421,24 @@ class TestIntegerValidation:
         m.insert_class({2, 3})
         for call in (m.insert_class, m.train_step, m.classify):
             with pytest.raises(ValidationError):
+                call(bad)
+        assert (m.K, m.N, m.postings, m.stored) == (5, 1, {2: [1], 3: [1]}, [frozenset({2, 3})])
+
+    @pytest.mark.parametrize("bad, grow", [
+        pytest.param(bad, grow, id=f"{name}-grow={grow}")
+        for name, bad in [("bool", [2, True]), ("numpy bool", [np.True_]), ("float", [2.5]),
+                          ("integral float", [2, 3.0]), ("zero", [0]),
+                          ("numpy zero", [np.uint8(0)]), ("negative", [-1]),
+                          ("bool last", [1, 2, 3, 4, 5, True]),
+                          ("float last", [1, np.int64(2), 3, 4.5]), ("zero last", [5, 4, 3, 2, 0])]
+        for grow in (False, True)] + [
+        pytest.param([6], False, id="above K"),
+        pytest.param([1, 2, 3, np.int64(6)], False, id="above K last")])
+    def test_rejected_category_leaves_model_unchanged(self, bad, grow):
+        m = CategoricalModel(5, 1, grow=grow)
+        m.insert_class({2, 3})
+        for call in (m.insert_class, m.train_step, m.classify):
+            with pytest.raises(ValidationError, match="category index"):
                 call(bad)
         assert (m.K, m.N, m.postings, m.stored) == (5, 1, {2: [1], 3: [1]}, [frozenset({2, 3})])
 
@@ -703,6 +742,21 @@ class TestBatchInsert:
         with pytest.raises(ValidationError):
             m.insert_classes(table)
         assert m.N == 1 and m.prototypes == [(1, 2)] and m.postings[0] == {1: [1]}
+
+
+@pytest.mark.parametrize("values", [[[[True, 2, 3]]], [[[1, 2], [3, np.True_]]], [[0, False]],
+                                    [False, 1], np.array([[True, False]])])
+def test_int_table_rejects_bools_at_any_depth(values):
+    with pytest.raises(ValidationError, match="x holds"):
+        _int_table(values, "x", 256)
+
+
+@pytest.mark.parametrize("values", [[[[0, 1, 2]]], [[0, 1], [1, 0]], [np.uint8(1), 0],
+                                    np.array([[[0, 1, 255]]], np.uint8),
+                                    np.array([[1, 0]], np.int32)])
+def test_int_table_accepts_integers(values):
+    table = _int_table(values, "x", 256)
+    assert table.dtype == np.int64 and table.tolist() == np.asarray(values).tolist()
 
 
 def test_readers_during_inserts_see_only_written_rows():

@@ -688,6 +688,14 @@ class TestPnm:
         with pytest.raises(FormatError, match="maxval"):
             load_pnm(p)
 
+    def test_samples_are_a_writable_copy(self, tmp_path):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5\n2 1\n255\n\x07\x09")
+        px = load_pnm(p).pixels
+        assert px.flags.writeable and px.base is None  # owns its samples: no view of the file
+        px[0, 0, 0] = 1
+        assert px.ravel().tolist() == [1, 9] and load_pnm(p).pixels.ravel().tolist() == [7, 9]
+
     def test_truncated_payload_with_offset(self, tmp_path):
         p = tmp_path / "a.ppm"
         p.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")

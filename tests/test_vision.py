@@ -550,6 +550,10 @@ LONG_OVER_SHORT = [(0, c) for c in range(20)] + [(1, 0), (1, 3), (1, 6), (2, 9),
 @example(([(-2**63, -2**63), (-2**63, 2**63 - 1), (-2**63 + 1, -2**63 + 1),
            (2**63 - 2, 0), (2**63 - 1, -2**63), (2**63 - 1, 2**63 - 1)], 1))  # wrapping gaps
 @example(([(0, -2**63), (0, 2**63 - 1), (5, 0)], 5))
+@example(([(r, c) for r in (0, 1, 3) for c in (0, 1, 2, 5, 6, 7)]
+          + [(4, 2), (4, 3), (4, 4), (4, 5)], 1))  # runs sharing start and end columns
+@example(([(r, c) for r in (-2**63, -2**63 + 2, 2**63 - 1)
+           for c in (-2**63, -2**63 + 1, 0, 2**63 - 2, 2**63 - 1)], 2))  # the same, near ±2**63
 def test_components_match_flood_fill(case):
     """_components' labels and count equal a flood fill's, clusters numbered
     by their first points."""
@@ -769,6 +773,20 @@ class TestTrainDetector:
             with pytest.raises(ConfigError, match="cluster distance"):
                 detect_objects(level1, level2, masked, frame, 2, bad)
 
+    def test_frame_without_matched_pixel(self):
+        """A frame where no pixel matches gives no cluster and no object, and
+        both parameters are still checked on it."""
+        background, object_frame = detection_scene(*PIPELINE_SCENE)
+        level1, level2, masked = trained_detector(background, object_frame, 2)
+        at, ids = _sparse_winners(level1, background.pixels.reshape(-1, 3), masked=masked)
+        assert at.size == ids.size == 0 and level1.N > 0
+        assert _cluster_votes(level1, background, masked, 1).shape == (0, level1.N + 1)
+        with pytest.raises(ConfigError, match="cluster distance"):
+            detect_objects(level1, level2, masked, background, 2, 0)
+        with pytest.raises(ConfigError, match="threshold must be an integer"):
+            detect_objects(level1, level2, masked, background, 0, 1)
+        assert detect_objects(level1, level2, masked, background, 2, 1) is None
+
     def test_empty_meta_pattern_leaves_level2_untrained(self):
         background, object_frame = detection_scene(*PIPELINE_SCENE)
         level1, level2, _ = trained_detector(background, object_frame, 10**6)
@@ -945,6 +963,9 @@ def sparse_cases(draw):
 @example((2, 0, 256, None, 1, 70, "some", 3))  # two words of classes
 @example((1, 255, 256, None, 0, 0, "none", 4))  # no classes
 @example((3, 255, 256, None, 1, 5, "some", 5))  # every channel full: no channel is tested
+@example((2, 3, 256, None, 0, 30, "all", 6))  # every class masked: none survives channel 0
+@example((3, 0, 256, None, 2, 2, "none", 0))  # survivors per channel 1, 0, 0: stops after two
+@example((3, 0, 256, None, 2, 5, "none", 0))  # channels 2, 0, 1 keep 4, 2, 0: the last empties
 def test_sparse_winners_oracle(case):
     """(at, ids) lists, ascending, the rows with a brute-force winner and
     those winners, whichever channel the intersection starts with; the dense
@@ -1104,9 +1125,12 @@ def test_build_class_mask_matches_counter_scan(freq_threshold):
 class TestImageChecks:
     @pytest.mark.parametrize("samples", [np.full((2, 2, 3), 0.5), np.full((2, 2), 2.7),
                                          np.full((1, 1), np.nan), np.ones((2, 2), bool),
-                                         [[1, 2.5]], np.full((2, 2), 256), np.full((2, 2), -1)])
+                                         [[1, 2.5]], np.full((2, 2), 256), np.full((2, 2), -1),
+                                         [[True, 2]], [[[True, 2, 3]]],
+                                         [[[1, 2, 3], [4, 5, np.True_]]]])
     def test_non_integer_or_out_of_range_samples_rejected(self, samples):
-        """Floats were truncated (0.5 -> 0, 2.7 -> 2) and NaN cast with a warning."""
+        """Floats were truncated (0.5 -> 0, 2.7 -> 2) and NaN cast with a warning;
+        a bool in a nested list was read as 1."""
         with pytest.raises(ValidationError, match="image samples"):
             RasterImage(samples)
 
@@ -1123,6 +1147,8 @@ class TestImageChecks:
         px = RasterImage(samples).pixels
         assert px.dtype == np.uint8 and px.tolist() == samples.tolist()
         assert RasterImage([[3, 4]]).pixels.tolist() == [[[3], [4]]]
+        assert RasterImage([[[0, 1, 2]]]).pixels.tolist() == [[[0, 1, 2]]]
+        assert RasterImage(np.array([[1, 0]], np.uint8)).pixels.tolist() == [[[1], [0]]]
 
     @pytest.mark.parametrize("model_k, image_channels", [(1, 3), (3, 1)])
     def test_channel_mismatch_rejected(self, model_k, image_channels):
