@@ -42,6 +42,15 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _setting(value, name: str, low: int | None = 1) -> int:
+    """value as a Python int: the one rule of every setting. It must pass
+    ``_is_int`` and be >= low (any integer when low is None), else ConfigError."""
+    if _is_int(value) and (low is None or value >= low):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}" if low is None
+                      else f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _vector(x, K: int, X: int) -> tuple[int, ...]:
     """x as K Python ints in [0, X); bools, floats and other types are rejected."""
     if isinstance(x, np.ndarray) and x.dtype.kind in "iu":
@@ -180,14 +189,10 @@ class Model:
     """
 
     def __init__(self, K: int, X: int, R: int):
-        if not _is_int(K) or K < 1:
-            raise ConfigError(f"K must be an integer >= 1, got {K!r}")
-        if not _is_int(X) or X < 2:
-            raise ConfigError(f"X must be an integer >= 2, got {X!r}")
+        self.K = _setting(K, "K")
+        self.X = _setting(X, "X", 2)
         if not _is_int(R) or not 0 <= R < X:
             raise ConfigError(f"R must be an integer with 0 <= R < X, got R={R!r}, X={X}")
-        self.K = int(K)
-        self.X = int(X)
         self.R = int(R)
         self.N = 0
         self.labels = None  # optional LabelTable of the classes, saved with the model
@@ -366,15 +371,10 @@ class CategoricalModel:
     """
 
     def __init__(self, num_categories: int, recognition_threshold: int, grow: bool = False):
-        if not _is_int(num_categories) or num_categories < 1:
-            raise ConfigError(f"the category count must be an integer >= 1, got {num_categories!r}")
-        if not _is_int(recognition_threshold) or recognition_threshold < 1:
-            raise ConfigError("recognition threshold must be an integer >= 1, "
-                              f"got {recognition_threshold!r}")
+        self.K = _setting(num_categories, "the category count")
+        self.recognition_threshold = _setting(recognition_threshold, "recognition threshold")
         if not isinstance(grow, bool):
             raise ConfigError(f"grow must be a bool, got {grow!r}")
-        self.K = int(num_categories)
-        self.recognition_threshold = int(recognition_threshold)
         self.grow = grow
         self.N = 0
         self.postings: dict[int, list[int]] = {}

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvpatError, LevelError
-from .index import CategoricalModel, ClassHistogram, Model, _is_int
+from .index import CategoricalModel, ClassHistogram, Model, _setting
 
 UNLABELED = "unlabeled"
 
@@ -31,9 +31,7 @@ class LabelTable:
             self.attach(inner, label)
 
     def attach(self, inner: int, label: str) -> None:
-        if not _is_int(inner) or inner < 1:
-            raise ConfigError(f"class id must be an integer >= 1, got {inner!r}")
-        self._labels[int(inner)] = label
+        self._labels[_setting(inner, "class id")] = label
 
     def lookup(self, inner: int) -> str:
         return self._labels.get(inner, UNLABELED)
@@ -45,15 +43,9 @@ class LabelTable:
         return isinstance(other, LabelTable) and self._labels == other._labels
 
 
-def _check_threshold(threshold) -> None:
-    """An output threshold is an integer >= 1; bools and floats are not."""
-    if not _is_int(threshold) or threshold < 1:
-        raise ConfigError(f"threshold must be an integer >= 1, got {threshold!r}")
-
-
 def histogram_to_metapattern(h: ClassHistogram, threshold: int) -> frozenset[int]:
     """Present categories of the next level: ids with count >= threshold."""
-    _check_threshold(threshold)
+    threshold = _setting(threshold, "threshold")
     return frozenset(np.flatnonzero(h.votes >= threshold).tolist())
 
 
@@ -85,9 +77,7 @@ class LevelStack:
         for i, lvl in enumerate(levels, start=1):
             if i > 1 and not isinstance(lvl.model, CategoricalModel):
                 raise ConfigError(f"level {i} must be categorical")
-            if not _is_int(lvl.threshold) or lvl.threshold < 1:
-                raise ConfigError(f"level {i} threshold must be an integer >= 1, "
-                                  f"got {lvl.threshold!r}")
+            _setting(lvl.threshold, f"level {i} threshold")
         self.levels = list(levels)
         self.schema = None  # optional ColumnSchema, saved with the stack
 

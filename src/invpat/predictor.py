@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NoEvidenceError, ValidationError
-from .index import _entries, _gather, _int_table, _is_int, _lists, _offsets, _vector, _windows
+from .index import _entries, _gather, _int_table, _lists, _offsets, _setting, _vector, _windows
 
 
 class ParamHistogram:
@@ -74,10 +74,9 @@ class ParamIndex:
         if any(tab.shape != (0,) and (tab.ndim != 2 or tab.shape[1] != 3) for tab in tables):
             raise ValidationError("table rows must be (v, t, count) triples")
         tables = [tab.reshape(-1, 3) for tab in tables]
-        if not tables or not _is_int(X) or X < 1:
-            raise ConfigError(f"ParamIndex needs K >= 1 and an integer X >= 1, "
-                              f"got K={len(tables)}, X={X!r}")
-        self.K, self.X = len(tables), int(X)
+        if not tables:
+            raise ConfigError("ParamIndex needs K >= 1 tables, got none")
+        self.K, self.X = len(tables), _setting(X, "X")
         for v, t, count in (tab.T for tab in tables):
             step = np.diff(v)
             if (((step < 0) | ((step == 0) & (np.diff(t) <= 0))).any() or (count < 1).any()

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .index import CategoricalModel, ClassHistogram, Model, _int_table, _is_int, _radius
-from .levels import UNLABELED, LabelTable, _check_threshold, histogram_to_metapattern
+from .index import CategoricalModel, ClassHistogram, Model, _int_table, _is_int, _radius, _setting
+from .levels import UNLABELED, LabelTable, histogram_to_metapattern
 
 
 @dataclass
@@ -47,13 +47,14 @@ class RasterImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels)
+        px = self.pixels
+        if not (isinstance(px, np.ndarray) and px.dtype == np.uint8):
+            # checked as given, so a ragged list or a bool in a nested one is rejected
+            px = _int_table(px, "image samples", 256).astype(np.uint8)
         if px.ndim == 2:
             px = px[:, :, None]
         if px.ndim != 3 or px.shape[2] not in (1, 3):
             raise ValidationError(f"expected (h, w, 1|3) samples, got shape {px.shape}")
-        if px.dtype != np.uint8:  # the samples as given: a nested list may hold bools
-            px = _int_table(self.pixels, "image samples", 256).astype(np.uint8).reshape(px.shape)
         self.pixels = px
 
     @property
@@ -91,11 +92,14 @@ def diff_mask(a: RasterImage, b: RasterImage, window: int = 3, threshold: int = 
 
     The mean runs over the window and the channels; borders are clamped
     (edge replication). Computed in integers, so the > comparison is exact.
+    The window is an odd integer >= 1 and the threshold any integer
+    (``index._setting``).
     """
     if a.pixels.shape != b.pixels.shape:
         raise ValidationError(f"image shapes differ: {a.pixels.shape} vs {b.pixels.shape}")
-    if window < 1 or window % 2 == 0:
-        raise ConfigError(f"window must be odd and >= 1, got {window}")
+    window, threshold = _setting(window, "window"), _setting(threshold, "threshold", None)
+    if window % 2 == 0:
+        raise ConfigError(f"window must be odd, got {window}")
     diff = np.abs(a.pixels.astype(np.int64) - b.pixels.astype(np.int64)).sum(axis=2)
     diff = np.pad(diff, window // 2, mode="edge")
     # summed areas: area[i, j] is the sum of diff[:i, :j], so each window sum is four reads
@@ -120,11 +124,9 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
     class N + 1 and sets that bit in the values within R of each of its
     samples. Every sample is checked against X first and the new classes
     are stored together at the end, so a failing call stores nothing."""
-    if model.K != img.channels:
-        raise ValidationError(f"model K={model.K} does not match {img.channels} channels")
     if np.shape(mask) != (img.height, img.width):
         raise ValidationError("mask shape does not match image")
-    colors = img.pixels[np.asarray(mask, bool)]
+    colors = _colors(model, img)[np.asarray(mask, bool).ravel()]
     if colors.size and colors.max() >= model.X:
         raise ValidationError(f"feature value {colors.max()} outside [0, {model.X})")
     r, n = model.R, model.N
@@ -259,8 +261,10 @@ def build_class_mask(model: Model, background: RasterImage, freq_threshold: int)
     """Classes that fully match too many background pixels.
 
     A class enters the mask set when it wins (full match) on more than
-    ``freq_threshold`` background pixels.
+    ``freq_threshold`` background pixels; the threshold is any integer
+    (``index._setting``).
     """
+    freq_threshold = _setting(freq_threshold, "frequency threshold", None)
     _, ids = _sparse_winners(model, _colors(model, background))
     counts = np.bincount(ids, minlength=model.N + 1)
     return set((np.flatnonzero(counts[1:] > freq_threshold) + 1).tolist())
@@ -293,12 +297,6 @@ def _squeeze(values: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _check_distance(d) -> None:
-    """A cluster distance is an integer >= 1; bools and floats are not."""
-    if not _is_int(d) or d < 1:
-        raise ConfigError(f"cluster distance must be an integer >= 1, got {d!r}")
-
-
 def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray, int]:
     """Clusters of distinct int64 points given in row-major order, two points
     being adjacent when their Chebyshev distance is <= d.
@@ -322,7 +320,7 @@ def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray,
     index, which holds the cluster's first point; each point takes its run's
     label.
     """
-    _check_distance(d)
+    d = _setting(d, "cluster distance")
     n = len(rows)
     if n == 0:
         return np.zeros(0, np.int64), 0
@@ -398,7 +396,7 @@ def _cluster_votes(model: Model, img: RasterImage, masked, d: int) -> np.ndarray
     at, ids = _sparse_winners(model, _colors(model, img), masked=masked)
     width = model.N + 1
     if not len(at):  # no pixel matched, so no cluster; the distance is still checked
-        _check_distance(d)
+        _setting(d, "cluster distance")
         return np.zeros((0, width), np.int64)
     rows, cols = np.divmod(at, img.width)
     labels, k = _components(rows, cols, d)
@@ -425,7 +423,7 @@ def recognize_clusters(level2: CategoricalModel, clusters: list[PixelCluster],
 def _recognize(level2: CategoricalModel, histograms, threshold: int) -> tuple[int, int] | None:
     """``recognize_clusters`` over the clusters' class histograms alone; the
     threshold is checked even when there is no cluster."""
-    _check_threshold(threshold)
+    _setting(threshold, "meta threshold")
     activities = np.zeros(level2.N + 1, np.int64)
     for hist in histograms:
         meta = histogram_to_metapattern(hist, threshold)
@@ -455,10 +453,17 @@ def train_detector(background: RasterImage, object_frame: RasterImage, *, radius
     image marks, its classes winning on more than ``freq_threshold`` background
     pixels are masked, and the largest cluster of the rest (the first on ties)
     trains level 2, whose recognition threshold is ``meta_votes``. With no
-    cluster or an empty meta-pattern, level 2 stays empty. The meta threshold
-    and the cluster distance are checked before any training."""
-    _check_threshold(meta_threshold)
-    _check_distance(cluster_dist)
+    cluster or an empty meta-pattern, level 2 stays empty. Every setting is
+    checked before the difference image or any training, by ``index._setting``
+    (the window, the cluster distance, the meta threshold and ``meta_votes``
+    integers >= 1, the two other thresholds any integer) and by ``Model`` (the
+    radius in [0, 256))."""
+    for value, name, low in ((window, "window", 1), (threshold, "threshold", None),
+                             (freq_threshold, "frequency threshold", None),
+                             (cluster_dist, "cluster distance", 1),
+                             (meta_threshold, "meta threshold", 1),
+                             (meta_votes, "recognition threshold", 1)):
+        _setting(value, name, low)
     level1 = Model(background.channels, 256, radius)
     train_pixels(level1, object_frame, diff_mask(background, object_frame, window, threshold))
     masked = build_class_mask(level1, background, freq_threshold)

@@ -9,15 +9,29 @@ from hypothesis import given, settings, strategies as st
 
 from invpat import (
     CategoricalModel,
+    ClassHistogram,
     ConfigError,
+    LabelTable,
+    Level,
+    LevelStack,
     Model,
+    ParamIndex,
+    RasterImage,
     ValidationError,
+    build_class_mask,
     build_param_index,
+    cluster_pixels,
+    detect_objects,
+    diff_mask,
+    histogram_to_metapattern,
     load_model,
     predict_value,
+    recognize_clusters,
     save_model,
+    train_detector,
 )
 from invpat.index import _int_table
+from invpat.vision import _cluster_votes, _components
 
 
 def brute_force_counts(model, x, radius=None):
@@ -447,6 +461,66 @@ class TestIntegerValidation:
         assert m.insert_class({np.int64(2), np.uint8(3)}) == 1
         assert m.stored == [frozenset({2, 3})] and all(type(k) is int for k in m.stored[0])
         assert m.classify({np.int16(3)}).argmax == 1
+
+
+FRAME = RasterImage(np.zeros((4, 4, 3), np.uint8))
+DETECTOR = {"radius": 10, "window": 3, "threshold": 12, "freq_threshold": 3,
+            "cluster_dist": 1, "meta_threshold": 2, "meta_votes": 1}
+DETECTOR_LOW = {"radius": 0, "threshold": None, "freq_threshold": None}  # the rest: 1
+
+
+def train_detector_with(key):
+    """train_detector on a blank scene with one setting replaced."""
+    return lambda v: train_detector(FRAME, FRAME, **{**DETECTOR, key: v})
+
+
+# each setting: a call taking the value, and the lowest value it accepts (None: any integer)
+SETTINGS = {
+    "Model K": (lambda v: Model(v, 16, 0), 1),
+    "Model X": (lambda v: Model(2, v, 0), 2),
+    "Model R": (lambda v: Model(2, 16, v), 0),
+    "CategoricalModel category count": (lambda v: CategoricalModel(v, 1), 1),
+    "CategoricalModel recognition threshold": (lambda v: CategoricalModel(3, v), 1),
+    "ParamIndex X": (lambda v: ParamIndex([[(0, 5, 1)]], X=v), 1),
+    "LabelTable class id": (lambda v: LabelTable().attach(v, "car"), 1),
+    "LevelStack threshold": (lambda v: LevelStack([Level(Model(2, 8, 0), threshold=v)]), 1),
+    "histogram_to_metapattern": (
+        lambda v: histogram_to_metapattern(ClassHistogram.from_counts({1: 2}), v), 1),
+    "_components distance": (
+        lambda v: _components(np.zeros(1, np.int64), np.zeros(1, np.int64), v), 1),
+    "_cluster_votes distance": (lambda v: _cluster_votes(Model(3, 256, 0), FRAME, set(), v), 1),
+    "cluster_pixels distance": (lambda v: cluster_pixels({(0, 0)}, v), 1),
+    "recognize_clusters threshold": (
+        lambda v: recognize_clusters(CategoricalModel(1, 1), [], v), 1),
+    "detect_objects meta threshold": (
+        lambda v: detect_objects(Model(3, 256, 0), CategoricalModel(1, 1), set(), FRAME, v, 1), 1),
+    "detect_objects cluster distance": (
+        lambda v: detect_objects(Model(3, 256, 0), CategoricalModel(1, 1), set(), FRAME, 2, v), 1),
+    "diff_mask window": (lambda v: diff_mask(FRAME, FRAME, v, 12), 1),
+    "diff_mask threshold": (lambda v: diff_mask(FRAME, FRAME, 3, v), None),
+    "build_class_mask freq_threshold": (
+        lambda v: build_class_mask(Model(3, 256, 0), FRAME, v), None),
+    **{f"train_detector {key}": (train_detector_with(key), DETECTOR_LOW.get(key, 1))
+       for key in DETECTOR},
+}
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(call, bad, id=f"{name}-{bad!r}")
+    for name, (call, low) in SETTINGS.items()
+    for bad in [1.5, 2.0, True, "3", None] + ([] if low is None else [low - 1])])
+def test_every_setting_rejects_non_integers_and_values_below_its_bound(call, bad):
+    """A float, a bool, a string and None are ConfigErrors at every entry
+    point, never numpy's TypeError or a silent truncation, and so is a value
+    below the setting's bound."""
+    with pytest.raises(ConfigError):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_every_setting_takes_a_numpy_integer(name):
+    call, low = SETTINGS[name]
+    call(np.int64(3 if low is None else max(low, 1) + 2))
 
 
 class TestArrayRows:

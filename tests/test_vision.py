@@ -33,6 +33,7 @@ from invpat import (
     train_detector,
     train_pixels,
 )
+from invpat import vision
 from invpat.vision import (
     _cluster_votes,
     _components,
@@ -119,6 +120,14 @@ class TestDiffMask:
             diff_mask(a, b, 3, 10)
         with pytest.raises(ConfigError):
             diff_mask(a, a, 2, 10)
+
+    def test_negative_and_numpy_thresholds_accepted(self):
+        """A threshold below 0 marks every pixel, as the mean is never negative."""
+        a = img(np.zeros((4, 4, 3)))
+        assert diff_mask(a, a, 3, -1).all() and not diff_mask(a, a, np.int64(3), np.int8(0)).any()
+        m = Model(3, 256, 0)
+        m.insert_class((9, 9, 9))  # wins on no pixel of a
+        assert build_class_mask(m, a, -1) == {1} and build_class_mask(m, a, 0) == set()
 
 
 class TestTrainPixels:
@@ -787,6 +796,24 @@ class TestTrainDetector:
             detect_objects(level1, level2, masked, background, 0, 1)
         assert detect_objects(level1, level2, masked, background, 2, 1) is None
 
+    @pytest.mark.parametrize("key, bad", [("window", 3.0), ("window", True), ("threshold", "x"),
+                                          ("threshold", 1.5), ("freq_threshold", None),
+                                          ("freq_threshold", 1.5), ("meta_votes", 0),
+                                          ("meta_votes", 2.0), ("radius", 256)])
+    def test_every_setting_checked_before_the_difference_image(self, key, bad, monkeypatch):
+        """A bad setting raises ConfigError before diff_mask or any training
+        runs: a float window once reached np.pad, and a bad meta_votes was
+        found only after level 1 had trained."""
+        calls = []
+        monkeypatch.setattr(vision, "diff_mask", lambda *args: calls.append(args))
+        monkeypatch.setattr(vision, "train_pixels", lambda *args: calls.append(args))
+        background, object_frame = detection_scene(*PIPELINE_SCENE)
+        with pytest.raises(ConfigError):
+            train_detector(background, object_frame, **{
+                "radius": 10, "window": 3, "threshold": 12, "freq_threshold": 3,
+                "cluster_dist": 1, "meta_threshold": 2, "meta_votes": 1, key: bad})
+        assert calls == []
+
     def test_empty_meta_pattern_leaves_level2_untrained(self):
         background, object_frame = detection_scene(*PIPELINE_SCENE)
         level1, level2, _ = trained_detector(background, object_frame, 10**6)
@@ -966,6 +993,7 @@ def sparse_cases(draw):
 @example((2, 3, 256, None, 0, 30, "all", 6))  # every class masked: none survives channel 0
 @example((3, 0, 256, None, 2, 2, "none", 0))  # survivors per channel 1, 0, 0: stops after two
 @example((3, 0, 256, None, 2, 5, "none", 0))  # channels 2, 0, 1 keep 4, 2, 0: the last empties
+@example((3, 130, 256, None, 0, 3, "none", 10))  # every channel full, yet one row's AND is empty
 def test_sparse_winners_oracle(case):
     """(at, ids) lists, ascending, the rows with a brute-force winner and
     those winners, whichever channel the intersection starts with; the dense
@@ -1127,7 +1155,8 @@ class TestImageChecks:
                                          np.full((1, 1), np.nan), np.ones((2, 2), bool),
                                          [[1, 2.5]], np.full((2, 2), 256), np.full((2, 2), -1),
                                          [[True, 2]], [[[True, 2, 3]]],
-                                         [[[1, 2, 3], [4, 5, np.True_]]]])
+                                         [[[1, 2, 3], [4, 5, np.True_]]],
+                                         [[1, 2], [3]], [[[1, 2, 3]], [[4, 5]]]])  # ragged
     def test_non_integer_or_out_of_range_samples_rejected(self, samples):
         """Floats were truncated (0.5 -> 0, 2.7 -> 2) and NaN cast with a warning;
         a bool in a nested list was read as 1."""
