@@ -41,7 +41,7 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def load_pnm(path) -> RasterImage:
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=0) as fh:  # one read of the whole file, no buffer copy
         data = fh.read()
     magic = data[:2]
     if magic == b"P5":

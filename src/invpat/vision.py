@@ -14,16 +14,18 @@ one bit per class packed into little-endian uint64 words, ANDed across the
 channels; the winner is the lowest set bit. Before any AND, the pixels are
 intersected channel by channel, fewest non-empty table rows first, so only
 the pixels whose every sample value has some live class gather their rows;
-a query frame of masked background usually keeps none, and the intersection
-stops at the first channel that leaves no pixel. Detection reads the result
-sparse, as the matched pixels' flat indices and winners, from the winner
-kernel to the per-cluster histograms, and a frame with no matched pixel skips
-clustering; segmentation scatters it into a dense map. The tables, their
-non-empty rows and the channel order are built once per (model N, R, mask)
-and kept in one slot on the ``Model``, so a stream of query frames reuses
-them. ``train_pixels`` starts from those
-tables (``_inverse_patterns``), each row read as one Python int, and grows
-them one class at a time.
+a channel whose live values form one run lo..hi is tested by one wrapped
+uint8 compare, ``sample - lo <= hi - lo``, any other by a read of its table
+of non-empty values. A query frame of masked background usually keeps none,
+and the intersection stops at the first channel that leaves no pixel.
+Detection reads the result sparse, as the matched pixels' flat indices and
+winners, from the winner kernel to the per-cluster histograms, and a frame
+with no matched pixel skips clustering; segmentation scatters it into a
+dense map. The tables, their non-empty rows, their runs and the channel
+order are built once per (model N, R, mask) and kept in one slot on the
+``Model``, so a stream of query frames reuses them. ``train_pixels`` starts
+from those tables (``_inverse_patterns``), each row read as one Python int,
+and grows them one class at a time.
 
 Masks are boolean numpy arrays of shape (height, width); ``train_pixels``
 reads a 0/1 integer mask as one.
@@ -150,13 +152,15 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
 
 
 def _inverse_patterns(model: Model, r: int, masked
-                      ) -> tuple[list[np.ndarray], np.ndarray, list[int]]:
-    """(tables, nonempty, order). Per channel c a (256, W) table of
+                      ) -> tuple[list[np.ndarray], np.ndarray, list[int], list]:
+    """(tables, nonempty, order, runs). Per channel c a (256, W) table of
     little-endian uint64 words: bit n of row v is set when class n lies within
     r of sample value v and is not masked (bit 0, "no class", never is).
     ``nonempty[c, v]`` says whether that row has a bit set, and ``order`` lists
     the channels by their count of non-empty rows, fewest first, leaving out
-    those with all 256 rows non-empty, which keep every pixel. Built once per
+    those with all 256 rows non-empty, which keep every pixel. ``runs[c]`` is
+    ``(lo, hi - lo)`` as uint8 when channel c's non-empty rows are the one run
+    lo..hi, else None (no such row, or a hole between two). Built once per
     (N, r, mask) and published in ``model._tables`` in one assignment, so
     concurrent readers never see half of it; an insert grows N, which
     invalidates it."""
@@ -168,19 +172,34 @@ def _inverse_patterns(model: Model, r: int, masked
     protos[1:] = rows
     live = ~np.isin(np.arange(n + 1), [0, *mask])
     values = np.arange(256)[:, None]
-    tables, nonempty = [], np.zeros((model.K, 256), bool)
+    tables, nonempty, runs = [], np.zeros((model.K, 256), bool), []
     for c in range(model.K):
         hits = (np.abs(values - protos[:, c]) <= r) & live
         nonempty[c] = hits.any(axis=1)
+        at = np.flatnonzero(nonempty[c])
+        one = len(at) and at[-1] - at[0] == len(at) - 1
+        runs.append((np.uint8(at[0]), np.uint8(at[-1] - at[0])) if one else None)
         packed = np.packbits(hits, axis=1, bitorder="little")
         words = np.zeros((256, 8 * -(-(n + 1) // 64)), np.uint8)  # W whole words
         words[:, :packed.shape[1]] = packed
         tables.append(words.view("<u8"))
     counts = nonempty.sum(axis=1)
     order = [c for c in np.argsort(counts, kind="stable").tolist() if counts[c] < 256]
-    patterns = tables, nonempty, order
+    patterns = tables, nonempty, order, runs
     model._tables = ((n, r, mask), patterns)
     return patterns
+
+
+def _live(nonempty: np.ndarray, run, samples: np.ndarray) -> np.ndarray:
+    """Whether each uint8 sample value has a live class in one channel, given
+    the channel's ``nonempty`` row and its ``run`` from ``_inverse_patterns``.
+    A one-run channel is one range test, ``samples - lo <= span`` in uint8: a
+    value below lo wraps past 255 - lo, which is at least the span; any other
+    channel reads its row."""
+    if run is None:
+        return np.take(nonempty, samples)
+    lo, span = run
+    return samples - lo <= span
 
 
 def _sparse_winners(model: Model, colors: np.ndarray, radius: int | None = None,
@@ -191,9 +210,11 @@ def _sparse_winners(model: Model, colors: np.ndarray, radius: int | None = None,
     Full match means Chebyshev distance <= R from a stored prototype, i.e.
     a vote count of K under classification. The rows are intersected channel
     by channel, the channel with the fewest non-empty table rows first
-    (smallest first, Culpepper & Moffat): one ``np.take`` over the survivors
-    keeps those whose sample value has some live class in that channel; a
-    channel with all 256 rows non-empty is not tested, as it keeps all. Once
+    (smallest first, Culpepper & Moffat), keeping those whose sample value has
+    some live class in that channel (``_live``): when the channel's live
+    values form one run, one wrapped uint8 compare against it, a range
+    predicate with no gather; otherwise one ``np.take`` of its non-empty rows.
+    A channel with all 256 rows non-empty is not tested, as it keeps all. Once
     no row is left, the empty (at, ids) comes back at once: no later channel,
     gather or scan runs. Only the rows left at the end AND their K rows of
     the packed inverse-pattern tables (a range-encoded bitmap index, Chan &
@@ -201,13 +222,15 @@ def _sparse_winners(model: Model, colors: np.ndarray, radius: int | None = None,
     ``64 * w + bitwise_count((x & -x) - 1)`` for the first nonzero word x at
     index w.
     """
-    tables, nonempty, order = _inverse_patterns(model, _radius(radius, model.R), masked)
+    tables, nonempty, order, runs = _inverse_patterns(model, _radius(radius, model.R), masked)
+    colors = np.asarray(colors, np.uint8)  # the run test wraps in uint8
     if order:
-        at = np.flatnonzero(np.take(nonempty[order[0]], colors[:, order[0]]))
+        c = order[0]
+        at = np.flatnonzero(_live(nonempty[c], runs[c], colors[:, c]))
         for c in order[1:]:  # flat reads: a strided column would be copied whole by np.take
             if not len(at):
                 break
-            at = at[np.take(nonempty[c], np.take(colors, model.K * at + c))]
+            at = at[_live(nonempty[c], runs[c], np.take(colors, model.K * at + c))]
         if not len(at):  # an empty intersection stays empty: nothing to gather
             return at, np.zeros(0, np.int64)
         colors = np.take(colors, at, axis=0)  # the survivors' samples, in order
@@ -288,13 +311,7 @@ def select_pixels(model: Model, img: RasterImage,
 # -- clustering ---------------------------------------------------------------
 
 
-def _squeeze(values: np.ndarray, d: int) -> np.ndarray:
-    """Sorted int64 values renumbered from 0 with every gap above d cut to d + 1,
-    so each difference up to d stays exact and the rest stay above d. A gap
-    that wraps in int64 is read back exactly as uint64."""
-    out = np.zeros(len(values), np.int64)
-    np.cumsum(np.minimum(np.diff(values).view(np.uint64), d + 1), out=out[1:])
-    return out
+_TOP = np.uint64(1 << 63)  # int64 view as uint64 ^ _TOP keeps the order, from 0 up
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray, int]:
@@ -302,52 +319,65 @@ def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray,
     being adjacent when their Chebyshev distance is <= d.
 
     Returns (labels, k): point i lies in cluster ``labels[i]`` of k, numbered in
-    the order of the clusters' first points. The points are cut into runs,
-    consecutive points of one row with column gaps <= d, and the runs are
-    joined instead of the points (He, Chao & Suzuki's run-based labeling): two
-    runs at most d rows apart are adjacent exactly when their column intervals
-    come within d, since no gap inside a run exceeds d. The run rows and end
-    columns are squeezed into sorted keys ``row * M + col``, so memory stays
-    linear in the points however far apart they lie; the end columns are
-    squeezed in the order of one stable argsort and scattered back, and as a
-    zero gap stays zero, runs that share a column share its key. For each row
-    offset up to d, one ``searchsorted`` over the end keys and one over the
-    start keys give the range of runs each run reaches; runs in a row are
-    sorted and disjoint, so there are O(runs * d) pairs. A vectorised
-    union-find joins them: each round hooks the larger root of every pair onto
-    the smaller, jumps pointers until every run points at its root, and drops
-    the pairs already joined. A root is always its cluster's smallest run
-    index, which holds the cluster's first point; each point takes its run's
-    label.
+    the order of the clusters' first points. A distance of at least the row
+    and the column span joins every point. Otherwise the points are cut into
+    runs, consecutive points of one row with column gaps <= d, and the runs
+    are joined instead of the points (He, Chao & Suzuki's run-based labeling):
+    two runs at most d rows apart are adjacent exactly when their column
+    intervals come within d, since no gap inside a run exceeds d. The
+    coordinates are read as uint64 in order, where every difference fits and
+    first - d and last + d saturate, and the search keys are ranks,
+    ``row rank * M + rank among the run ends``, so any distance is exact and
+    the keys stay small however far apart the points lie. For each later row
+    within d of its own, a run finds the range of runs it reaches there with
+    one ``searchsorted`` over the end keys and one over the start keys, so
+    the searches number the runs times the rows in reach; runs in a row are
+    sorted and disjoint, so a run pairs only with the runs it touches. A
+    vectorised union-find joins them: each round hooks the larger root of
+    every pair onto the smaller, jumps pointers until every run points at its
+    root, and drops the pairs already joined. A root is always its cluster's
+    smallest run index, which holds the cluster's first point; each point
+    takes its run's label.
     """
     d = _setting(d, "cluster distance")
     n = len(rows)
     if n == 0:
         return np.zeros(0, np.int64), 0
-    breaks = (np.diff(rows) != 0) | (np.diff(cols).view(np.uint64) > d)
+    if d >= max(int(rows[-1]) - int(rows[0]), int(cols.max()) - int(cols.min())):
+        return np.zeros(n, np.int64), 1
+    reach = np.uint64(d)  # below the span of two int64 values, so it fits
+    breaks = (np.diff(rows) != 0) | (np.diff(cols).view(np.uint64) > reach)
     bounds = np.flatnonzero(np.concatenate([[True], breaks, [True]]))  # run starts, then n
     starts, runs = bounds[:-1], len(bounds) - 1
-    edges = np.concatenate([cols[starts], cols[bounds[1:] - 1]])
-    order = np.argsort(edges, kind="stable")
-    c = np.empty(2 * runs, np.int64)
-    c[order] = _squeeze(edges[order], d)
-    r = _squeeze(rows[starts], d)
-    m = int(c.max()) + 2 * d + 1  # no reach crosses into another row
-    first, last = r * m + c[:runs], r * m + c[runs:]
-    offsets = np.arange(1, min(d, int(r[-1])) + 1)[:, None] * m  # none past the last row
-    # per offset and run: the first run that ends at its first column - d or
-    # later, and the one past the last that starts by its last column + d
-    lo = np.searchsorted(last, (first + (offsets - d)).ravel())
-    hi = np.searchsorted(first, (last + (offsets + d)).ravel(), "right")
-    counts = hi - lo
-    a = np.repeat(np.tile(np.arange(runs), len(offsets)), counts)
+    edges = cols[np.concatenate([starts, bounds[1:] - 1])].view(np.uint64) ^ _TOP
+    first, last = edges[:runs], edges[runs:]
+    ends = np.sort(edges)
+    rank = np.searchsorted(ends, edges)  # the ends below each end
+    # the ends below first - d, and those up to last + d
+    lo_rank = np.searchsorted(ends, first - np.minimum(first, reach))
+    hi_rank = np.searchsorted(ends, last + np.minimum(~last, reach), "right")
+    run_rows = rows[starts].view(np.uint64) ^ _TOP
+    row = np.zeros(runs, np.int64)  # each run's row rank
+    np.cumsum(run_rows[1:] != run_rows[:-1], out=row[1:])
+    reached = np.searchsorted(run_rows, run_rows + np.minimum(~run_rows, reach), "right")
+    ahead = row[reached - 1] - row  # the later rows within d
+    m = 2 * runs + 1  # no rank reaches into the next row's keys
+    base = row * m
+    first_key, last_key = base + rank[:runs], base + rank[runs:]
+    # per run and j-th later row: the first run there that ends at first - d
+    # or later, and the one past the last that starts by last + d
+    j = np.arange(1, int(ahead.max()) + 1)[:, None]
+    lo = np.searchsorted(last_key, (base + lo_rank + j * m).ravel())
+    hi = np.searchsorted(first_key, (base + hi_rank + j * m).ravel())
+    counts = (hi - lo) * (j <= ahead).ravel()
+    a = np.repeat(np.tile(np.arange(runs), len(j)), counts)
     b = np.arange(len(a)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
     parent = np.arange(runs)
     while a.size:
         np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
         while True:
             up = parent[parent]
-            if np.array_equal(up, parent):
+            if (up == parent).all():
                 break
             parent = up
         a, b = parent[a], parent[b]

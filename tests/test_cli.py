@@ -276,6 +276,18 @@ class TestDetectSegment:
         assert lines[0].endswith("no-object")
         assert "object=1" in lines[1]
 
+    def test_detect_huge_cluster_distance(self, capsys, tmp_path):
+        """A distance of 2**62 runs and answers as the frame's span, 31, does:
+        both put every matched pixel in one cluster."""
+        bg_path, fr_path, _ = self.scene(tmp_path)
+        results = []
+        for dist in ("4611686018427387904", "31"):
+            code, out, _ = run(capsys, "detect", bg_path, fr_path, bg_path, fr_path,
+                               "--r", "10", "--freq-threshold", "3", "--cluster-dist", dist)
+            assert code == 0
+            results.append([ln for ln in out.splitlines() if not ln.startswith("#")])
+        assert results[0] == results[1] and "object=1" in results[0][1]
+
     def test_segment(self, capsys, tmp_path):
         from invpat import LabelTable
 

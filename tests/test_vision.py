@@ -499,7 +499,8 @@ def test_cluster_pixels_matches_scipy_label():
 def flood_fill_labels(points, d):
     """Cluster label of each point (row-major order), the clusters numbered by
     their first points, by a flood fill over each point's (2d + 1)^2
-    neighbourhood in exact Python ints."""
+    neighbourhood, or over all points when they are fewer, in exact Python
+    ints."""
     at = {p: i for i, p in enumerate(points)}
     labels = [-1] * len(points)
     k = 0
@@ -509,7 +510,10 @@ def flood_fill_labels(points, d):
         labels[i], stack = k, [p]
         while stack:
             r, c = stack.pop()
-            for q in ((r + dr, c + dc) for dr in range(-d, d + 1) for dc in range(-d, d + 1)):
+            near = ((r + dr, c + dc) for dr in range(-d, d + 1) for dc in range(-d, d + 1))
+            if (2 * d + 1) ** 2 > len(points):
+                near = (q for q in points if max(abs(q[0] - r), abs(q[1] - c)) <= d)
+            for q in near:
                 j = at.get(q)
                 if j is not None and labels[j] < 0:
                     labels[j] = k
@@ -545,6 +549,10 @@ def component_cases(draw):
     return [(rows[i], cols[j]) for i, j in zip(*np.nonzero(rng.random((h, w)) < density))], d
 
 
+SPREAD_ROWS = [(r, (r * 37) % 101) for r in range(0, 3001, 100)]
+SPREAD_COLS = [(r, c) for r in range(0, 3000, 300) for c in (-2**62, 0, 2**50, 2**51 + 1)]
+WIDE_CHAIN = [(-2**63, -2**63), (-2**63, -2**62), (-2**62, 0), (0, 2**62), (2**62, 2**63 - 1),
+              (2**63 - 1, -2**63)]
 LONG_OVER_SHORT = [(0, c) for c in range(20)] + [(1, 0), (1, 3), (1, 6), (2, 9), (2, 10),
                                                  (3, 14), (3, 22), (4, 30)]
 
@@ -563,6 +571,17 @@ LONG_OVER_SHORT = [(0, c) for c in range(20)] + [(1, 0), (1, 3), (1, 6), (2, 9),
           + [(4, 2), (4, 3), (4, 4), (4, 5)], 1))  # runs sharing start and end columns
 @example(([(r, c) for r in (-2**63, -2**63 + 2, 2**63 - 1)
            for c in (-2**63, -2**63 + 1, 0, 2**63 - 2, 2**63 - 1)], 2))  # the same, near ±2**63
+@example((SPREAD_ROWS, 2**50))  # distances past the span: one cluster
+@example((SPREAD_ROWS, 2**62))
+@example((SPREAD_ROWS, 2**70))
+@example((SPREAD_COLS, 2**50))  # past the row span, short of the column span: three
+@example((SPREAD_COLS, 2**62 - 1))  # two
+@example((SPREAD_COLS, 2**62))  # one
+@example((SPREAD_COLS, 2**70))
+@example((WIDE_CHAIN, 2**62))  # a chain of 2**62 steps across int64, then a break
+@example((WIDE_CHAIN, 2**62 - 1))  # every point alone
+@example((WIDE_CHAIN, 2**63))  # only the last break, a column gap of 2**64 - 1, holds
+@example((WIDE_CHAIN, 2**70))
 def test_components_match_flood_fill(case):
     """_components' labels and count equal a flood fill's, clusters numbered
     by their first points."""
@@ -949,6 +968,22 @@ def test_match_winners_word_edges(channels, classes):
     assert ids & EDGES <= seen  # each edge bit present wins somewhere
 
 
+def check_runs(nonempty, runs):
+    """Each channel's run is (first, last - first) as uint8 when its non-empty
+    rows rise once, else None, and ``_live`` over all 256 sample values gives
+    back its non-empty rows: no value below the run and none in a hole
+    passes."""
+    values = np.arange(256, dtype=np.uint8)
+    for row, run in zip(nonempty, runs):
+        live = np.flatnonzero(row)
+        if np.count_nonzero(np.diff(row.astype(np.int8), prepend=0) == 1) == 1:
+            assert [type(v) for v in run] == [np.uint8] * 2
+            assert (int(run[0]), int(run[1])) == (live[0], live[-1] - live[0])
+        else:
+            assert run is None
+        assert np.array_equal(vision._live(row, run, values), row)
+
+
 def sparse_case(channels, radius, x_range, dead, narrow, classes, masking, seed):
     """A model at R=0 with prototypes spread over [0, 256), channel ``narrow``
     crowded into a band of 8 values, channel ``dead`` (if any) past the reach
@@ -994,11 +1029,18 @@ def sparse_cases(draw):
 @example((3, 0, 256, None, 2, 2, "none", 0))  # survivors per channel 1, 0, 0: stops after two
 @example((3, 0, 256, None, 2, 5, "none", 0))  # channels 2, 0, 1 keep 4, 2, 0: the last empties
 @example((3, 130, 256, None, 0, 3, "none", 10))  # every channel full, yet one row's AND is empty
+@example((2, 20, 256, None, 0, 3, "none", 0))  # channel 0 first, one run from value 0
+@example((3, 20, 256, None, 0, 1, "none", 1))  # channel 0 first, one run up to 255
+@example((1, 0, 256, None, 0, 1, "none", 1))  # a run of one value (span 0)
+@example((3, 0, 256, None, 0, 40, "none", 0))  # samples below the first channel's run wrap
+@example((3, 0, 256, None, 1, 10, "none", 0))  # channel 1 first, two runs, samples in the hole
+@example((3, 20, 256, None, 1, 40, "none", 0))  # a one-run second channel drops some survivors
 def test_sparse_winners_oracle(case):
     """(at, ids) lists, ascending, the rows with a brute-force winner and
     those winners, whichever channel the intersection starts with; the dense
     winners are its scatter, also for no colours. The channel order leaves
-    out the channels with all 256 rows non-empty."""
+    out the channels with all 256 rows non-empty, and each channel's test
+    keeps exactly its non-empty sample values."""
     m, masked, colors = sparse_case(*case)
     radius = case[1]
     want = np.array(brute_winners(m, colors, radius, masked), np.int64)
@@ -1009,7 +1051,8 @@ def test_sparse_winners_oracle(case):
         dense = np.zeros(len(rows), np.int64)
         dense[at] = ids
         assert np.array_equal(_match_winners(m, rows, radius, masked), dense)
-    _, nonempty, order = _inverse_patterns(m, radius, masked)
+    _, nonempty, order, runs = _inverse_patterns(m, radius, masked)
+    check_runs(nonempty, runs)
     counts = nonempty.sum(axis=1)
     assert counts[order].tolist() == sorted(n for n in counts.tolist() if n < 256)
     if case[3] is not None:
@@ -1057,8 +1100,9 @@ def oracle_check(model, colors, radius, masked):
     at, ids = _sparse_winners(model, colors, radius, masked)
     assert (at.tolist(), ids.tolist()) == ([i for i, n in enumerate(want) if n],
                                           [n for n in want if n])
-    _, nonempty, order = model._tables[1]
+    _, nonempty, order, runs = model._tables[1]
     assert np.array_equal(nonempty, nonempty_oracle(model, r, masked or ()))
+    check_runs(nonempty, runs)
     counts = nonempty.sum(axis=1).tolist()
     assert order == sorted((c for c in range(model.K) if counts[c] < 256),
                            key=counts.__getitem__)
