@@ -4,8 +4,9 @@ Training: difference of the background frame and the object frame gives a
 mask; the pixel model trains on the masked pixels; classes that also fire
 all over the background get masked out; the biggest cluster of the
 remaining pixels trains a categorical second level. ``train_detector`` does
-all of this. Recognition: unmasked pixels are clustered by union-find over
-the pixel pairs within the cluster distance, and each cluster's class
+all of this. Recognition: the unmasked matched pixels are cut into row runs
+(a row's pixels with column gaps up to the cluster distance), union-find
+joins the runs that come within that distance, and each cluster's class
 histogram is recognized at the second level.
 """
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .index import Model
+from .index import Model, _setting
 
 ROUNDS = 8  # passes over the query list per timed repeat, so a repeat outlasts timer noise
 
@@ -57,8 +57,10 @@ def run_bench(n_list, k: int, x: int, r: int, seed: int,
 
     One warm-up pass is excluded; the reported latency is the median over
     ``repeats`` timed repeats of the per-query mean, each repeat running the
-    query list ``ROUNDS`` times.
+    query list ``ROUNDS`` times. Every class count is an integer >= 1
+    (``index._setting``), checked before any model is built.
     """
+    n_list = [_setting(n, "class count") for n in n_list]
     rng = np.random.default_rng(seed)
     points = []
     for n in n_list:

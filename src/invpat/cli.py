@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -41,9 +42,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_radius(args, x: int) -> int:
-    if args.r_pct is not None:
-        return round(args.r_pct / 100.0 * x)
-    return args.r
+    if args.r_pct is None:
+        return args.r
+    radius = args.r_pct / 100.0 * x
+    if not math.isfinite(radius):  # nan, inf, or a percentage that overflows
+        raise ConfigError(f"--r-pct must give a finite radius, got {args.r_pct}% of {x}")
+    return round(radius)
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
 def _report_header(args) -> str:
@@ -185,8 +196,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    n_list = [int(s) for s in args.n_list.split(",")]
-    report = run_bench(n_list, args.k, args.x, _resolve_radius(args, args.x), args.seed)
+    report = run_bench(args.n_list, args.k, args.x, _resolve_radius(args, args.x), args.seed)
     print(_report_header(args))
     print(report.table())
     if args.out:
@@ -248,7 +258,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("bench", help="latency-vs-K*h scaling report")
-    p.add_argument("--n-list", default="1000,10000,100000", dest="n_list")
+    p.add_argument("--n-list", type=_int_list, default="1000,10000,100000", dest="n_list")
     p.add_argument("--k", type=int, default=26)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)

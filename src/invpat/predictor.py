@@ -109,13 +109,6 @@ class ParamIndex:
         return out
 
 
-def _column(values, name: str, X: int | None = None) -> np.ndarray:
-    """values as an int64 column, one integer per row (see ``index._int_table``)."""
-    if (column := _int_table(values, name, X)).ndim == 1:
-        return column
-    raise ValidationError(f"{name} holds a cell that is not one integer")
-
-
 def build_param_index(rows, X: int) -> ParamIndex:
     """Build an index from (feature vector, t) pairs sharing one K; a vector may
     be a tuple, a list or an integer array row (``normalize_columns`` gives those)."""
@@ -129,11 +122,13 @@ def build_param_index(rows, X: int) -> ParamIndex:
         raise ValidationError("rows must be (feature vector, t) pairs") from None
     if len(lengths) > 1:
         raise ValidationError("feature vectors differ in length")
-    t_values, t_rank = np.unique(_column(ts, "t"), return_inverse=True)
-    T = len(t_values)
+    t = _int_table(ts, "t")
     table = _int_table(xs, "feature vectors", X)  # values below X, so v * T cannot overflow
-    if table.ndim != 2:
-        raise ValidationError("feature vectors hold a cell that is not one integer")
+    for values, name, ndim in ((t, "t", 1), (table, "feature vectors", 2)):
+        if values.ndim != ndim:
+            raise ValidationError(f"{name} holds a cell that is not one integer")
+    t_values, t_rank = np.unique(t, return_inverse=True)
+    T = len(t_values)
     tables = []
     for v in table.T:
         # one key per (v, t) pair, so sorted keys are the sorted (v, t) pairs

@@ -21,7 +21,8 @@ and the intersection stops at the first channel that leaves no pixel.
 Detection reads the result sparse, as the matched pixels' flat indices and
 winners, from the winner kernel to the per-cluster histograms, and a frame
 with no matched pixel skips clustering; segmentation scatters it into a
-dense map. The tables, their non-empty rows, their runs and the channel
+dense (height, width) map of winner ids and reads each pixel's label from
+that map. The tables, their non-empty rows, their runs and the channel
 order are built once per (model N, R, mask) and kept in one slot on the
 ``Model``, so a stream of query frames reuses them. ``train_pixels`` starts
 from those tables (``_inverse_patterns``), each row read as one Python int,
@@ -256,28 +257,11 @@ def _sparse_winners(model: Model, colors: np.ndarray, radius: int | None = None,
     return at[full], ids[full]
 
 
-def _match_winners(model: Model, colors: np.ndarray, radius: int | None = None,
-                   masked: frozenset[int] | set[int] | None = None) -> np.ndarray:
-    """Smallest unmasked fully matching class id per row of 8-bit samples
-    (0 = none): ``_sparse_winners`` scattered into one dense array."""
-    at, ids = _sparse_winners(model, colors, radius, masked)
-    winners = np.zeros(len(colors), np.int64)
-    winners[at] = ids
-    return winners
-
-
 def _colors(model: Model, img: RasterImage) -> np.ndarray:
     """The image's samples, one row per pixel in row-major order."""
     if model.K != img.channels:
         raise ValidationError(f"model K={model.K} does not match {img.channels} channels")
     return img.pixels.reshape(-1, img.channels)
-
-
-def _winner_map(model: Model, img: RasterImage, radius: int | None = None,
-                masked=None) -> np.ndarray:
-    """Per-pixel winner ids (0 = none) of the image's samples."""
-    wins = _match_winners(model, _colors(model, img), radius, masked)
-    return wins.reshape(img.height, img.width)
 
 
 def build_class_mask(model: Model, background: RasterImage, freq_threshold: int) -> set[int]:
@@ -517,9 +501,11 @@ def segment_image(model: Model, table: LabelTable, img: RasterImage,
     A pixel gets the label of its winning inner class when it fully
     matches one; everything else stays "unlabeled".
     """
-    wins = _winner_map(model, img, radius=radius)
+    at, ids = _sparse_winners(model, _colors(model, img), radius)
+    wins = np.zeros(img.height * img.width, np.int64)  # 0: no winner
+    wins[at] = ids  # a 1-D scatter: ``.flat[at] = ids`` on a 2-D map is ~5x slower
     labels = np.empty(model.N + 1, dtype=object)
     labels[0] = UNLABELED
     for n in range(1, model.N + 1):
         labels[n] = table.lookup(n)
-    return labels[wins]
+    return labels[wins.reshape(img.height, img.width)]

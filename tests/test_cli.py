@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from invpat import Model, RasterImage, build_param_index, cli, save_model, save_pnm
+from invpat import LabelTable, Model, RasterImage, build_param_index, cli, save_model, save_pnm
 from invpat.cli import main
 from invpat.errors import (
     ConfigError,
@@ -28,6 +28,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def segment_model(tmp_path):
+    """Path of a saved RGB model whose one class is labeled "water"."""
+    m = Model(3, 256, 0)
+    m.labels = LabelTable()
+    m.labels.attach(m.insert_class((0, 0, 200)), "water")
+    save_model(m, tmp_path / "m.ipat")
+    return str(tmp_path / "m.ipat")
 
 
 class TestUsage:
@@ -310,18 +319,8 @@ class TestDetectSegment:
         legend = (str(out_path) + ".legend.txt")
         assert "water" in open(legend).read()
 
-
-    def segment_model(self, tmp_path):
-        from invpat import LabelTable
-
-        m = Model(3, 256, 0)
-        m.labels = LabelTable()
-        m.labels.attach(m.insert_class((0, 0, 200)), "water")
-        save_model(m, tmp_path / "m.ipat")
-        return str(tmp_path / "m.ipat")
-
     def test_segment_grayscale_against_rgb_model_is_data_error(self, capsys, tmp_path):
-        model = self.segment_model(tmp_path)
+        model = segment_model(tmp_path)
         image = tmp_path / "gray.pgm"
         save_pnm(RasterImage(np.zeros((2, 2), dtype=np.uint8)), image)
         code, _, err = run(capsys, "segment", str(image), "--model", model,
@@ -329,7 +328,7 @@ class TestDetectSegment:
         assert code == 2 and "gray.pgm" in err and "channels" in err
 
     def test_segment_negative_radius_is_usage_error(self, capsys, tmp_path):
-        model = self.segment_model(tmp_path)
+        model = segment_model(tmp_path)
         image = tmp_path / "i.ppm"
         save_pnm(RasterImage(np.zeros((2, 2, 3), dtype=np.uint8)), image)
         code, _, err = run(capsys, "segment", str(image), "--model", model, "--r", "-1",
@@ -396,6 +395,14 @@ class TestBench:
         assert code == 0
         assert "R^2" in out and out_path.exists()
 
+    @pytest.mark.parametrize("n_list", ["a", "10,,20", "-5", "0"])
+    def test_bad_n_list_is_usage_error(self, capsys, n_list):
+        """A token that is not an integer is rejected as argparse reads it, a
+        class count below 1 by run_bench; neither is an internal error."""
+        code, out, err = run(capsys, "bench", "--n-list", n_list, "--k", "4", "--x", "32")
+        assert (code, out) == (1, "") and "internal error" not in err
+        assert ("--n-list" if n_list in ("a", "10,,20") else "class count") in err
+
 
 class TestRadiusFlags:
     def scene(self, tmp_path):
@@ -417,6 +424,27 @@ class TestRadiusFlags:
             assert code == 0
             results.append([ln for ln in out.splitlines() if not ln.startswith("#")])
         assert results[0] == results[1] and "object=1" in results[0][1]
+
+    def inputs(self, command, tmp_path):
+        """Arguments that the command runs on without error."""
+        if command == "train":
+            (tmp_path / "d.csv").write_text("1,2\n3,4\n")
+            return [str(tmp_path / "d.csv")]
+        if command == "detect":
+            return self.scene(tmp_path)
+        if command == "segment":
+            save_pnm(RasterImage(np.zeros((2, 2, 3), np.uint8)), tmp_path / "i.ppm")
+            return [str(tmp_path / "i.ppm"), "--model", segment_model(tmp_path),
+                    "--out", str(tmp_path / "labels.ppm")]
+        return ["--n-list", "50", "--k", "4"]
+
+    @pytest.mark.parametrize("pct", ["nan", "inf", "1e400", "1e308"])
+    @pytest.mark.parametrize("command", ["train", "detect", "segment", "bench"])
+    def test_non_finite_r_pct_is_usage_error(self, capsys, tmp_path, command, pct):
+        """A percentage that gives no finite radius is a usage error: nan, inf,
+        1e400 (read as inf) and 1e308, whose share of 256 overflows."""
+        code, out, err = run(capsys, command, *self.inputs(command, tmp_path), "--r-pct", pct)
+        assert (code, out) == (1, "") and "internal error" not in err and "--r-pct" in err
 
     def test_detect_has_no_x_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "detect", *self.scene(tmp_path), "--x", "100",

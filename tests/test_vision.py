@@ -38,9 +38,7 @@ from invpat.vision import (
     _cluster_votes,
     _components,
     _inverse_patterns,
-    _match_winners,
     _sparse_winners,
-    _winner_map,
 )
 
 
@@ -198,8 +196,8 @@ class TestTrainPixels:
             assert train_pixels(fast, frame, mask) == sum(new for _, new in steps)
             assert fast.prototypes == loop.prototypes
             # a pixel's id is its smallest full match then, and no later class is smaller
-            ids = _match_winners(fast, frame.pixels[mask].astype(np.int64))
-            assert ids.tolist() == [n for n, _ in steps]
+            at, ids = _sparse_winners(fast, frame.pixels[mask].astype(np.int64))
+            assert (at.tolist(), ids.tolist()) == sparse([n for n, _ in steps])
 
     def test_masked_slot_creates_no_class(self):
         """Pixels that only match masked classes still match: training reads
@@ -294,8 +292,8 @@ class TestMaskingAndSelection:
             m.insert_class(row.tolist())
         frame = img(rng.integers(0, 16, size=(8, 6, 3)))
         got = select_pixel_classes(m, frame, {2, 5})
-        wins = _winner_map(m, frame, masked=frozenset({2, 5}))
-        expected = {(int(r), int(c)): int(wins[r, c]) for r, c in np.argwhere(wins > 0)}
+        at, ids = check_winners(m, frame.pixels.reshape(-1, 3), None, frozenset({2, 5}))
+        expected = {divmod(i, 6): n for i, n in zip(at, ids)}
         assert got and list(got.items()) == list(expected.items())
         assert all(type(v) is int for key in got for v in (*key, got[key]))
 
@@ -669,18 +667,27 @@ class TestSegmentation:
                 assert (prev <= labeled).all()
             prev = labeled
 
-    def test_matches_classify_per_pixel(self):
+    @pytest.mark.parametrize("labels", ["all", "some", "past N"])
+    @pytest.mark.parametrize("radius", [None, 0, 10])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_classify_per_pixel(self, channels, radius, labels):
+        """Every pixel's label is that of classify's full match at the same
+        radius, else unlabeled: also when the table names only some classes,
+        so a matched class paints unlabeled, and when it names an id past N."""
         rng = np.random.default_rng(109)
-        m = Model(3, 32, 3)
+        m = Model(channels, 32, 3)
         table = LabelTable()
-        for i, row in enumerate(rng.integers(0, 32, size=(15, 3)), start=1):
+        for i, row in enumerate(rng.integers(0, 32, size=(15, channels)), start=1):
             m.insert_class(row.tolist())
-            table.attach(i, f"L{i}")
-        frame = img(rng.integers(0, 32, size=(8, 6, 3)))
-        out = segment_image(m, table, frame)
+            if labels == "all" or i % 3:
+                table.attach(i, f"L{i}")
+        if labels == "past N":
+            table.attach(m.N + 1, "past N")
+        frame = img(rng.integers(0, 32, size=(8, 6, channels)))
+        out = segment_image(m, table, frame, radius=radius)
         for r in range(8):
             for c in range(6):
-                h = m.classify(tuple(int(v) for v in frame.pixels[r, c]))
+                h = m.classify(tuple(int(v) for v in frame.pixels[r, c]), radius)
                 expected = table.lookup(h.argmax) if h.max_count == m.K else UNLABELED
                 assert out[r, c] == expected
 
@@ -714,8 +721,9 @@ class TestDetectPipeline:
 
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("radius", [0, 6])
-def test_winner_map_matches_row_unique(channels, radius):
-    """Packed-key unique colours give the same map as np.unique over rows."""
+def test_winners_match_row_unique(channels, radius):
+    """An image's winners are those of its distinct colours (np.unique over
+    rows) read back through the inverse, and both are the brute-force ones."""
     rng = np.random.default_rng(channels)
     px = rng.integers(0, 256, size=(24, 24, channels)).astype(np.uint8)
     px[:4] = 255
@@ -724,8 +732,10 @@ def test_winner_map_matches_row_unique(channels, radius):
         m.insert_class(row.tolist())
     masked = frozenset({2, 5})
     uniq, inverse = np.unique(px.reshape(-1, channels), axis=0, return_inverse=True)
-    expected = _match_winners(m, uniq, None, masked)[inverse.ravel()].reshape(24, 24)
-    assert np.array_equal(_winner_map(m, RasterImage(px), masked=masked), expected)
+    check_winners(m, uniq, None, masked)
+    want = np.array(brute_winners(m, uniq, radius, masked))[inverse.ravel()].tolist()
+    at, ids = _sparse_winners(m, vision._colors(m, RasterImage(px)), None, masked)
+    assert (at.tolist(), ids.tolist()) == sparse(want)
 
 
 def detection_scene(seed, tones, size, outer, inner):
@@ -910,11 +920,26 @@ def brute_winners(model, colors, radius, masked):
             for color in colors]
 
 
+def sparse(winners):
+    """Per-row winners (0 = none) as ``_sparse_winners`` lists them: the rows
+    with a winner, ascending, and their winners."""
+    return [i for i, n in enumerate(winners) if n], [n for n in winners if n]
+
+
+def check_winners(model, colors, radius, masked):
+    """``_sparse_winners`` against the brute-force winners; returns its
+    (at, ids) as lists."""
+    want = brute_winners(model, colors, model.R if radius is None else radius, masked or ())
+    at, ids = _sparse_winners(model, colors, radius, masked)
+    assert (at.tolist(), ids.tolist()) == sparse(want)
+    return at.tolist(), ids.tolist()
+
+
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("radius", [0, 3, 255])
 @pytest.mark.parametrize("masking", ["none", "some", "all"])
 @pytest.mark.parametrize("classes, x_range", [(0, 256), (25, 256), (25, 70000)])
-def test_match_winners_oracle(channels, radius, masking, classes, x_range):
+def test_winners_oracle(channels, radius, masking, classes, x_range):
     """The inverse-pattern tables give the brute-force winners, also for no
     classes, no colours and prototype values past the 8-bit sample range."""
     rng = np.random.default_rng(channels * 1000 + radius)
@@ -928,9 +953,9 @@ def test_match_winners_oracle(channels, radius, masking, classes, x_range):
               "all": set(range(1, m.N + 1))}[masking]
     colors = rng.integers(0, 256, size=(60, channels)).astype(np.uint8)
     colors[:10] = np.clip(m.prototypes[:10], 0, 255) if m.N else 0
-    got = _match_winners(m, colors, radius, masked)
-    assert got.tolist() == brute_winners(m, colors, radius, masked)
-    assert _match_winners(m, colors[:0], radius, masked).shape == (0,)
+    check_winners(m, colors, radius, masked)
+    at, ids = _sparse_winners(m, colors[:0], radius, masked)
+    assert at.shape == ids.shape == (0,)
 
 
 def word_edge_model(classes, channels):
@@ -954,17 +979,16 @@ EDGES = {63, 64, 127, 128}
 
 @pytest.mark.parametrize("channels", [1, 3])
 @pytest.mark.parametrize("classes", [63, 64, 65, 127, 128, 129])
-def test_match_winners_word_edges(channels, classes):
+def test_winners_word_edges(channels, classes):
     """Winners on the first and last bit of a word, masked ids at word edges
     and everything masked all give the brute-force winners."""
     m, colors = word_edge_model(classes, channels)
     ids = set(range(1, classes + 1))
     seen = set()
     for masked in (set(), {63, 64}, ids - EDGES, ids):
-        got = _match_winners(m, colors, None, masked)
-        assert got.tolist() == brute_winners(m, colors, 1, masked)
-        assert _match_winners(m, colors[:0], None, masked).shape == (0,)
-        seen.update(got.tolist())
+        seen.update(check_winners(m, colors, None, masked)[1])
+        none_at, none_ids = _sparse_winners(m, colors[:0], None, masked)
+        assert none_at.shape == none_ids.shape == (0,)
     assert ids & EDGES <= seen  # each edge bit present wins somewhere
 
 
@@ -1037,10 +1061,10 @@ def sparse_cases(draw):
 @example((3, 20, 256, None, 1, 40, "none", 0))  # a one-run second channel drops some survivors
 def test_sparse_winners_oracle(case):
     """(at, ids) lists, ascending, the rows with a brute-force winner and
-    those winners, whichever channel the intersection starts with; the dense
-    winners are its scatter, also for no colours. The channel order leaves
-    out the channels with all 256 rows non-empty, and each channel's test
-    keeps exactly its non-empty sample values."""
+    those winners, whichever channel the intersection starts with, also for
+    no colours. The channel order leaves out the channels with all 256 rows
+    non-empty, and each channel's test keeps exactly its non-empty sample
+    values."""
     m, masked, colors = sparse_case(*case)
     radius = case[1]
     want = np.array(brute_winners(m, colors, radius, masked), np.int64)
@@ -1048,9 +1072,6 @@ def test_sparse_winners_oracle(case):
         at, ids = _sparse_winners(m, rows, radius, masked)
         assert at.tolist() == np.flatnonzero(want[:len(rows)]).tolist()
         assert ids.tolist() == want[at].tolist()
-        dense = np.zeros(len(rows), np.int64)
-        dense[at] = ids
-        assert np.array_equal(_match_winners(m, rows, radius, masked), dense)
     _, nonempty, order, runs = _inverse_patterns(m, radius, masked)
     check_runs(nonempty, runs)
     counts = nonempty.sum(axis=1)
@@ -1095,11 +1116,7 @@ def oracle_check(model, colors, radius, masked):
     """The winners, the slot's non-empty rows and its channel order against
     scans of the prototypes."""
     r = model.R if radius is None else radius
-    want = brute_winners(model, colors, r, masked or ())
-    assert _match_winners(model, colors, radius, masked).tolist() == want
-    at, ids = _sparse_winners(model, colors, radius, masked)
-    assert (at.tolist(), ids.tolist()) == ([i for i, n in enumerate(want) if n],
-                                          [n for n in want if n])
+    check_winners(model, colors, radius, masked)
     _, nonempty, order, runs = model._tables[1]
     assert np.array_equal(nonempty, nonempty_oracle(model, r, masked or ()))
     check_runs(nonempty, runs)
@@ -1122,7 +1139,7 @@ class TestInversePatternCache:
         oracle_check(self.model, self.colors, None, self.masks[0])
         self.model.insert_class(self.colors[100].tolist())  # colour 100 now matches a class
         oracle_check(self.model, self.colors, None, self.masks[0])
-        assert _match_winners(self.model, self.colors[100:101], None, set())[0] > 0
+        assert check_winners(self.model, self.colors[100:101], None, set())[0] == [0]
 
     def test_other_mask_and_radius_override(self):
         oracle_check(self.model, self.colors, None, self.masks[0])
@@ -1142,11 +1159,15 @@ class TestInversePatternCache:
             winners = brute_winners(self.model, self.colors, 8, masked)
             classes = {divmod(i, 20): n for i, n in enumerate(winners) if n}
             clusters = cluster_pixels(set(classes), 2, classes)
-            want.append((winners, histogram_rows(clusters, self.model.N + 1).tolist()))
+            want.append((sparse(winners), histogram_rows(clusters, self.model.N + 1).tolist()))
+
+        def kernel_winners(model, masked):
+            at, ids = _sparse_winners(model, self.colors, None, masked)
+            return at.tolist(), ids.tolist()
 
         def reader(model, start, results, i):
             start.wait()
-            results[i] = [(_match_winners(model, self.colors, None, masked).tolist(),
+            results[i] = [(kernel_winners(model, masked),
                            _cluster_votes(model, frame, masked, 2).tolist())
                           for masked in (self.masks[(i + j) % 2] for j in range(6))]
 
@@ -1172,7 +1193,7 @@ class TestInversePatternCache:
 
     def test_tables_stay_out_of_model_files(self, tmp_path):
         save_model(self.model, tmp_path / "before.ipat")
-        _match_winners(self.model, self.colors, None, self.masks[0])
+        check_winners(self.model, self.colors, None, self.masks[0])
         assert self.model._tables is not None
         save_model(self.model, tmp_path / "a.ipat")
         save_model(load_model(tmp_path / "a.ipat"), tmp_path / "b.ipat")
