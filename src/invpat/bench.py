@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .index import Model, _setting
 
 ROUNDS = 8  # passes over the query list per timed repeat, so a repeat outlasts timer noise
@@ -57,10 +58,14 @@ def run_bench(n_list, k: int, x: int, r: int, seed: int,
 
     One warm-up pass is excluded; the reported latency is the median over
     ``repeats`` timed repeats of the per-query mean, each repeat running the
-    query list ``ROUNDS`` times. Every class count is an integer >= 1
-    (``index._setting``), checked before any model is built.
+    query list ``ROUNDS`` times. Every class count is an integer >= 1 and the
+    seed an integer >= 0 (``index._setting``), and the fit needs two distinct
+    class counts; all are checked before any model is built.
     """
     n_list = [_setting(n, "class count") for n in n_list]
+    seed = _setting(seed, "seed", 0)
+    if len(set(n_list)) < 2:
+        raise ValidationError(f"a fit needs at least two distinct class counts, got {n_list}")
     rng = np.random.default_rng(seed)
     points = []
     for n in n_list:

@@ -23,13 +23,14 @@ per dimension, the class ids sorted by value and value offsets, the layout
 and one ``np.bincount`` votes (Zobel & Moffat). Wide windows skip the gather:
 one column scan compares every stored value with its dimension's window.
 Classes inserted since the snapshot vote through the same scan over their
-columns; this tail is merged once it outgrows an eighth. Categorical votes are
-one ``np.bincount`` over the posting lists of the present categories.
+columns; this tail is merged once it outgrows an eighth. A categorical model
+stores each class's categories instead, and scores a batch of category sets
+against every class by one ``np.add.reduceat`` over the gathered columns.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -366,6 +367,16 @@ class CategoricalModel:
     query's category set and the best stored set. A query is recognized
     when the best overlap reaches ``recognition_threshold``.
 
+    The one stored state is a forward index, grown by doubling: every class's
+    sorted category ids in one int array, class after class, and N + 1
+    offsets, class n's ids lying from offset n - 1 to offset n. One kernel,
+    ``_overlaps``, scores k category sets against every class at once by one
+    ``np.add.reduceat`` over the stored ids' columns of a (k, width) boolean
+    matrix (document-at-a-time scoring, Turtle & Flood); ``classify`` runs
+    it on one row. ``stored`` (each class's set) and ``postings`` (each
+    category's ascending class ids) are views built on read; assigning N,
+    ``stored`` or ``postings`` rebuilds the store.
+
     ``grow=True`` lets the category universe expand during training, which
     level stacks need because the class-id space of the previous level grows.
     """
@@ -376,10 +387,59 @@ class CategoricalModel:
         if not isinstance(grow, bool):
             raise ConfigError(f"grow must be a bool, got {grow!r}")
         self.grow = grow
-        self.N = 0
-        self.postings: dict[int, list[int]] = {}
-        self.stored: list[frozenset[int]] = []
+        self._cats = np.zeros(0, np.intp)  # the store; entries past the last offset are unused
+        self._offsets = np.zeros(1, np.intp)  # so are offsets past N
+        self._n = 0
         self.schema = None  # optional ColumnSchema, saved with the model
+
+    # -- the store ----------------------------------------------------------
+
+    @property
+    def N(self) -> int:
+        return self._n
+
+    @N.setter
+    def N(self, n) -> None:
+        """Keep the first n classes, or append empty ones up to n."""
+        n, stored = _setting(n, "class count", 0), self.stored
+        self.stored = stored[:n] + [frozenset()] * (n - len(stored))
+
+    @property
+    def stored(self) -> list[frozenset[int]]:
+        n = self._n
+        bounds = self._offsets[:n + 1].tolist()
+        cats = self._cats[:bounds[-1]].tolist()
+        return [frozenset(cats[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @stored.setter
+    def stored(self, sets) -> None:
+        """Replace the store with the category sets of classes 1..len(sets),
+        all checked (and K widened in grow mode) first."""
+        sets = list(sets)
+        self._check(list(chain.from_iterable(sets)), training=True)
+        self._cats = np.array([int(k) for cats in sets for k in sorted(cats)], np.intp)
+        self._offsets = np.cumsum([0, *map(len, sets)], dtype=np.intp)
+        self._n = len(sets)
+
+    @property
+    def postings(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for n, cats in enumerate(self.stored, start=1):
+            for k in sorted(cats):
+                out.setdefault(k, []).append(n)
+        return out
+
+    @postings.setter
+    def postings(self, lists) -> None:
+        """Rebuild the store from category -> class ids; N grows to the largest id."""
+        ids = [n for ns in lists.values() for n in ns]
+        if min(ids, default=1) < 1:
+            raise ValidationError(f"class ids must be >= 1, got {min(ids)}")
+        sets = [set() for _ in range(max([self._n, *ids]))]
+        for k, ns in lists.items():
+            for n in ns:
+                sets[n - 1].add(k)
+        self.stored = sets
 
     def _check(self, present, training: bool) -> None:
         """Validate every category, then (training, grow mode) widen K.
@@ -400,31 +460,69 @@ class CategoricalModel:
         if training and self.grow:
             self.K = max(self.K, int(high))
 
+    # -- the kernel ---------------------------------------------------------
+
+    def _overlaps(self, meta: np.ndarray) -> np.ndarray:
+        """(k, N + 1) overlap counts of a (k, width) boolean matrix whose row i
+        holds category c when ``meta[i, c]``: column n of row i counts the
+        categories row i shares with class n (column 0 is 0). Each row is
+        checked as ``_check`` checks one category set, and the first bad row
+        raises that row's error; in grow mode, categories past K hold no class."""
+        K = self.K
+        bad = meta[:, 0]
+        if meta.shape[1] > K + 1 and not self.grow:
+            bad = bad | meta[:, K + 1:].any(axis=1)
+        if np.count_nonzero(bad):
+            self._check(np.flatnonzero(meta[bad.argmax()]).tolist(), training=False)
+        n = self._n  # read first: an insert writes the store before it publishes N
+        offsets = self._offsets[:n + 1]
+        cats = self._cats[:offsets[-1]]
+        counts = np.zeros((len(meta), n + 1), np.int64)
+        if not len(cats):
+            return counts
+        if meta.shape[1] <= K:  # the stored categories run up to K
+            wide = np.zeros((len(meta), K + 1), bool)
+            wide[:, :meta.shape[1]] = meta
+            meta = wide
+        # reduceat sums from each start to the next, but gives an empty segment
+        # the element at its start, not 0, so only the non-empty classes are summed
+        full = np.flatnonzero(offsets[1:] > offsets[:-1])
+        counts[:, full + 1] = np.add.reduceat(meta[:, cats], offsets[full], axis=1)
+        return counts
+
+    # -- classification and training ------------------------------------------
+
     def classify(self, present) -> ClassHistogram:
-        """Vote histogram: votes[n] = |stored set of n ∩ present|. The posting
-        lists of the present categories are joined at C level and counted by
-        one ``np.bincount``."""
+        """Vote histogram: votes[n] = |stored set of n ∩ present|, the kernel
+        on one row holding the present categories up to K."""
         self._check(present, training=False)
-        lists = map(self.postings.get, present, repeat(()))
-        ids = np.fromiter(chain.from_iterable(lists), np.int64)
-        return ClassHistogram(np.bincount(ids, minlength=self.N + 1))
+        row = np.zeros((1, self.K + 1), bool)
+        row[0, [k for k in present if k <= self.K]] = True
+        return ClassHistogram(self._overlaps(row)[0])
 
     def recognized(self, hist: ClassHistogram) -> int | None:
         """The winner of ``hist`` when it has ``recognition_threshold`` votes, else None."""
         return hist.argmax if hist.max_count >= self.recognition_threshold else None
 
     def insert_class(self, pattern) -> int:
-        """Store a category set as a new class and return its id (ids are dense, 1..N)."""
+        """Store a category set as a new class and return its id (ids are dense,
+        1..N). Its sorted categories are written after the stored ones, into a
+        doubled array when full, before the new N is published."""
         self._check(pattern, training=True)
-        pattern = frozenset(int(k) for k in pattern)
-        if not pattern:
+        cats = sorted({int(k) for k in pattern})
+        if not cats:
             raise ValidationError("cannot create a class from an empty pattern")
-        self.N += 1
-        n = self.N
-        for k in sorted(pattern):
-            self.postings.setdefault(k, []).append(n)
-        self.stored.append(pattern)
-        return n
+        n = self._n
+        start = int(self._offsets[n])
+        end = start + len(cats)
+        if end > len(self._cats):
+            self._cats = np.resize(self._cats, max(end, 2 * len(self._cats)))
+        if n + 2 > len(self._offsets):
+            self._offsets = np.resize(self._offsets, 2 * (n + 1))
+        self._cats[start:end] = cats
+        self._offsets[n + 1] = end
+        self._n = n + 1
+        return n + 1
 
     def train_step(self, present) -> tuple[int, bool]:
         """Recognize or append; returns (class id, created flag)."""

@@ -427,35 +427,45 @@ def recognize_clusters(level2: CategoricalModel, clusters: list[PixelCluster],
     Each cluster's class histogram is thresholded into a meta-pattern and
     classified at the second level; recognized clusters add their vote
     count to their winning object class. Returns (class id, activity) or
-    None when every cluster is rejected.
+    None when every cluster is rejected. The histograms are padded to one
+    width and stacked for ``_recognize``.
     """
-    if any(cl.class_histogram is None for cl in clusters):
+    hists = [cl.class_histogram for cl in clusters]
+    if any(h is None for h in hists):
         raise ValidationError("cluster has no class histogram attached")
-    return _recognize(level2, [cl.class_histogram for cl in clusters], threshold)
+    votes = np.zeros((len(hists), max((len(h.votes) for h in hists), default=1)), np.int64)
+    for row, h in zip(votes, hists):
+        row[:len(h.votes)] = h.votes
+    return _recognize(level2, votes, threshold)
 
 
-def _recognize(level2: CategoricalModel, histograms, threshold: int) -> tuple[int, int] | None:
-    """``recognize_clusters`` over the clusters' class histograms alone; the
-    threshold is checked even when there is no cluster."""
-    _setting(threshold, "meta threshold")
+def _recognize(level2: CategoricalModel, votes: np.ndarray, threshold: int
+               ) -> tuple[int, int] | None:
+    """``recognize_clusters`` over a (k, width) matrix of the clusters' class
+    votes, one row per cluster: the rows' meta-patterns, ``votes >= threshold``,
+    are scored against level 2 by one call of its kernel
+    (``CategoricalModel._overlaps``), and a row whose best overlap reaches the
+    recognition threshold adds it to its best class, the smallest on ties. A
+    row with a meta-pattern level 2 rejects raises its error, the first such
+    row in cluster order. The threshold is checked even when there is no cluster."""
+    threshold = _setting(threshold, "meta threshold")
+    if not len(votes):
+        return None
+    counts = level2._overlaps(votes >= threshold)
+    best = counts.argmax(axis=1)  # the first maximum: the smallest id
+    top = counts.max(axis=1)
+    hit = top >= level2.recognition_threshold
     activities = np.zeros(level2.N + 1, np.int64)
-    for hist in histograms:
-        meta = histogram_to_metapattern(hist, threshold)
-        if not meta:
-            continue
-        h = level2.classify(meta)
-        n = level2.recognized(h)
-        if n is not None:
-            activities[n] += h.max_count
-    best = ClassHistogram(activities)
-    return (best.argmax, best.max_count) if best else None
+    np.add.at(activities, best[hit], top[hit])
+    winner = ClassHistogram(activities)
+    return (winner.argmax, winner.max_count) if winner else None
 
 
 def detect_objects(level1: Model, level2: CategoricalModel, masked, img: RasterImage,
                    meta_threshold: int, cluster_dist: int) -> tuple[int, int] | None:
     """Full recognition pass: select, cluster, recognize. None = no object."""
     votes = _cluster_votes(level1, img, masked, cluster_dist)
-    return _recognize(level2, map(ClassHistogram, votes), meta_threshold)
+    return _recognize(level2, votes, meta_threshold)
 
 
 def train_detector(background: RasterImage, object_frame: RasterImage, *, radius: int,

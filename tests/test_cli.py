@@ -403,6 +403,18 @@ class TestBench:
         assert (code, out) == (1, "") and "internal error" not in err
         assert ("--n-list" if n_list in ("a", "10,,20") else "class count") in err
 
+    @pytest.mark.parametrize("n_list", ["5", "5,5", "7,7,7"])
+    def test_one_distinct_class_count_is_usage_error(self, capsys, n_list):
+        """A line through one distinct point is no fit: R^2 would read 1 or 0."""
+        code, out, err = run(capsys, "bench", "--n-list", n_list, "--k", "4", "--x", "32")
+        assert (code, out) == (1, "") and "internal error" not in err
+        assert "two distinct class counts" in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--n-list", "5,10", "--k", "4", "--x", "32",
+                             "--seed", "-1")
+        assert (code, out) == (1, "") and "internal error" not in err and "seed" in err
+
 
 class TestRadiusFlags:
     def scene(self, tmp_path):
@@ -436,7 +448,7 @@ class TestRadiusFlags:
             save_pnm(RasterImage(np.zeros((2, 2, 3), np.uint8)), tmp_path / "i.ppm")
             return [str(tmp_path / "i.ppm"), "--model", segment_model(tmp_path),
                     "--out", str(tmp_path / "labels.ppm")]
-        return ["--n-list", "50", "--k", "4"]
+        return ["--n-list", "50,100", "--k", "4"]
 
     @pytest.mark.parametrize("pct", ["nan", "inf", "1e400", "1e308"])
     @pytest.mark.parametrize("command", ["train", "detect", "segment", "bench"])

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invpat import (
     CategoricalModel,
@@ -388,6 +388,75 @@ class TestCategoricalOracle:
             assert h.counts == overlap and h.max_count == best
             assert h.argmax == min((n for n, c in overlap.items() if c == best), default=None)
             assert all(type(v) is int for item in h.counts.items() for v in item)
+
+
+@st.composite
+def assigned_store(draw):
+    """(K, category sets, queries): sets in [1, K], empty ones among them, as
+    an assignment of ``stored`` or ``postings`` may hold them."""
+    K = draw(st.integers(1, 8))
+    category = st.integers(1, K)
+    stored = draw(st.lists(st.frozensets(category, max_size=4), max_size=8))
+    return K, stored, draw(st.lists(st.frozensets(category, max_size=5), min_size=1, max_size=4))
+
+
+def postings_of(stored):
+    """category -> the ascending ids of the classes holding it."""
+    out = {}
+    for n, s in enumerate(stored, start=1):
+        for k in s:
+            out.setdefault(k, []).append(n)
+    return out
+
+
+class TestCategoricalStore:
+    @given(assigned_store())
+    @example((2, [frozenset(), frozenset({1}), frozenset()], [frozenset({1, 2})]))
+    @example((3, [frozenset({1, 2}), frozenset(), frozenset({2, 3})], [frozenset({2})]))
+    @example((3, [], [frozenset({2}), frozenset()]))
+    def test_assigned_store_matches_set_overlap(self, case):
+        """A store assigned as sets or as lists classifies as the set-overlap
+        oracle, a class with no category included (it scores 0), and keeps
+        growing by ``insert_class``."""
+        K, stored, queries = case
+        by_sets, by_lists = CategoricalModel(K, 1), CategoricalModel(K, 1)
+        by_sets.stored = stored
+        by_lists.N = len(stored)  # the classes no list names stay empty
+        by_lists.postings = postings_of(stored)
+        for m in (by_sets, by_lists):
+            assert (m.N, m.stored, m.postings) == (len(stored), stored, postings_of(stored))
+            for q in queries:
+                h = m.classify(q)
+                assert h.counts == overlap_counts(stored, q) and len(h.votes) == len(stored) + 1
+            assert m.insert_class({K}) == len(stored) + 1
+            assert m.stored == [*stored, frozenset({K})]
+            assert m.classify({K}).counts == overlap_counts(m.stored, {K})
+
+    def test_assigned_n_keeps_or_pads(self):
+        m = CategoricalModel(4, 1)
+        for p in ({1, 2}, {3}, {2, 4}):
+            m.insert_class(p)
+        m.N = 2
+        assert m.stored == [frozenset({1, 2}), frozenset({3})]
+        m.N = 4
+        assert m.stored == [frozenset({1, 2}), frozenset({3}), frozenset(), frozenset()]
+        assert m.postings == {1: [1], 2: [1], 3: [2]}
+        assert m.classify({1, 2, 3}).counts == {1: 2, 2: 1}
+
+    @pytest.mark.parametrize("assign", [
+        pytest.param(lambda m: setattr(m, "stored", [{1}, {6}]), id="stored above K"),
+        pytest.param(lambda m: setattr(m, "stored", [{0}]), id="stored zero"),
+        pytest.param(lambda m: setattr(m, "stored", [{1}, {True}]), id="stored bool"),
+        pytest.param(lambda m: setattr(m, "postings", {2: [1], 9: [2]}), id="postings above K"),
+        pytest.param(lambda m: setattr(m, "postings", {2: [0]}), id="postings class 0"),
+        pytest.param(lambda m: setattr(m, "N", -1), id="negative N"),
+        pytest.param(lambda m: setattr(m, "N", 1.5), id="float N")])
+    def test_rejected_assignment_leaves_model_unchanged(self, assign):
+        m = CategoricalModel(5, 1)
+        m.insert_class({2, 3})
+        with pytest.raises((ValidationError, ConfigError)):
+            assign(m)
+        assert (m.K, m.N, m.postings, m.stored) == (5, 1, {2: [1], 3: [1]}, [frozenset({2, 3})])
 
 
 class TestIntegerValidation:

@@ -89,6 +89,13 @@ GOLDEN_MODEL_BYTES_V2 = (
     b'\x2b\x01\x00\x00\x96\x00' b'\x06\x00\x04\x00\x07\x00'
     b'\xa4\x1e\x15Q')
 
+# A categorical model and its v2 file bytes: pins the file whatever the in-memory store.
+GOLDEN_CATEGORICAL_BYTES_V2 = (
+    b'IPAT\x02\x00b\x00\x00\x00\x00\x00\x00\x00'
+    b'Z\x00\x00\x00\x00\x00\x00\x00'
+    b'{"K":12,"grow":false,"kind":"categorical","stored":[[1,4,9],[2,3],[5,9,12]],"threshold":2}'
+    b'(\x80a\xf0')
+
 
 def roundtrip(obj):
     with tempfile.TemporaryDirectory() as d:
@@ -857,6 +864,19 @@ class TestModelFiles:
         back = load_model(p)
         assert back.stored == m.stored and back.postings == m.postings
         assert back.classify({1, 4}).counts == m.classify({1, 4}).counts
+
+    def test_categorical_bytes_pinned(self, tmp_path):
+        """Inserted or assigned, the store saves the same bytes, and loads back
+        to them."""
+        inserted, assigned = CategoricalModel(12, 2), CategoricalModel(12, 2)
+        for p in ({1, 4, 9}, {2, 3}, {9, 12, 5}):
+            inserted.insert_class(p)
+        assigned.stored = inserted.stored
+        assert model_bytes(inserted) == model_bytes(assigned) == GOLDEN_CATEGORICAL_BYTES_V2
+        p = tmp_path / "c.ipat"
+        p.write_bytes(GOLDEN_CATEGORICAL_BYTES_V2)
+        back = load_model(p)
+        assert back.stored == inserted.stored and model_bytes(back) == GOLDEN_CATEGORICAL_BYTES_V2
 
     def test_param_index_roundtrip(self, tmp_path):
         rng = np.random.default_rng(139)

@@ -40,6 +40,7 @@ from invpat.vision import (
     _inverse_patterns,
     _sparse_winners,
 )
+from test_index import overlap_counts
 
 
 def img(arr):
@@ -626,6 +627,82 @@ class TestRecognizeClusters:
                     for r, counts in enumerate(({5: 2, 6: 2}, {1: 3, 2: 2}))]
         got = recognize_clusters(self.level2(), clusters, threshold=2)
         assert got == (1, 2) and all(type(v) is int for v in got)
+
+
+def recognition_oracle(level2, stored, hists, threshold):
+    """recognize_clusters as a loop over the clusters: each histogram's
+    meta-pattern is checked as ``CategoricalModel.classify`` checks it, and
+    scored by the set-overlap oracle against the stored sets."""
+    K, grow = level2.K, level2.grow
+    activities = Counter()
+    for votes in hists:
+        meta = frozenset(c for c, v in enumerate(votes) if v >= threshold)
+        if not meta:
+            continue
+        if min(meta) < 1:
+            raise ValidationError(f"category index {min(meta)} must be >= 1")
+        if max(meta) > K and not grow:
+            raise ValidationError(f"category index {max(meta)} outside [1, {K}]")
+        overlap = overlap_counts(stored, meta)
+        best = max(overlap.values(), default=0)
+        if best >= level2.recognition_threshold:
+            activities[min(n for n, c in overlap.items() if c == best)] += best
+    if not activities:
+        return None
+    top = max(activities.values())
+    return min(n for n, a in activities.items() if a == top), top
+
+
+@st.composite
+def recognition_case(draw):
+    """(grow, K, recognition threshold, level-2 sets, cluster histograms, meta
+    threshold). The sets lie in [1, K]; a histogram of any length may hold
+    votes at index 0 or past K."""
+    grow, K = draw(st.booleans()), draw(st.integers(1, 6))
+    stored = draw(st.lists(st.frozensets(st.integers(1, K), min_size=1, max_size=4), max_size=4))
+    hist = st.lists(st.integers(0, 3), min_size=1, max_size=K + 3)
+    hists = draw(st.lists(hist, max_size=5))
+    return grow, K, draw(st.integers(1, 3)), stored, hists, draw(st.integers(1, 3))
+
+
+def outcome(call):
+    """What call returns, or the message of the ValidationError it raises."""
+    try:
+        return call()
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+class TestBatchRecognitionOracle:
+    @given(recognition_case())
+    @example((False, 3, 1, [{1, 2}], [], 1))  # no cluster
+    @example((False, 3, 1, [{1, 2}], [[0, 1, 1], [0, 0, 0, 1]], 2))  # empty meta-patterns
+    @example((False, 4, 1, [{1, 2}, {3, 4}], [[0, 2], [0, 0, 0, 2, 2, 0]], 1))  # lengths differ
+    @example((False, 3, 1, [{1, 2}, {2, 3}, {1, 2}], [[0, 1, 1, 1]], 1))  # level-2 tie
+    @example((False, 4, 1, [{3, 4}, {1, 2}], [[0, 0, 0, 1, 1], [0, 1, 1]], 1))  # activity tie
+    @example((True, 3, 1, [], [[0, 1, 2, 3]], 1))  # level-2 N = 0
+    @example((False, 3, 1, [{1}], [[0, 1], [1, 0, 1]], 1))  # votes at index 0
+    @example((False, 3, 1, [{1}], [[0, 0, 1], [0, 1, 0, 0, 0, 1]], 1))  # above K
+    @example((False, 3, 1, [{1}], [[0, 0, 0, 0, 1], [1, 1]], 1))  # the first bad row raises
+    @example((True, 3, 1, [{1}], [[0, 1, 0, 0, 0, 1]], 1))  # past K in grow mode holds no class
+    def test_matches_per_cluster_loop(self, case):
+        """recognize_clusters and detect_objects' ``_recognize`` (a vote matrix
+        as wide as level 1's class range) against the per-cluster loop,
+        results and error messages alike."""
+        grow, K, votes_needed, stored, hists, threshold = case
+        level2 = CategoricalModel(K, votes_needed, grow=grow)
+        for p in stored:
+            level2.insert_class(p)
+        want = outcome(lambda: recognition_oracle(level2, stored, hists, threshold))
+        clusters = [PixelCluster([(r, 0)], (r, 0, r, 0), ClassHistogram(np.array(votes)))
+                    for r, votes in enumerate(hists)]
+        assert outcome(lambda: recognize_clusters(level2, clusters, threshold)) == want
+        votes = np.zeros((len(hists), K + 4), np.int64)
+        for row, h in zip(votes, hists):
+            row[:len(h)] = h
+        got = outcome(lambda: vision._recognize(level2, votes, threshold))
+        assert got == want and (got is None or type(got) is str or all(type(v) is int for v in got))
+        assert (level2.K, level2.N, level2.stored) == (K, len(stored), stored)
 
 
 class TestSegmentation:
