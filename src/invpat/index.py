@@ -36,6 +36,8 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 
+_MAX_CATEGORY = int(np.iinfo(np.intp).max)  # a categorical model stores categories as intp
+
 
 def _is_int(v) -> bool:
     """v is an int or a numpy integer, and not a bool: the one integer rule of
@@ -359,6 +361,12 @@ class Model:
         return int(self._votes(x, radius).sum())
 
 
+def _columns(meta: np.ndarray):
+    """The stored ids' columns of a (k, width) boolean matrix. ``np.take``
+    clips an id past the matrix to the last column, which must then be False."""
+    return lambda cats: np.take(meta, cats, axis=1, mode="clip")
+
+
 class CategoricalModel:
     """Binary-feature model: classes vote once per present category.
 
@@ -370,12 +378,15 @@ class CategoricalModel:
     The one stored state is a forward index, grown by doubling: every class's
     sorted category ids in one int array, class after class, and N + 1
     offsets, class n's ids lying from offset n - 1 to offset n. One kernel,
-    ``_overlaps``, scores k category sets against every class at once by one
-    ``np.add.reduceat`` over the stored ids' columns of a (k, width) boolean
-    matrix (document-at-a-time scoring, Turtle & Flood); ``classify`` runs
-    it on one row. ``stored`` (each class's set) and ``postings`` (each
-    category's ascending class ids) are views built on read; assigning N,
-    ``stored`` or ``postings`` rebuilds the store.
+    ``_score``, scores k category sets against every class at once by one
+    ``np.add.reduceat`` over the stored ids marked present (document-at-a-time
+    scoring, Turtle & Flood). ``_overlaps`` marks them by gathering the ids'
+    columns of a (k, width) boolean matrix; ``classify`` runs the kernel on
+    one row, so each call costs time and memory in the store and the query,
+    never in K. Categories are stored as intp, so training rejects a larger
+    one. ``stored`` (each class's set) and ``postings`` (each category's
+    ascending class ids) are views built on read; assigning N, ``stored`` or
+    ``postings`` rebuilds the store.
 
     ``grow=True`` lets the category universe expand during training, which
     level stacks need because the class-id space of the previous level grows.
@@ -433,8 +444,9 @@ class CategoricalModel:
     def postings(self, lists) -> None:
         """Rebuild the store from category -> class ids; N grows to the largest id."""
         ids = [n for ns in lists.values() for n in ns]
-        if min(ids, default=1) < 1:
-            raise ValidationError(f"class ids must be >= 1, got {min(ids)}")
+        for n in ids:
+            if not _is_int(n) or n < 1:
+                raise ValidationError(f"class id {n!r} is not an integer >= 1")
         sets = [set() for _ in range(max([self._n, *ids]))]
         for k, ns in lists.items():
             for n in ns:
@@ -457,48 +469,63 @@ class CategoricalModel:
             raise ValidationError(f"category index {low} must be >= 1")
         if high > self.K and not self.grow:
             raise ValidationError(f"category index {high} outside [1, {self.K}]")
+        if training and high > _MAX_CATEGORY:  # checked before K widens
+            raise ValidationError(f"category index {high} outside [1, {_MAX_CATEGORY}], "
+                                  "the categories a model can store")
         if training and self.grow:
             self.K = max(self.K, int(high))
 
     # -- the kernel ---------------------------------------------------------
 
-    def _overlaps(self, meta: np.ndarray) -> np.ndarray:
-        """(k, N + 1) overlap counts of a (k, width) boolean matrix whose row i
-        holds category c when ``meta[i, c]``: column n of row i counts the
-        categories row i shares with class n (column 0 is 0). Each row is
-        checked as ``_check`` checks one category set, and the first bad row
-        raises that row's error; in grow mode, categories past K hold no class."""
-        K = self.K
-        bad = meta[:, 0]
-        if meta.shape[1] > K + 1 and not self.grow:
-            bad = bad | meta[:, K + 1:].any(axis=1)
-        if np.count_nonzero(bad):
-            self._check(np.flatnonzero(meta[bad.argmax()]).tolist(), training=False)
+    def _score(self, hit) -> np.ndarray:
+        """(k, N + 1) overlap counts from ``hit(cats)``, a (k, len(cats)) boolean
+        matrix marking the stored ids row i holds: column n of row i counts
+        class n's marked ids (column 0 is 0). The one kernel, one
+        ``np.add.reduceat`` over the class offsets."""
         n = self._n  # read first: an insert writes the store before it publishes N
         offsets = self._offsets[:n + 1]
-        cats = self._cats[:offsets[-1]]
-        counts = np.zeros((len(meta), n + 1), np.int64)
-        if not len(cats):
-            return counts
-        if meta.shape[1] <= K:  # the stored categories run up to K
-            wide = np.zeros((len(meta), K + 1), bool)
-            wide[:, :meta.shape[1]] = meta
-            meta = wide
+        marks = hit(self._cats[:offsets[-1]])
+        counts = np.zeros((len(marks), n + 1), np.int64)
         # reduceat sums from each start to the next, but gives an empty segment
         # the element at its start, not 0, so only the non-empty classes are summed
         full = np.flatnonzero(offsets[1:] > offsets[:-1])
-        counts[:, full + 1] = np.add.reduceat(meta[:, cats], offsets[full], axis=1)
+        if len(full):
+            counts[:, full + 1] = np.add.reduceat(marks, offsets[full], axis=1)
         return counts
+
+    def _overlaps(self, meta: np.ndarray) -> np.ndarray:
+        """``_score`` of a (k, width) boolean matrix whose row i holds category c
+        when ``meta[i, c]``. Each row is checked as ``_check`` checks one
+        category set, and the first bad row raises that row's error; in grow
+        mode, categories past K hold no class."""
+        bad = meta[:, 0]
+        if meta.shape[1] > self.K + 1 and not self.grow:
+            bad = bad | meta[:, self.K + 1:].any(axis=1)
+        if np.count_nonzero(bad):
+            self._check(np.flatnonzero(meta[bad.argmax()]).tolist(), training=False)
+        if meta.shape[1] <= self.K:  # a stored id may lie past the matrix
+            meta = np.concatenate([meta, np.zeros((len(meta), 1), bool)], axis=1)
+        return self._score(_columns(meta))
 
     # -- classification and training ------------------------------------------
 
     def classify(self, present) -> ClassHistogram:
-        """Vote histogram: votes[n] = |stored set of n ∩ present|, the kernel
-        on one row holding the present categories up to K."""
+        """Vote histogram: votes[n] = |stored set of n ∩ present|, the kernel on
+        one row. The row is a boolean one up to the largest present category
+        while it takes no more memory than the stored ids, else ``np.isin``
+        marks the ids; either way a call costs time and memory in the store
+        and the query, not in K."""
         self._check(present, training=False)
-        row = np.zeros((1, self.K + 1), bool)
-        row[0, [k for k in present if k <= self.K]] = True
-        return ClassHistogram(self._overlaps(row)[0])
+        high = min(self.K, _MAX_CATEGORY)  # no class holds a larger category
+        present = [k for k in present if k <= high]
+        # a False column past the largest category, for np.take to clip a larger stored id to;
+        # int(), as a numpy category may sit at its type's maximum
+        width = int(max(present, default=0)) + 2
+        if width > self._cats[:self._offsets[self._n]].nbytes:
+            return ClassHistogram(self._score(lambda cats: np.isin(cats, present)[None])[0])
+        row = np.zeros((1, width), bool)
+        row[0, present] = True
+        return ClassHistogram(self._score(_columns(row))[0])
 
     def recognized(self, hist: ClassHistogram) -> int | None:
         """The winner of ``hist`` when it has ``recognition_threshold`` votes, else None."""

@@ -30,7 +30,7 @@ from invpat import (
     save_model,
     train_detector,
 )
-from invpat.index import _int_table
+from invpat.index import _MAX_CATEGORY, _int_table
 from invpat.vision import _cluster_votes, _components
 
 
@@ -449,6 +449,9 @@ class TestCategoricalStore:
         pytest.param(lambda m: setattr(m, "stored", [{1}, {True}]), id="stored bool"),
         pytest.param(lambda m: setattr(m, "postings", {2: [1], 9: [2]}), id="postings above K"),
         pytest.param(lambda m: setattr(m, "postings", {2: [0]}), id="postings class 0"),
+        pytest.param(lambda m: setattr(m, "postings", {2: [1.5]}), id="postings float class"),
+        pytest.param(lambda m: setattr(m, "postings", {2: [True]}), id="postings bool class"),
+        pytest.param(lambda m: setattr(m, "postings", {2: ["1"]}), id="postings str class"),
         pytest.param(lambda m: setattr(m, "N", -1), id="negative N"),
         pytest.param(lambda m: setattr(m, "N", 1.5), id="float N")])
     def test_rejected_assignment_leaves_model_unchanged(self, assign):
@@ -457,6 +460,70 @@ class TestCategoricalStore:
         with pytest.raises((ValidationError, ConfigError)):
             assign(m)
         assert (m.K, m.N, m.postings, m.stored) == (5, 1, {2: [1], 3: [1]}, [frozenset({2, 3})])
+
+
+@st.composite
+def sparse_store(draw):
+    """(grow, K, category sets, queries) over categories spread up to the
+    largest storable one, so a query's row may be far wider than the store."""
+    grow = draw(st.booleans())
+    K = draw(st.sampled_from([10**12, _MAX_CATEGORY]))
+    category = st.one_of(st.integers(1, 6), st.integers(1, K))
+    stored = draw(st.lists(st.frozensets(category, min_size=1, max_size=4), max_size=5))
+    pool = sorted({k for s in stored for k in s}) or [1]
+    query = st.frozensets(st.one_of(st.sampled_from(pool), category), max_size=5)
+    return grow, K, stored, draw(st.lists(query, min_size=1, max_size=4))
+
+
+class TestLargeCategories:
+    """A call costs time and memory in the store and the query, not in K."""
+
+    @given(sparse_store())
+    @example((False, 10**12, [], [frozenset({5})]))
+    @example((True, 10**12, [frozenset({1, 10**12})], [frozenset({10**12}), frozenset({1, 2})]))
+    @example((False, _MAX_CATEGORY, [frozenset({_MAX_CATEGORY})], [frozenset({_MAX_CATEGORY, 3})]))
+    def test_classify_matches_set_overlap(self, case):
+        grow, K, stored, queries = case
+        m = CategoricalModel(K, 1, grow=grow)
+        for p in stored:
+            m.insert_class(p)
+        for q in queries:
+            assert m.classify(q).counts == overlap_counts(stored, q)
+
+    def test_classify_memory_is_not_in_k(self):
+        import tracemalloc
+        m = CategoricalModel(10**9, 1, grow=True)
+        m.train_step({3, 10**9})
+        tracemalloc.start()
+        try:
+            assert m.classify({5}).counts == {}
+            assert m.classify({3, 10**9, 2**64}).counts == {1: 2}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_numpy_category_at_its_type_max(self, grow):
+        m = CategoricalModel(300, 1, grow=grow)
+        m.insert_class({127, 255})
+        assert m.classify({np.uint8(255), np.int8(127)}).counts == {1: 2}
+        if grow:  # past K and past intp: no class holds it
+            assert m.classify({np.uint64(2**64 - 1), np.uint8(255)}).counts == {1: 1}
+
+    @pytest.mark.parametrize("assign", [
+        pytest.param(lambda m: m.insert_class({2, 2**63}), id="insert_class"),
+        pytest.param(lambda m: m.train_step({2**64}), id="train_step"),
+        pytest.param(lambda m: setattr(m, "stored", [{1}, {2**63}]), id="stored"),
+        pytest.param(lambda m: setattr(m, "postings", {2**63: [2]}), id="postings")])
+    def test_unstorable_category_leaves_model_unchanged(self, assign):
+        """A category past intp is rejected before grow mode widens K."""
+        m = CategoricalModel(5, 1, grow=True)
+        m.insert_class({2, 3})
+        with pytest.raises(ValidationError, match="categories a model can store"):
+            assign(m)
+        assert (m.K, m.N, m.postings, m.stored) == (5, 1, {2: [1], 3: [1]}, [frozenset({2, 3})])
+        assert m.classify({2**63, 2}).counts == {1: 1}
 
 
 class TestIntegerValidation:
