@@ -10,9 +10,8 @@ from invpat import CategoricalModel
 b, g = 1, 2
 
 model = CategoricalModel(num_categories=2, recognition_threshold=2)
-model.N = 4
-model.postings = {b: [3, 4], g: [1, 2, 3]}
 model.stored = [frozenset({g}), frozenset({g}), frozenset({b, g}), frozenset({b})]
+assert model.postings == {b: [3, 4], g: [1, 2, 3]}
 
 hist = model.classify({b, g})
 print("votes per class:", dict(sorted(hist.counts.items())))

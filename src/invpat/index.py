@@ -385,8 +385,9 @@ class CategoricalModel:
     one row, so each call costs time and memory in the store and the query,
     never in K. Categories are stored as intp, so training rejects a larger
     one. ``stored`` (each class's set) and ``postings`` (each category's
-    ascending class ids) are views built on read; assigning N, ``stored`` or
-    ``postings`` rebuilds the store.
+    ascending class ids) are views built on read. The store has two writers:
+    assigning ``stored``, the one assignable view, rebuilds it in bulk, and
+    ``insert_class`` appends one class; N and ``postings`` are read-only.
 
     ``grow=True`` lets the category universe expand during training, which
     level stacks need because the class-id space of the previous level grows.
@@ -409,12 +410,6 @@ class CategoricalModel:
     def N(self) -> int:
         return self._n
 
-    @N.setter
-    def N(self, n) -> None:
-        """Keep the first n classes, or append empty ones up to n."""
-        n, stored = _setting(n, "class count", 0), self.stored
-        self.stored = stored[:n] + [frozenset()] * (n - len(stored))
-
     @property
     def stored(self) -> list[frozenset[int]]:
         n = self._n
@@ -425,10 +420,13 @@ class CategoricalModel:
     @stored.setter
     def stored(self, sets) -> None:
         """Replace the store with the category sets of classes 1..len(sets),
-        all checked (and K widened in grow mode) first."""
+        all checked (and K widened in grow mode) first. Each set is stored
+        deduplicated and sorted, as ``insert_class`` stores it; an empty set
+        is a class no query votes for."""
         sets = list(sets)
         self._check(list(chain.from_iterable(sets)), training=True)
-        self._cats = np.array([int(k) for cats in sets for k in sorted(cats)], np.intp)
+        sets = [sorted({int(k) for k in cats}) for cats in sets]
+        self._cats = np.array(list(chain.from_iterable(sets)), np.intp)
         self._offsets = np.cumsum([0, *map(len, sets)], dtype=np.intp)
         self._n = len(sets)
 
@@ -439,19 +437,6 @@ class CategoricalModel:
             for k in sorted(cats):
                 out.setdefault(k, []).append(n)
         return out
-
-    @postings.setter
-    def postings(self, lists) -> None:
-        """Rebuild the store from category -> class ids; N grows to the largest id."""
-        ids = [n for ns in lists.values() for n in ns]
-        for n in ids:
-            if not _is_int(n) or n < 1:
-                raise ValidationError(f"class id {n!r} is not an integer >= 1")
-        sets = [set() for _ in range(max([self._n, *ids]))]
-        for k, ns in lists.items():
-            for n in ns:
-                sets[n - 1].add(k)
-        self.stored = sets
 
     def _check(self, present, training: bool) -> None:
         """Validate every category, then (training, grow mode) widen K.

@@ -342,8 +342,7 @@ def _restore(body: dict):
             obj.labels = LabelTable({int(k): v for k, v in body["labels"].items()})
     elif kind == "categorical":
         obj = CategoricalModel(body["K"], body["threshold"], grow=body["grow"])
-        for stored in body["stored"]:
-            obj.insert_class(stored)
+        obj.stored = body["stored"]
     elif kind == "param_index":
         obj = ParamIndex(list(map(_param_table, body["tables"])), body["X"])
     elif kind == "stack":

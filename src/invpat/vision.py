@@ -444,19 +444,18 @@ def _recognize(level2: CategoricalModel, votes: np.ndarray, threshold: int
     """``recognize_clusters`` over a (k, width) matrix of the clusters' class
     votes, one row per cluster: the rows' meta-patterns, ``votes >= threshold``,
     are scored against level 2 by one call of its kernel
-    (``CategoricalModel._overlaps``), and a row whose best overlap reaches the
-    recognition threshold adds it to its best class, the smallest on ties. A
+    (``CategoricalModel._overlaps``), each row is read as a ``ClassHistogram``,
+    and a row ``level2.recognized`` accepts adds its best overlap to its
+    winner, so both rules, the threshold and the tie-break, have one owner. A
     row with a meta-pattern level 2 rejects raises its error, the first such
     row in cluster order. The threshold is checked even when there is no cluster."""
     threshold = _setting(threshold, "meta threshold")
     if not len(votes):
         return None
-    counts = level2._overlaps(votes >= threshold)
-    best = counts.argmax(axis=1)  # the first maximum: the smallest id
-    top = counts.max(axis=1)
-    hit = top >= level2.recognition_threshold
     activities = np.zeros(level2.N + 1, np.int64)
-    np.add.at(activities, best[hit], top[hit])
+    for h in map(ClassHistogram, level2._overlaps(votes >= threshold)):
+        if (n := level2.recognized(h)) is not None:
+            activities[n] += h.max_count
     winner = ClassHistogram(activities)
     return (winner.argmax, winner.max_count) if winner else None
 

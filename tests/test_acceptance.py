@@ -44,9 +44,8 @@ def test_criterion_1_toy_case():
     """Two-feature toy pattern lands in the class linked to both features."""
     m = CategoricalModel(2, 2)
     b, g = 1, 2
-    m.N = 4
-    m.postings = {b: [3, 4], g: [1, 2, 3]}
     m.stored = [frozenset({g}), frozenset({g}), frozenset({b, g}), frozenset({b})]
+    assert m.postings == {b: [3, 4], g: [1, 2, 3]}
     m.classify({b, g})  # warm-up
     t0 = time.perf_counter()
     h = m.classify({b, g})

@@ -23,6 +23,8 @@ def run_demo(name):
 def test_demo_exits_0(name):
     proc = run_demo(name)
     assert proc.returncode == 0, proc.stderr
+    if name == "01_toy_voting":
+        assert "winner: 3 with 2 votes" in proc.stdout.splitlines()
     if name == "06_detection":
         lines = proc.stdout.splitlines()
         assert "background frame: no object" in lines

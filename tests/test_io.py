@@ -865,6 +865,27 @@ class TestModelFiles:
         assert back.stored == m.stored and back.postings == m.postings
         assert back.classify({1, 4}).counts == m.classify({1, 4}).counts
 
+    @given(st.lists(st.frozensets(st.integers(1, 6), max_size=4), max_size=8))
+    @example([frozenset({1}), frozenset(), frozenset({1, 3})])
+    @example([frozenset(), frozenset()])
+    def test_assigned_categorical_roundtrip(self, stored):
+        """An assigned store, empty classes included, loads back whole."""
+        m = CategoricalModel(6, 1)
+        m.stored = stored
+        back = roundtrip(m)
+        assert (back.K, back.N, back.stored, back.postings) == (6, len(stored), stored, m.postings)
+        for q in ({1, 3}, {2, 4, 5, 6}):
+            assert back.classify(q).counts == m.classify(q).counts
+
+    def test_categorical_repeats_load_once(self, tmp_path):
+        """A category a crafted file repeats in one class votes once."""
+        p = tmp_path / "c.ipat"
+        p.write_bytes(envelope({"kind": "categorical", "K": 3, "threshold": 1, "grow": False,
+                                "stored": [[1, 1], [2]]}))
+        back = load_model(p)
+        assert back.stored == [frozenset({1}), frozenset({2})]
+        assert back.classify({1}).counts == {1: 1}
+
     def test_categorical_bytes_pinned(self, tmp_path):
         """Inserted or assigned, the store saves the same bytes, and loads back
         to them."""
