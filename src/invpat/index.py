@@ -423,7 +423,7 @@ class CategoricalModel:
         all checked (and K widened in grow mode) first. Each set is stored
         deduplicated and sorted, as ``insert_class`` stores it; an empty set
         is a class no query votes for."""
-        sets = list(sets)
+        sets = [list(cats) for cats in sets]  # each read once: a set may be an iterator
         self._check(list(chain.from_iterable(sets)), training=True)
         sets = [sorted({int(k) for k in cats}) for cats in sets]
         self._cats = np.array(list(chain.from_iterable(sets)), np.intp)

@@ -438,6 +438,12 @@ class TestCategoricalStore:
         assert m.classify({2, 3}).counts == {2: 1, 3: 2}
         assert m.insert_class({1, 1}) == 4 and m.classify({1}).counts == {1: 1, 4: 1}
 
+    def test_assigned_iterators_are_read_once(self):
+        """A set given as an iterator is checked and stored, not used up by the check."""
+        m = CategoricalModel(3, 1)
+        m.stored = (iter(s) for s in ([1, 2], [3]))
+        assert m.stored == [frozenset({1, 2}), frozenset({3})]
+
     @pytest.mark.parametrize("name, value", [("N", 4), ("postings", {2: [1], 3: [1, 2]})],
                              ids=["N", "postings"])
     def test_n_and_postings_are_read_only(self, name, value):
