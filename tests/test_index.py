@@ -458,12 +458,26 @@ class TestCategoricalStore:
     @pytest.mark.parametrize("assign", [
         pytest.param(lambda m: setattr(m, "stored", [{1}, {6}]), id="stored above K"),
         pytest.param(lambda m: setattr(m, "stored", [{0}]), id="stored zero"),
-        pytest.param(lambda m: setattr(m, "stored", [{1}, {True}]), id="stored bool")])
+        pytest.param(lambda m: setattr(m, "stored", [{1}, {True}]), id="stored bool"),
+        pytest.param(lambda m: setattr(m, "stored", [[2], [np.True_]]), id="stored numpy bool"),
+        pytest.param(lambda m: setattr(m, "stored", [{2}, {1.5}]), id="stored float"),
+        pytest.param(lambda m: setattr(m, "stored", [{"1"}]), id="stored str"),
+        pytest.param(lambda m: setattr(m, "stored", [{2, -1}]), id="stored negative")])
     def test_rejected_assignment_leaves_model_unchanged(self, assign):
         m = CategoricalModel(5, 1)
         m.insert_class({2, 3})
         with pytest.raises(ValidationError):
             assign(m)
+        assert (m.K, m.N, m.postings, m.stored) == (5, 1, {2: [1], 3: [1]}, [frozenset({2, 3})])
+
+    @pytest.mark.parametrize("bad", [[{9}, {0}], [{9}, {2.5}]], ids=["zero", "float"])
+    def test_rejected_assignment_keeps_k_in_grow_mode(self, bad):
+        """Every set is checked before grow mode widens K to a wide category
+        that stands before the bad one."""
+        m = CategoricalModel(5, 1, grow=True)
+        m.insert_class({2, 3})
+        with pytest.raises(ValidationError, match="category index"):
+            m.stored = bad
         assert (m.K, m.N, m.postings, m.stored) == (5, 1, {2: [1], 3: [1]}, [frozenset({2, 3})])
 
 
