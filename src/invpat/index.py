@@ -101,8 +101,14 @@ def _offsets(value_columns, X: int) -> memoryview:
     sorted by dimension k, then by value ``value_columns[k]``. Offset
     ``k * (X + 1) + v`` is the position of dimension k's first entry with
     value >= v; the last is the entry count. Only ``_offsets``, ``_windows``,
-    ``_entries``, ``_lists`` and ``_gather`` address the layout."""
-    counts = np.concatenate([[0], *(np.bincount(c, minlength=X + 1) for c in value_columns)])
+    ``_entries``, ``_lists`` and ``_gather`` address the layout. An X whose
+    K * (X + 1) offsets cannot be allocated is a ConfigError."""
+    columns = list(value_columns)
+    try:
+        counts = np.concatenate([[0], *(np.bincount(c, minlength=X + 1) for c in columns)])
+    except (MemoryError, ValueError):  # ValueError: a size past what numpy can address
+        raise ConfigError(f"X={X} is too large: K * (X + 1) = {len(columns) * (X + 1)} "
+                          f"offsets need {8 * (len(columns) * (X + 1) + 1)} bytes") from None
     return memoryview(np.cumsum(counts, out=counts))
 
 

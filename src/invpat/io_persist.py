@@ -216,7 +216,14 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> np.ndarray:
     rows = list(rows)
     if not rows:
         return np.empty((0, len(schema.feature_indices())), np.int64)
-    feat, table = schema.feature_indices(), np.array(rows, np.float64)
+    feat = schema.feature_indices()
+    try:
+        table = np.array(rows, np.float64)
+    except ValueError as exc:  # ragged rows, or a cell that is not one number
+        row = next((i for i, r in enumerate(rows) if len(r) != len(rows[0])), None)
+        raise DataError(f"rows are not a table of numbers: {exc}" if row is None else
+                        f"row {row}: {len(rows[row])} cells where row 0 has {len(rows[0])}"
+                        ) from None
     if feat[-1] >= table.shape[1]:
         raise DataError(f"rows lack column {feat[-1] + 1} ({schema.columns[feat[-1]].name!r})")
     cols, table = [schema.columns[i] for i in feat], table[:, feat]
@@ -237,7 +244,8 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> np.ndarray:
 
 
 def extract_parameter(rows, schema: ColumnSchema) -> list[int]:
-    """The parameter-t column as integers; a cell with a fraction is a DataError."""
+    """The parameter-t column as integers; a cell with a fraction, an infinite
+    or NaN cell and one that is not a number are each a DataError naming the row."""
     i = schema.parameter_index()
     if i is None:
         raise DataError("schema has no parameter-t column")
@@ -245,7 +253,15 @@ def extract_parameter(rows, schema: ColumnSchema) -> list[int]:
         cells = [r[i] for r in rows]
     except IndexError:
         raise DataError(f"rows lack column {i + 1} ({schema.columns[i].name!r})") from None
-    ts = [int(v) for v in cells]
+    try:
+        ts = [int(v) for v in cells]
+    except (TypeError, ValueError, OverflowError):  # OverflowError: inf; ValueError: NaN
+        for row, v in enumerate(cells):
+            try:
+                int(v)
+            except (TypeError, ValueError, OverflowError):
+                raise DataError(f"row {row}: parameter-t cell {v!r} is not a finite "
+                                "number") from None
     if ts != cells:  # int() dropped the fraction of some cell
         row = next(j for j, (t, v) in enumerate(zip(ts, cells)) if t != v)
         raise DataError(f"row {row}: non-integer parameter-t cell {cells[row]!r}")

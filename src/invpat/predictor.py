@@ -64,7 +64,9 @@ class ParamIndex:
     value and t, as two compact unsigned memoryviews, with ``index._offsets``
     giving each (dimension, value) table's slice for ``index._gather``. t is
     stored as its rank among the distinct values seen, so prediction memory
-    follows how many values t takes, not their span.
+    follows how many values t takes, not their span. ``build_param_index``
+    hands its layout straight to ``_layout``; only tables from outside (a
+    loaded file, a caller) go through the validating constructor.
     """
 
     def __init__(self, tables, X: int):
@@ -76,21 +78,29 @@ class ParamIndex:
         tables = [tab.reshape(-1, 3) for tab in tables]
         if not tables:
             raise ConfigError("ParamIndex needs K >= 1 tables, got none")
-        self.K, self.X = len(tables), _setting(X, "X")
+        X = _setting(X, "X")
         for v, t, count in (tab.T for tab in tables):
-            step = np.diff(v)
-            if (((step < 0) | ((step == 0) & (np.diff(t) <= 0))).any() or (count < 1).any()
-                    or v.size and not 0 <= v[0] <= v[-1] < self.X):
+            # neighbours are compared, not subtracted: a difference can overflow int64
+            if (((v[1:] < v[:-1]) | (v[1:] == v[:-1]) & (t[1:] <= t[:-1])).any()
+                    or (count < 1).any()
+                    or v.size and not 0 <= v[0] <= v[-1] < X):
                 raise ValidationError("table rows must be unique, sorted by (v, t), with "
-                                      f"v in [0, {self.X}) and count >= 1")
-        self._offsets = _offsets((tab[:, 0] for tab in tables), self.X)
-        self._t_values = np.unique(np.concatenate([tab[:, 1] for tab in tables]))
-        rank = np.concatenate([np.searchsorted(self._t_values, tab[:, 1]) for tab in tables])
+                                      f"v in [0, {X}) and count >= 1")
+        entries = np.concatenate(tables)
+        self._layout(_offsets([tab[:, 0] for tab in tables], X), X,
+                     *np.unique(entries[:, 1], return_inverse=True), entries[:, 2])
+
+    def _layout(self, offsets: memoryview, X: int, t_values: np.ndarray, rank: np.ndarray,
+                count: np.ndarray) -> None:
+        """Set every field from a checked layout: ``offsets`` over X values, the
+        sorted distinct t, and each entry's t rank and count in layout order."""
+        self.K, self.X = (len(offsets) - 1) // (X + 1), X
+        self._offsets, self._t_values = offsets, t_values
+        self.rows = int(count[:offsets[X + 1]].sum())  # dimension 0 counts every row once
         self._rank, self._count = (memoryview(a.astype(np.min_scalar_type(a.max(initial=0))))
-                                   for a in (rank, np.concatenate([tab[:, 2] for tab in tables])))
-        self.rows = int(tables[0][:, 2].sum())
-        self.t_min = int(self._t_values[0]) if self._t_values.size else None
-        self.t_max = int(self._t_values[-1]) if self._t_values.size else None
+                                   for a in (rank, count))
+        self.t_min = int(t_values[0]) if t_values.size else None
+        self.t_max = int(t_values[-1]) if t_values.size else None
         self.schema = None  # optional ColumnSchema, saved with the index
 
     def table_arrays(self) -> list[np.ndarray]:
@@ -111,7 +121,11 @@ class ParamIndex:
 
 def build_param_index(rows, X: int) -> ParamIndex:
     """Build an index from (feature vector, t) pairs sharing one K; a vector may
-    be a tuple, a list or an integer array row (``normalize_columns`` gives those)."""
+    be a tuple, a list or an integer array row (``normalize_columns`` gives those).
+
+    One pass: t is ranked once, each dimension's (v, t rank) keys are sorted
+    in one ``np.sort`` over the (K, n) key array, and the runs of equal keys
+    are the entries and counts, already in layout order."""
     rows = list(rows)
     if not rows:
         raise ValidationError("cannot build a parameter index from no rows")
@@ -122,19 +136,31 @@ def build_param_index(rows, X: int) -> ParamIndex:
         raise ValidationError("rows must be (feature vector, t) pairs") from None
     if len(lengths) > 1:
         raise ValidationError("feature vectors differ in length")
+    X = _setting(X, "X")
     t = _int_table(ts, "t")
-    table = _int_table(xs, "feature vectors", X)  # values below X, so v * T cannot overflow
+    table = _int_table(xs, "feature vectors", X)
     for values, name, ndim in ((t, "t", 1), (table, "feature vectors", 2)):
         if values.ndim != ndim:
             raise ValidationError(f"{name} holds a cell that is not one integer")
+    if not table.shape[1]:
+        raise ConfigError("ParamIndex needs K >= 1 features, got none")
     t_values, t_rank = np.unique(t, return_inverse=True)
     T = len(t_values)
-    tables = []
-    for v in table.T:
-        # one key per (v, t) pair, so sorted keys are the sorted (v, t) pairs
-        key, count = np.unique(v * T + t_rank, return_counts=True)
-        tables.append(np.column_stack((key // T, t_values[key % T], count)))
-    return ParamIndex(tables, X)
+    if X * T >= 2**63:  # a key v * T + rank is below X * T: one per (v, t) pair of a dimension
+        raise ConfigError(f"X={X} with {T} distinct t values overflows the int64 sort keys")
+    keys = np.array(table.T, order="C")  # (K, n), one row per dimension
+    keys *= T
+    keys += t_rank
+    keys.sort(axis=1)
+    first = np.ones(keys.shape, bool)  # the first key of each run of equal keys
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=first[:, 1:])
+    at = np.flatnonzero(first)  # runs never cross dimensions: each row starts one
+    v, rank = np.divmod(keys.ravel()[at], T)
+    ends = np.cumsum(first.sum(axis=1))
+    offsets = _offsets(np.split(v, ends[:-1]), X)
+    idx = ParamIndex.__new__(ParamIndex)
+    idx._layout(offsets, X, t_values, rank, np.diff(at, append=keys.size))
+    return idx
 
 
 def predict_histogram(idx: ParamIndex, x) -> ParamHistogram:

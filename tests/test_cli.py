@@ -1,8 +1,16 @@
-"""Command-line interface tests (invoked in-process through main)."""
+"""Command-line interface tests (invoked in-process through main, and once as
+``python -m invpat``)."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import invpat
 from invpat import LabelTable, Model, RasterImage, build_param_index, cli, save_model, save_pnm
 from invpat.cli import main
 from invpat.errors import (
@@ -171,6 +179,54 @@ class TestTrainClassify:
         test.write_text("3,4\n1.9,2\n")
         code, _, err = run(capsys, "classify", str(test), "--model", str(model))
         assert code == 2 and "row 1" in err and "1.9" in err
+
+
+class TestHugeX:
+    """An X whose K * (X + 1) offsets cannot be allocated is a usage error, exit 1."""
+
+    @pytest.mark.parametrize("x, schema", [
+        (10**12, True), (10**12, False), (2**62, False)])
+    def test_unallocatable_x_is_usage_error(self, capsys, tmp_path, x, schema):
+        data = tmp_path / "d.csv"
+        data.write_text("1,7\n2,9\n")
+        argv = ["train", str(data), "--x", str(x)]
+        if schema:
+            save_schema(ColumnSchema([ColumnSpec("a", "feature"),
+                                      ColumnSpec("t", "parameter-t")]), tmp_path / "s.json")
+            argv += ["--schema", str(tmp_path / "s.json")]
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and f"X={x} is too large" in err and "bytes" in err
+
+    def test_wide_t_trains_and_predicts(self, capsys, tmp_path):
+        """t values 2**63 apart at one feature value make a valid table."""
+        data, model = tmp_path / "d.csv", tmp_path / "p.ipat"
+        data.write_text("a,t\n1,4611686018427387904\n1,-4611686018427387904\n")
+        save_schema(ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("t", "parameter-t")]),
+                    tmp_path / "s.json")
+        with pytest.warns(UserWarning, match="constant"):
+            code, out, _ = run(capsys, "train", str(data), "--schema", str(tmp_path / "s.json"),
+                               "--model", str(model))
+        assert code == 0 and "t=[-4611686018427387904,4611686018427387904]" in out
+        with pytest.warns(UserWarning, match="constant"):
+            code, out, _ = run(capsys, "predict", str(data), "--model", str(model))
+        assert code == 0 and "0 t=-4611686018427387904\n1 t=-4611686018427387904\n" in out
+
+
+def test_python_m_invpat_prints_what_main_prints(capsys, tmp_path):
+    model, data = tmp_path / "p.ipat", tmp_path / "q.csv"
+    save_model(build_param_index([((0, 1), 7), ((1, 1), 9)], X=4), model)
+    data.write_text("0,1\n1,0\n3,3\n")
+    argv = ["predict", str(data), "--model", str(model)]
+    code, want, _ = run(capsys, *argv)
+    src = str(Path(invpat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "invpat", *argv], capture_output=True,
+                          text=True, env=env, timeout=60, check=False)
+    elapsed = re.compile(r" in \d+\.\d+s$", re.M)  # the one line that differs run to run
+    assert done.returncode == code == 0
+    assert elapsed.sub("", done.stdout) == elapsed.sub("", want)
+    assert "0 t=7" in want and "2 no-evidence" in want
 
 
 class TestSchemaErrorsNameTheFile:

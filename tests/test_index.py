@@ -79,6 +79,20 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             Model(k, x, r)
 
+    def test_unaddressable_x_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"X=4611686018427387904 is too large.* bytes"):
+            Model(2, 2**62, 0)
+
+    def test_unallocatable_offsets_are_a_config_error(self, monkeypatch):
+        """numpy's MemoryError for the K * (X + 1) offsets becomes a ConfigError naming
+        X and the bytes needed (the real allocation is not attempted here)."""
+        def bincount(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+        monkeypatch.setattr(np, "bincount", bincount)
+        need = 8 * (3 * (10**6 + 1) + 1)
+        with pytest.raises(ConfigError, match=rf"X={10**6} is too large.* {need} bytes"):
+            Model(3, 10**6, 0)
+
 
 class TestInsert:
     def test_first_insertion(self):

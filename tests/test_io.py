@@ -442,6 +442,22 @@ class TestNormalizeFaults:
         with pytest.raises(DataError, match="row 1"):
             normalize_columns([(-1e308,), (1e308,)], schema, 256)
 
+    @pytest.mark.parametrize("rows, row", [
+        ([(1.0, 2.0), (3.0,)], 1),             # short
+        ([(1.0, 2.0), (3.0, 4.0, 5.0)], 1),    # long
+        ([(1.0, 2.0), (3.0, 4.0), ()], 2),
+    ])
+    def test_ragged_rows_are_a_data_error_naming_the_row(self, rows, row):
+        schema = ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("b", "feature")])
+        with pytest.raises(DataError, match=f"^row {row}: "):
+            normalize_columns(rows, schema, 16)
+
+    @pytest.mark.parametrize("cell", [float("inf"), -float("inf"), float("nan"), np.inf, None])
+    def test_non_finite_parameter_is_a_data_error_naming_the_row(self, cell):
+        schema = ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("t", "parameter-t")])
+        with pytest.raises(DataError, match="^row 2: .*not a finite number"):
+            extract_parameter([(1.0, 7.0), (2.0, -3.0), (3.0, cell), (4.0, 1.5)], schema)
+
     def test_missing_column_is_data_error(self):
         schema = ColumnSchema([ColumnSpec(c, "feature") for c in "abc"]
                               + [ColumnSpec("t", "parameter-t")])

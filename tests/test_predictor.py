@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from invpat import (
     ConfigError,
@@ -44,7 +44,7 @@ def rows_and_queries(draw):
     """Training rows with repeats and a wide t span, plus query vectors."""
     K, X = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     vec = st.tuples(*[st.integers(0, X - 1)] * K)
-    t = st.one_of(st.integers(-20, 20), st.sampled_from([0, 10**9]))
+    t = st.one_of(st.integers(-20, 20), st.sampled_from([0, 10**9, 2**62, -2**62]))
     rows = draw(st.lists(st.tuples(vec, t), min_size=1, max_size=40))
     rows += rows[:draw(st.integers(0, len(rows)))]
     return rows, X, draw(st.lists(vec, min_size=1, max_size=5))
@@ -154,10 +154,32 @@ class TestBuild:
         [[(0, 5, 1), (1, 5, True)]],
         [[(0, 5)]],                # not (v, t, count) triples
         [np.array([[0, 5, 1]], dtype=np.uint64)],
+        # out of order where the difference of neighbours overflows int64
+        [[(0, 1, 1), (2**62 + 1, 1, 1), (-2**62 - 1, 1, 1), (2, 1, 1)]],
+        [[(0, 2**62 + 1, 1), (0, -2**62 - 1, 1)]],
     ])
     def test_constructor_rejects_malformed_tables(self, tables):
         with pytest.raises(ValidationError):
             ParamIndex(tables, X=4)
+
+    def test_constructor_takes_t_values_a_difference_apart_past_int64(self):
+        idx = ParamIndex([[(1, -2**62, 1), (1, 2**62, 1)]], X=4)
+        assert idx.tables() == [{1: {-2**62: 1, 2**62: 1}}]
+        assert (idx.t_min, idx.t_max) == (-2**62, 2**62)
+
+    @pytest.mark.parametrize("X", [4.5, "4", None, True])
+    def test_build_rejects_a_non_integer_x(self, X):
+        with pytest.raises(ConfigError):
+            build_param_index([((0, 1), 5)], X=X)
+
+    @pytest.mark.parametrize("rows, X", [
+        ([((0,), 1)], 2**62),             # offsets past what numpy can address
+        ([((0,), 1), ((0,), 2)], 2**62),  # sort keys v * T + rank past int64 as well
+        ([((), 1)], 4),                   # no feature at all
+    ])
+    def test_build_config_errors(self, rows, X):
+        with pytest.raises(ConfigError):
+            build_param_index(rows, X)
 
     @pytest.mark.parametrize("X", [4.5, 4.0, True, "4", None])
     def test_constructor_rejects_a_non_integer_x(self, X):
@@ -187,6 +209,7 @@ def assert_matches_scan(idx, rows, queries):
 
 class TestLayoutProperties:
     @given(rows_and_queries())
+    @example(([((1, 0), 2**62), ((1, 0), -2**62), ((0, 1), 2**62)], 2, [(1, 0)]))
     def test_tables_and_predictions_match_row_scan(self, case):
         rows, x_range, queries = case
         idx = build_param_index(rows, X=x_range)
@@ -205,6 +228,17 @@ class TestLayoutProperties:
         save_model(idx, tmp_path / "p.ipat")
         assert_matches_scan(load_model(tmp_path / "p.ipat"), rows, queries)
 
+    def test_wide_t_round_trip(self, tmp_path):
+        """Train, save, load and predict with t values 2**63 apart."""
+        rows = [((1, 0), 2**62), ((1, 2), -2**62), ((3, 2), 2**62), ((3, 2), 2**62)]
+        idx = build_param_index(rows, X=4)
+        save_model(idx, tmp_path / "p.ipat")
+        loaded = load_model(tmp_path / "p.ipat")
+        for index in (idx, loaded):
+            assert_matches_scan(index, rows, list(np.ndindex(4, 4)))
+        assert predict_value(loaded, (1, 1)) == -2**62  # a tie breaks toward the smaller t
+        assert predict_value(loaded, (3, 2)) == 2**62
+
     def test_empty_tables(self, tmp_path):
         idx = ParamIndex([[(0, 5, 2), (3, -1, 1)], []], X=4)
         save_model(idx, tmp_path / "p.ipat")
@@ -222,6 +256,22 @@ class TestLayoutProperties:
             assert predict_histogram(index, (0, 0)).total == 0
             with pytest.raises(NoEvidenceError):
                 predict_value(index, (0, 0))
+
+
+@given(rows_and_queries())
+@example(([((1, 0), 2**62), ((1, 0), -2**62), ((0, 1), 2**62)], 2, [(1, 0)]))
+def test_builder_and_constructor_give_one_layout(case):
+    """build_param_index hands its layout straight in; the validating constructor,
+    given the same tables, must come to the same bytes, formats and fields."""
+    rows, X, _ = case
+    built = build_param_index(rows, X)
+    loaded = ParamIndex(built.table_arrays(), X)
+    for name in ("_offsets", "_rank", "_count"):
+        a, b = getattr(built, name), getattr(loaded, name)
+        assert (a.format, a.tobytes()) == (b.format, b.tobytes())
+    assert np.array_equal(built._t_values, loaded._t_values)
+    for name in ("K", "X", "rows", "t_min", "t_max"):
+        assert getattr(built, name) == getattr(loaded, name)
 
 
 @pytest.mark.parametrize("tables", [
