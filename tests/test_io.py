@@ -725,6 +725,55 @@ class TestPnm:
         with pytest.raises(FormatError, match="byte"):
             load_pnm(p)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P3\n1 1\n255\n", "unsupported magic b'P3' at byte 0 (want P5 or P6)"),
+        (b"", "unsupported magic b'' at byte 0 (want P5 or P6)"),
+        (b"P5\n# no newline", "unterminated comment at byte 3"),
+        (b"P5 2 #x", "unterminated comment at byte 5"),
+        (b"P5 2 1\n#a\n#b", "unterminated comment at byte 10"),
+        (b"P5", "expected width at byte 2"),
+        (b"P5\nx 1 255\n\x00", "expected width at byte 3"),
+        (b"P5 -1 1 255\n\x00", "expected width at byte 3"),
+        (b"P5 2\n# c\n", "expected height at byte 9"),
+        (b"P5 2 +1 255\n\x00", "expected height at byte 5"),
+        (b"P5 2 1 ?", "expected maxval at byte 7"),
+        (b"P5 2 1", "expected maxval at byte 6"),
+        (b"P6 0 0 255\n", "malformed dimensions 0x0 in header (byte 6)"),
+        (b"P5 3 00 255\n", "malformed dimensions 3x0 in header (byte 7)"),
+        (b"P5\n1 1\n65535\n\x00\x00", "unsupported maxval 65535 at byte 12 (only 255)"),
+        (b"P5 1 1 0256\n\x00", "unsupported maxval 256 at byte 11 (only 255)"),
+        (b"P5 1 1 255", "expected single whitespace after maxval at byte 10"),
+        (b"P5 1 1 255#\n\x07", "expected single whitespace after maxval at byte 10"),
+        (b"P5 1 1 255x\x07", "expected single whitespace after maxval at byte 10"),
+        (b"P6\n2 2\n255\n\x00\x00\x00", "truncated payload at byte 14: need 12 sample bytes, have 3"),
+        (b"P5 2 1 255\n", "truncated payload at byte 11: need 2 sample bytes, have 0"),
+    ])
+    def test_header_error_names_its_byte(self, tmp_path, data, message):
+        p = tmp_path / "a.pnm"
+        p.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            load_pnm(p)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("ws", [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+    def test_each_whitespace_byte_separates_fields(self, tmp_path, ws):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(b"P5" + ws + b"2" + ws * 2 + b"1" + ws + b"255" + ws + b"\x07" + ws)
+        assert load_pnm(p).pixels.ravel().tolist() == [7, ws[0]]
+
+    @pytest.mark.parametrize("data", [
+        b"P5#c\n2 1 255\n\x07\x09",
+        b"P5 #a\n#b#\n\n2#c d\n1\n# e\n 255\n\x07\x09",
+        b"P5 2 1#\n255\n\x07\x09",
+        b"P5\r\n#\n\x0c2 \t1 255 \x07\x09\x0a",  # payload bytes past the image are ignored
+        b"P5 0002 01 255\n\x07\x09",
+        b"P5 2 1 255\n\x07\x09",
+    ])
+    def test_valid_headers(self, tmp_path, data):
+        p = tmp_path / "a.pgm"
+        p.write_bytes(data)
+        assert load_pnm(p).pixels.ravel().tolist() == [7, 9]
+
 
 class TestModelFiles:
     def numeric(self):
