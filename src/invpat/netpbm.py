@@ -1,55 +1,40 @@
 """Binary Netpbm reader/writer: 8-bit P5 (graymap) and P6 (pixmap).
 
-The parser follows the format byte for byte: magic, then whitespace
-separated width, height and maxval (with # comments allowed in the
-header), one whitespace byte, then raw samples. Every failure mode is
-reported distinctly with the byte offset where it was detected.
+The header is magic, then width, height and maxval, each matched by one
+compiled pattern that skips the whitespace and # comment lines before the
+field's digits; then one whitespace byte and the raw samples. Every failure
+mode is reported distinctly with the byte offset where it was detected.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
 from .errors import FormatError
 from .vision import RasterImage
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
-
-
-def _skip_ws(data: bytes, pos: int) -> int:
-    while pos < len(data):
-        if data[pos:pos + 1] in (b"#",):
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                raise FormatError(f"unterminated comment at byte {pos}")
-            pos = nl + 1
-        elif data[pos] in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    return pos
+# Whitespace and whole comment lines, then a field's digits. One byte of \s per
+# repeat, so no quantifier nests and a match is linear in the header.
+_FIELD = re.compile(rb"(?:\s|#[^\n]*\n)*(\d*)")
 
 
 def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    pos = _skip_ws(data, pos)
-    start = pos
-    while pos < len(data) and data[pos:pos + 1].isdigit():
-        pos += 1
-    if pos == start:
-        raise FormatError(f"expected {what} at byte {start}")
-    return int(data[start:pos]), pos
+    field = _FIELD.match(data, pos)
+    pos = field.end()
+    if not field[1]:  # a comment the pattern stopped at has no newline to end it
+        raise FormatError(f"unterminated comment at byte {pos}" if data[pos:pos + 1] == b"#"
+                          else f"expected {what} at byte {pos}")
+    return int(field[1]), pos
 
 
 def load_pnm(path) -> RasterImage:
     with open(path, "rb", buffering=0) as fh:  # one read of the whole file, no buffer copy
         data = fh.read()
-    magic = data[:2]
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise FormatError(f"unsupported magic {magic!r} at byte 0 (want P5 or P6)")
+    channels = {b"P5": 1, b"P6": 3}.get(data[:2])
+    if channels is None:
+        raise FormatError(f"unsupported magic {data[:2]!r} at byte 0 (want P5 or P6)")
     width, pos = _read_int(data, 2, "width")
     height, pos = _read_int(data, pos, "height")
     if width < 1 or height < 1:
@@ -57,7 +42,7 @@ def load_pnm(path) -> RasterImage:
     maxval, pos = _read_int(data, pos, "maxval")
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval} at byte {pos} (only 255)")
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():
         raise FormatError(f"expected single whitespace after maxval at byte {pos}")
     pos += 1
     need, have = width * height * channels, len(data) - pos
