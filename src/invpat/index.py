@@ -163,9 +163,11 @@ class ClassHistogram:
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "ClassHistogram":
-        """Histogram of a class id -> count mapping."""
-        if min(counts, default=1) < 1:
-            raise ValidationError(f"class ids must be >= 1, got {min(counts)}")
+        """Histogram of a class id -> count mapping: ids are integers >= 1, counts >= 0."""
+        for n, c in counts.items():
+            if not (_is_int(n) and n >= 1 and _is_int(c) and c >= 0):
+                raise ValidationError(f"class id {n!r} must be an integer >= 1 and its "
+                                      f"count {c!r} an integer >= 0")
         votes = np.zeros(max(counts, default=0) + 1, np.int64)
         votes[list(counts)] = list(counts.values())
         return cls(votes)
@@ -430,7 +432,7 @@ class CategoricalModel:
         deduplicated and sorted, as ``insert_class`` stores it; an empty set
         is a class no query votes for."""
         sets = [list(cats) for cats in sets]  # each read once: a set may be an iterator
-        self._check(list(chain.from_iterable(sets)), training=True)
+        self._check(chain.from_iterable(sets), training=True)
         sets = [sorted({int(k) for k in cats}) for cats in sets]
         self._cats = np.array(list(chain.from_iterable(sets)), np.intp)
         self._offsets = np.cumsum([0, *map(len, sets)], dtype=np.intp)
@@ -444,13 +446,15 @@ class CategoricalModel:
                 out.setdefault(k, []).append(n)
         return out
 
-    def _check(self, present, training: bool) -> None:
-        """Validate every category, then (training, grow mode) widen K.
+    def _check(self, present, training: bool) -> list:
+        """Validate every category, then (training, grow mode) widen K; return the
+        categories as a list, read once, so ``present`` may be an iterator.
 
         Plain ints, the usual case, are checked in bulk: their types as one
         set, their range by one ``min`` and one ``max``. Any other type sends
         every category through ``_is_int`` first, so a bool, a float or a
         string is rejected wherever it stands."""
+        present = list(present)
         if not {int}.issuperset(map(type, present)):  # the exact type test keeps bools out
             for k in present:
                 if not _is_int(k):
@@ -465,6 +469,7 @@ class CategoricalModel:
                                   "the categories a model can store")
         if training and self.grow:
             self.K = max(self.K, int(high))
+        return present
 
     # -- the kernel ---------------------------------------------------------
 
@@ -506,7 +511,7 @@ class CategoricalModel:
         while it takes no more memory than the stored ids, else ``np.isin``
         marks the ids; either way a call costs time and memory in the store
         and the query, not in K."""
-        self._check(present, training=False)
+        present = self._check(present, training=False)
         high = min(self.K, _MAX_CATEGORY)  # no class holds a larger category
         present = [k for k in present if k <= high]
         # a False column past the largest category, for np.take to clip a larger stored id to;
@@ -526,8 +531,7 @@ class CategoricalModel:
         """Store a category set as a new class and return its id (ids are dense,
         1..N). Its sorted categories are written after the stored ones, into a
         doubled array when full, before the new N is published."""
-        self._check(pattern, training=True)
-        cats = sorted({int(k) for k in pattern})
+        cats = sorted({int(k) for k in self._check(pattern, training=True)})
         if not cats:
             raise ValidationError("cannot create a class from an empty pattern")
         n = self._n
@@ -544,6 +548,6 @@ class CategoricalModel:
 
     def train_step(self, present) -> tuple[int, bool]:
         """Recognize or append; returns (class id, created flag)."""
-        self._check(present, training=True)
+        present = self._check(present, training=True)
         n = self.recognized(self.classify(present))
         return (n, False) if n is not None else (self.insert_class(present), True)

@@ -244,8 +244,8 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> np.ndarray:
 
 
 def extract_parameter(rows, schema: ColumnSchema) -> list[int]:
-    """The parameter-t column as integers; a cell with a fraction, an infinite
-    or NaN cell and one that is not a number are each a DataError naming the row."""
+    """The parameter-t column as integers; a cell with a fraction, outside int64,
+    infinite or NaN, or not a number is a DataError naming the row."""
     i = schema.parameter_index()
     if i is None:
         raise DataError("schema has no parameter-t column")
@@ -265,6 +265,9 @@ def extract_parameter(rows, schema: ColumnSchema) -> list[int]:
     if ts != cells:  # int() dropped the fraction of some cell
         row = next(j for j, (t, v) in enumerate(zip(ts, cells)) if t != v)
         raise DataError(f"row {row}: non-integer parameter-t cell {cells[row]!r}")
+    if ts and not -2**63 <= min(ts) <= max(ts) < 2**63:
+        row = next(j for j, t in enumerate(ts) if not -2**63 <= t < 2**63)
+        raise DataError(f"row {row}: parameter-t cell {cells[row]!r} is outside int64")
     return ts
 
 

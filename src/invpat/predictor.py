@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NoEvidenceError, ValidationError
-from .index import _entries, _gather, _int_table, _lists, _offsets, _setting, _vector, _windows
+from .index import (_entries, _gather, _int_table, _is_int, _lists, _offsets, _setting, _vector,
+                    _windows)
 
 
 class ParamHistogram:
@@ -32,7 +33,10 @@ class ParamHistogram:
 
     @classmethod
     def from_counts(cls, counts: dict[int, int]) -> "ParamHistogram":
-        """Histogram of a t -> count mapping."""
+        """Histogram of a t -> count mapping: t is any integer, a count an integer >= 0."""
+        for v, c in counts.items():
+            if not (_is_int(v) and _is_int(c) and c >= 0):
+                raise ValidationError(f"t {v!r} with count {c!r}: want integers, count >= 0")
         t = sorted(counts)
         return cls(np.array(t, np.int64), np.array([counts[v] for v in t], np.int64))
 

@@ -380,9 +380,12 @@ def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = 
     pixels' row runs (``_components``). They come back ordered by their
     topmost-leftmost member; when ``classes`` maps coordinates to pixel class
     ids, each cluster carries its member-class histogram, and every pixel must
-    map to an integer id >= 1.
+    map to an integer id >= 1. Each pixel is a (row, col) pair of int64 integers.
     """
-    points = sorted(set(pixels))
+    points = list(set(pixels))
+    if points and _int_table(points, "pixel coordinates").shape[1:] != (2,):
+        raise ValidationError("pixel coordinates are not (row, col) pairs")
+    points.sort()
     ids = None if classes is None else [classes.get(p) for p in points]
     for p, n in zip(points, ids or ()):
         if type(n) is not int and not _is_int(n) or n < 1:  # plain ints skip _is_int

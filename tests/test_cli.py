@@ -260,6 +260,14 @@ class TestSchemaErrorsNameTheFile:
         code, out, _ = run(capsys, "train", data, "--schema", schema)
         assert code == 0 and "t=[-3,7]" in out
 
+    @pytest.mark.parametrize("cell", ["1e19", "1e20", "-1e19"])
+    def test_parameter_past_int64(self, capsys, tmp_path, cell):
+        """Such a cell once failed as a float or object t column, naming no row."""
+        data, schema = self.write(tmp_path, [("a", "feature"), ("t", "parameter-t")],
+                                  f"1,{cell}\n2,7\n")
+        code, _, err = run(capsys, "train", data, "--schema", schema)
+        assert code == 2 and f"{data}: row 0: parameter-t cell {float(cell)!r}" in err
+
 
 class TestPredict:
     def test_param_flow(self, capsys, tmp_path):
@@ -275,6 +283,13 @@ class TestPredict:
         assert code == 0 and "param-index rows=3" in out
         code, out, _ = run(capsys, "predict", str(data), "--model", str(model))
         assert code == 0 and "0 t=7" in out
+
+    def test_out_writes_the_prediction_histogram(self, capsys, tmp_path):
+        model, data, out = tmp_path / "p.ipat", tmp_path / "q.csv", tmp_path / "h.txt"
+        save_model(build_param_index([((0, 1), 7), ((1, 1), 9)], X=4), model)
+        data.write_text("0,1\n1,1\n0,1\n3,3\n")
+        code, _, _ = run(capsys, "predict", str(data), "--model", str(model), "--out", str(out))
+        assert code == 0 and out.read_text() == "7 2\n9 1\n"
 
 
     def test_out_of_range_row_is_data_error(self, capsys, tmp_path):
@@ -302,6 +317,17 @@ class TestDetectSegment:
         frame[8:20, 8:20] = (220, 40, 40)
         save_pnm(RasterImage(frame), tmp_path / "fr.ppm")
         return str(tmp_path / "bg.ppm"), str(tmp_path / "fr.ppm"), frame
+
+    @pytest.mark.parametrize("model, message", [
+        (build_param_index([((0, 1), 7)], X=4), "not a numeric pixel model"),
+        (Model(3, 256, 0), "model carries no label table")])
+    def test_segment_model_without_labels_is_data_error(self, capsys, tmp_path, model, message):
+        bg_path, _, _ = self.scene(tmp_path)
+        save_model(model, tmp_path / "m.ipat")
+        out = tmp_path / "labels.ppm"
+        code, _, err = run(capsys, "segment", bg_path, "--model", str(tmp_path / "m.ipat"),
+                           "--out", str(out))
+        assert code == 2 and message in err and not out.exists()
 
     def test_detect_gray_background_rgb_frame_is_data_error(self, capsys, tmp_path):
         _, fr_path, frame = self.scene(tmp_path)

@@ -458,6 +458,19 @@ class TestCategoricalStore:
         m.stored = (iter(s) for s in ([1, 2], [3]))
         assert m.stored == [frozenset({1, 2}), frozenset({3})]
 
+    @pytest.mark.parametrize("make", [list, iter, lambda v: (k for k in v)],
+                             ids=["list", "iterator", "generator"])
+    def test_one_shot_category_sets_are_read_once(self, make):
+        """classify, insert_class and train_step read a category set once, so an
+        iterator is not used up by the check before the model reads it."""
+        m = CategoricalModel(10, 2)
+        m.stored = [make([1, 2])]
+        assert m.classify(make([1, 2])).counts == {1: 2}
+        assert m.insert_class(make([3, 4])) == 2
+        assert m.train_step(make([3, 5])) == (3, True)
+        assert m.train_step(make([4, 3, 9])) == (2, False)
+        assert m.stored == [frozenset({1, 2}), frozenset({3, 4}), frozenset({3, 5})]
+
     @pytest.mark.parametrize("name, value", [("N", 4), ("postings", {2: [1], 3: [1, 2]})],
                              ids=["N", "postings"])
     def test_n_and_postings_are_read_only(self, name, value):
@@ -575,6 +588,13 @@ class TestIntegerValidation:
         assert m.insert_class(np.array([3, 2])) == 1
         assert m.prototypes == [(3, 2)] and type(m.prototypes[0][0]) is int
         assert m.classify(np.array([3, 2], dtype=np.uint8)).argmax == 1
+
+    def test_list_of_numpy_integer_scalars_accepted(self):
+        """A list of numpy scalars is stored as Python ints, as an array is."""
+        m = Model(2, 10, 0)
+        assert m.insert_class([np.int64(3), np.uint8(2)]) == 1
+        assert m.prototypes == [(3, 2)] and all(type(v) is int for v in m.prototypes[0])
+        assert m.classify([np.int16(3), 2]).argmax == 1
 
     @pytest.mark.parametrize("radius", [-1, 1.5, True])
     def test_bad_radius_rejected(self, radius):

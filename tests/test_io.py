@@ -295,6 +295,15 @@ class TestNormalize:
         with pytest.raises(DataError, match=r"row 2: .*-0\.9"):
             extract_parameter([(1.0, 7.0), (2.0, -3.0), (3.0, -0.9)], schema)
 
+    def test_schema_without_parameter_column(self):
+        with pytest.raises(DataError, match="schema has no parameter-t column"):
+            extract_parameter([(1.0,)], ColumnSchema([ColumnSpec("a", "feature")]))
+
+    def test_second_parameter_column_rejected(self):
+        with pytest.raises(DataError, match="at most one parameter-t column"):
+            ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("t", "parameter-t"),
+                          ColumnSpec("u", "parameter-t")])
+
     def test_schema_roundtrip(self, tmp_path):
         schema = ColumnSchema([ColumnSpec("a", "feature", 0.0, 4.0),
                                ColumnSpec("t", "parameter-t")])
@@ -776,6 +785,12 @@ class TestPnm:
 
 
 class TestModelFiles:
+    def test_unsupported_type_writes_no_file(self, tmp_path):
+        p = tmp_path / "m.ipat"
+        with pytest.raises(FormatError, match="cannot serialize object of type dict"):
+            save_model({"K": 2}, p)
+        assert not p.exists()
+
     def numeric(self):
         rng = np.random.default_rng(131)
         m = Model(4, 32, 3)

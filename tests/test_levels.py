@@ -12,6 +12,7 @@ from invpat import (
     InvpatError,
     LabelTable,
     Level,
+    LevelError,
     LevelStack,
     Model,
     UNLABELED,
@@ -41,6 +42,17 @@ class TestClassHistogram:
             hist({0: 1})
         with pytest.raises(ValidationError):
             hist({-2: 1, 3: 1})
+
+    @pytest.mark.parametrize("counts", [{1: 2.5}, {1: -3}, {True: 2}, {1.5: 2}, {np.True_: 2},
+                                        {2: True}, {"1": 2}, {1: None}])
+    def test_non_integer_id_or_negative_count_rejected(self, counts):
+        """2.5 votes once became 2, -3 was stored, True raised numpy's IndexError
+        and 1.5 a TypeError."""
+        with pytest.raises(ValidationError, match="class id"):
+            hist(counts)
+
+    def test_numpy_integer_ids_and_counts_accepted(self):
+        assert hist({np.int64(2): np.uint8(3), 4: 0}).counts == {2: 3}
 
 
 class TestMetapattern:
@@ -219,6 +231,13 @@ class TestStack:
             LevelStack([Level(Model(2, 8, 0), threshold=threshold)])
         with pytest.raises(ConfigError, match="level 2 threshold"):
             LevelStack([Level(Model(2, 8, 0)), Level(CategoricalModel(1, 1), threshold=threshold)])
+
+    def test_bad_level_one_input_is_a_level_error(self):
+        stack = LevelStack([Level(Model(2, 8, 0)), Level(CategoricalModel(1, 1, grow=True))])
+        for train in (False, True):
+            with pytest.raises(LevelError) as err:
+                stack.run([(1, 1), (1.5, 2)], train=train)
+            assert err.value.level == 1 and isinstance(err.value.cause, ValidationError)
 
     def test_numpy_integer_threshold_accepted(self):
         stack = LevelStack([Level(Model(2, 8, 0), threshold=np.int64(1)),

@@ -186,6 +186,10 @@ class TestBuild:
         with pytest.raises(ConfigError):
             ParamIndex([[(0, 5, 1)]], X=X)
 
+    def test_constructor_needs_a_table(self):
+        with pytest.raises(ConfigError, match="needs K >= 1 tables"):
+            ParamIndex([], X=4)
+
     def test_constructor_takes_a_numpy_integer_x(self):
         idx = ParamIndex([[(0, 5, 1)]], X=np.uint8(4))
         assert idx.X == 4 and type(idx.X) is int
@@ -354,6 +358,19 @@ class TestSpread:
     def test_empty(self):
         with pytest.raises(NoEvidenceError):
             histogram_spread(ParamHistogram.from_counts({}))
+
+
+class TestParamHistogramFromCounts:
+    @pytest.mark.parametrize("counts", [{1.5: 2}, {True: 2}, {np.False_: 2}, {"7": 1},
+                                        {7: 2.5}, {7: -1}, {7: True}])
+    def test_non_integer_t_or_negative_count_rejected(self, counts):
+        """A t of 1.5 or True once became t = 1."""
+        with pytest.raises(ValidationError, match="with count"):
+            ParamHistogram.from_counts(counts)
+
+    def test_any_integer_t_accepted(self):
+        h = ParamHistogram.from_counts({-5: 2, np.int64(9): np.uint8(1), 3: 0})
+        assert h.counts == {-5: 2, 9: 1} and h.argmax_t == -5 and h.t.tolist() == [-5, 3, 9]
 
 
 class TestIntegerInputs:

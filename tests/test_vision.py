@@ -138,6 +138,12 @@ class TestTrainPixels:
         m = Model(3, 256, 0)
         assert train_pixels(m, img(frame), mask) == 1
 
+    def test_mask_of_another_shape_rejected(self):
+        m = Model(3, 256, 0)
+        with pytest.raises(ValidationError, match="mask shape"):
+            train_pixels(m, img(np.zeros((4, 5, 3), np.uint8)), np.ones((5, 4), bool))
+        assert m.N == 0
+
     def test_distinct_color_count(self):
         rng = np.random.default_rng(79)
         frame = rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8)
@@ -381,6 +387,20 @@ class TestClustering:
         with pytest.raises(ValidationError, match=r"pixel \(0, 1\)"):
             cluster_pixels({(0, 0), (0, 1)}, 1, classes)
 
+    @pytest.mark.parametrize("pixels", [{(0.5, 1.7), (2.0, 3.0)}, {(True, 1), (0, 0)},
+                                        {("0", 1), (0, 0)}, {(0, 1, 2), (0, 0)},
+                                        {(2**63, 1), (0, 0)}, {(0, 1, 2), (3, 4, 5)}, {1, 2}])
+    def test_bad_coordinates_rejected(self, pixels):
+        """Floats were truncated to (0, 1) and (2, 3) and True read as 1; a str,
+        a 3-tuple and a value past int64 raised numpy's errors."""
+        with pytest.raises(ValidationError, match="pixel coordinates"):
+            cluster_pixels(pixels, 1)
+
+    def test_numpy_integer_coordinates_accepted(self):
+        pixels = {(np.int64(0), np.uint8(1)), (0, 2)}
+        assert view(cluster_pixels(pixels, 1, dict.fromkeys(pixels, 3))) == [
+            ([(0, 1), (0, 2)], (0, 1, 0, 2), {3: 2})]
+
     def test_numpy_class_ids_accepted(self):
         classes = {(0, 0): np.int64(2), (5, 5): np.uint8(3)}
         assert view(cluster_pixels(set(classes), 1, classes)) == [
@@ -620,6 +640,11 @@ class TestRecognizeClusters:
         clusters = cluster_pixels(set(classes), 1, classes)
         winner, activity = recognize_clusters(self.level2(), clusters, threshold=2)
         assert winner == 1 and activity == 6
+
+    def test_cluster_without_histogram_rejected(self):
+        clusters = cluster_pixels({(0, 0)}, 1, {(0, 0): 1}) + cluster_pixels({(5, 5)}, 1)
+        with pytest.raises(ValidationError, match="no class histogram"):
+            recognize_clusters(self.level2(), clusters, threshold=2)
 
     def test_activity_tie_goes_to_smaller_object_id(self):
         # object 2's cluster comes first; both objects gather activity 2
@@ -1312,6 +1337,10 @@ class TestImageChecks:
         px = RasterImage(samples).pixels
         shape = samples.shape if samples.ndim == 3 else samples.shape + (1,)
         assert px.dtype == np.uint8 and px.shape == shape
+
+    def test_two_channels_rejected(self):
+        with pytest.raises(ValidationError, match=r"expected \(h, w, 1\|3\) samples"):
+            RasterImage(np.zeros((2, 2, 2), np.uint8))
 
     def test_integer_samples_kept(self):
         samples = np.array([[[0, 128, 255]]], np.int64)
