@@ -382,15 +382,15 @@ def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = 
     ids, each cluster carries its member-class histogram, and every pixel must
     map to an integer id >= 1. Each pixel is a (row, col) pair of int64 integers.
     """
-    points = list(set(pixels))
-    if points and _int_table(points, "pixel coordinates").shape[1:] != (2,):
+    table = _int_table(list(set(pixels)) or np.zeros((0, 2), np.int64), "pixel coordinates")
+    if table.shape[1:] != (2,):
         raise ValidationError("pixel coordinates are not (row, col) pairs")
-    points.sort()
+    rows, cols = table[np.lexsort(table.T[::-1])].T  # row-major
+    points = list(zip(rows.tolist(), cols.tolist()))
     ids = None if classes is None else [classes.get(p) for p in points]
     for p, n in zip(points, ids or ()):
         if type(n) is not int and not _is_int(n) or n < 1:  # plain ints skip _is_int
             raise ValidationError(f"pixel {p} has no class id >= 1 in classes, got {n!r}")
-    rows, cols = np.array(points, np.int64).reshape(-1, 2).T
     labels, k = _components(rows, cols, d)
     if not k:
         return []
