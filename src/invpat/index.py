@@ -169,7 +169,7 @@ class ClassHistogram:
                 raise ValidationError(f"class id {n!r} must be an integer >= 1 and its "
                                       f"count {c!r} an integer >= 0")
         votes = np.zeros(max(counts, default=0) + 1, np.int64)
-        votes[list(counts)] = list(counts.values())
+        votes[list(counts)] = _int_table(list(counts.values()), "counts")
         return cls(votes)
 
     @property

@@ -38,7 +38,7 @@ class ParamHistogram:
             if not (_is_int(v) and _is_int(c) and c >= 0):
                 raise ValidationError(f"t {v!r} with count {c!r}: want integers, count >= 0")
         t = sorted(counts)
-        return cls(np.array(t, np.int64), np.array([counts[v] for v in t], np.int64))
+        return cls(_int_table(t, "t values"), _int_table([counts[v] for v in t], "counts"))
 
     @property
     def counts(self) -> dict[int, int]:

@@ -44,11 +44,11 @@ class TestClassHistogram:
             hist({-2: 1, 3: 1})
 
     @pytest.mark.parametrize("counts", [{1: 2.5}, {1: -3}, {True: 2}, {1.5: 2}, {np.True_: 2},
-                                        {2: True}, {"1": 2}, {1: None}])
+                                        {2: True}, {"1": 2}, {1: None}, {1: 2**63}])
     def test_non_integer_id_or_negative_count_rejected(self, counts):
         """2.5 votes once became 2, -3 was stored, True raised numpy's IndexError
-        and 1.5 a TypeError."""
-        with pytest.raises(ValidationError, match="class id"):
+        and 1.5 a TypeError; a count past int64 raised OverflowError."""
+        with pytest.raises(ValidationError):
             hist(counts)
 
     def test_numpy_integer_ids_and_counts_accepted(self):

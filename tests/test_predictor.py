@@ -362,10 +362,11 @@ class TestSpread:
 
 class TestParamHistogramFromCounts:
     @pytest.mark.parametrize("counts", [{1.5: 2}, {True: 2}, {np.False_: 2}, {"7": 1},
-                                        {7: 2.5}, {7: -1}, {7: True}])
+                                        {7: 2.5}, {7: -1}, {7: True}, {2**63: 1}, {7: 2**63}])
     def test_non_integer_t_or_negative_count_rejected(self, counts):
-        """A t of 1.5 or True once became t = 1."""
-        with pytest.raises(ValidationError, match="with count"):
+        """A t of 1.5 or True once became t = 1, and one past int64 raised
+        OverflowError."""
+        with pytest.raises(ValidationError):
             ParamHistogram.from_counts(counts)
 
     def test_any_integer_t_accepted(self):
