@@ -180,6 +180,14 @@ class TestTrainClassify:
         code, _, err = run(capsys, "classify", str(test), "--model", str(model))
         assert code == 2 and "row 1" in err and "1.9" in err
 
+    def test_non_integer_cell_message_names_the_row(self, capsys, tmp_path):
+        """Without a schema the first row holding a fraction is named with its cells."""
+        train = tmp_path / "t.csv"
+        train.write_text("a b c\n1 2 3\n4 5 6\n-0 7 8.25\n9 10.5 11\n")
+        code, out, err = run(capsys, "train", str(train), "--x", "16")
+        assert code == 2 and out == ""
+        assert err == f"invpat: {train}: row 2: non-integer cell in (-0.0, 7.0, 8.25)\n"
+
 
 class TestHugeX:
     """An X whose K * (X + 1) offsets cannot be allocated is a usage error, exit 1."""
@@ -283,6 +291,29 @@ class TestPredict:
         assert code == 0 and "param-index rows=3" in out
         code, out, _ = run(capsys, "predict", str(data), "--model", str(model))
         assert code == 0 and "0 t=7" in out
+
+    def test_test_split_without_the_parameter_column(self, capsys, tmp_path):
+        """A test table that lacks the parameter-t column predicts what the same
+        table with the column present predicts: the column is padded in place."""
+        schema, train, model = tmp_path / "s.json", tmp_path / "d.csv", tmp_path / "p.ipat"
+        save_schema(ColumnSchema([ColumnSpec("u", "id"), ColumnSpec("a", "feature"),
+                                  ColumnSpec("t", "parameter-t"), ColumnSpec("b", "feature")]),
+                    schema)
+        train.write_text("u,a,t,b\n1,0.5,7,3\n1,1.5,9,1\n2,2.5,4,2\n2,0.25,4,3.5\n")
+        code, out, _ = run(capsys, "train", str(train), "--schema", str(schema), "--x", "8",
+                           "--model", str(model))
+        assert code == 0 and "param-index rows=4" in out
+        queries = [("3", "0.5", "3"), ("4", "2.5", "2"), ("5", "9", "-1"), ("6", "1.5", "1")]
+        lines = {}
+        for name, t in (("with", "0"), ("without", None)):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("".join(",".join([u, a] + ([t] if t else []) + [b]) + "\n"
+                                    for u, a, b in queries))
+            code, out, _ = run(capsys, "predict", str(path), "--model", str(model))
+            assert code == 0
+            lines[name] = [ln for ln in out.splitlines()
+                           if not ln.startswith(("# invpat ", "# predicted "))]
+        assert lines["without"] == lines["with"] == ["0 t=7", "1 t=4", "2 t=4", "3 t=9"]
 
     def test_out_writes_the_prediction_histogram(self, capsys, tmp_path):
         model, data, out = tmp_path / "p.ipat", tmp_path / "q.csv", tmp_path / "h.txt"
