@@ -13,6 +13,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .bench import run_bench
 from .errors import ConfigError, DataError, NoEvidenceError, ValidationError
@@ -64,14 +66,14 @@ def _report_header(args) -> str:
 
 
 def _vectors(path, rows, schema, x_range):
-    """Feature vectors from raw rows; no schema means integral cells, taken as ints."""
+    """Feature vectors from load_csv's array; no schema means integral cells, taken as ints."""
     if schema is not None:
         return _checked(path, normalize_columns, rows, schema, x_range)
-    vectors = [tuple(map(int, r)) for r in rows]
-    if vectors != rows:  # int() dropped the fraction of some cell
-        i = next(i for i, (v, r) in enumerate(zip(vectors, rows)) if v != r)
-        raise DataError(f"{path}: row {i}: non-integer cell in {rows[i]}")
-    return vectors
+    fraction = (rows != np.trunc(rows)).any(axis=1)
+    if fraction.any():
+        i = int(fraction.argmax())
+        raise DataError(f"{path}: row {i}: non-integer cell in {tuple(rows[i].tolist())}")
+    return [tuple(map(int, r)) for r in rows.tolist()]
 
 
 def _checked(where, fn, *args, **kwargs):
@@ -131,10 +133,9 @@ def cmd_predict(args) -> int:
     rows = load_csv(args.data)
     schema = idx.schema
     if (schema is not None and schema.parameter_index() is not None
-            and len(rows[0]) == len(schema.columns) - 1):
+            and rows.shape[1] == len(schema.columns) - 1):
         # test split without the parameter column: pad a placeholder
-        pi = schema.parameter_index()
-        rows = [r[:pi] + (0.0,) + r[pi:] for r in rows]
+        rows = np.insert(rows, schema.parameter_index(), 0.0, axis=1)
     vectors = _vectors(args.data, rows, schema, idx.X)
     predicted: dict[int, int] = {}
     print(_report_header(args))

@@ -1,10 +1,11 @@
 """Data ingestion and model persistence.
 
 CSV loading handles comma- or whitespace-separated numeric tables with an
-optional header row. numpy's C parser reads them in blocks of a few hundred
-lines; a file it refuses anywhere (a bad or non-finite cell, a change of
-width, a spelling only Python's float() accepts) is read again by the line
-loop, which decides every value and writes every message.
+optional header row and returns one (n, width) float64 array. numpy's C
+parser reads them in blocks of a few hundred lines; a file it refuses
+anywhere (a bad or non-finite cell, a change of width, a spelling only
+Python's float() accepts) is read again by the line loop, which decides
+every value and writes every message.
 
 Feature normalization min-max scales every feature column to a common
 integer range [0, X) in one array pass over the table, recording the
@@ -97,13 +98,22 @@ class ColumnSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ColumnSchema":
+        """The schema of ``{"columns": [{"name", "role"[, "min", "max"]}, ...]}``;
+        a document of another shape is a DataError."""
+        columns = d.get("columns") if isinstance(d, dict) else None
+        if not isinstance(columns, list) or not all(
+                isinstance(c, dict) and {"name", "role"} <= c.keys() for c in columns):
+            raise DataError('a schema is {"columns": [{"name": ..., "role": ...}, ...]}')
         return cls([ColumnSpec(c["name"], c["role"], c.get("min"), c.get("max"))
-                    for c in d["columns"]])
+                    for c in columns])
 
 
 def load_schema(path) -> ColumnSchema:
     with open(path) as fh:
-        return ColumnSchema.from_dict(json.load(fh))
+        try:
+            return ColumnSchema.from_dict(json.load(fh))
+        except (ValueError, DataError) as exc:  # not UTF-8 text, not JSON, or not a schema
+            raise DataError(f"{path}: {exc}") from None
 
 
 def save_schema(schema: ColumnSchema, path) -> None:
@@ -127,8 +137,9 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def load_csv(path) -> list[tuple[float, ...]]:
-    """Numeric rows from a comma- or whitespace-separated file.
+def load_csv(path) -> np.ndarray:
+    """Numeric rows from a comma- or whitespace-separated file, as one
+    C-contiguous ``(n, width)`` float64 array.
 
     The delimiter is sniffed from each data line; a first data line in
     which no token parses as a number is treated as a header and skipped.
@@ -140,7 +151,8 @@ def load_csv(path) -> list[tuple[float, ...]]:
     every value the parser refuses (``1_0``, non-ASCII digits, ...) and
     writes every message.
     """
-    return _read_blocks(path) or _read_lines(path)
+    table = _read_blocks(path)
+    return np.array(_read_lines(path), np.float64) if table is None else table
 
 
 _BLOCK_CELLS = 1 << 13  # cells per np.loadtxt block: 64 KiB of float64, whatever the width
@@ -150,16 +162,17 @@ def _split(line: str) -> list[str]:
     return line.split(",") if "," in line else line.split()
 
 
-def _read_blocks(path) -> list[tuple[float, ...]]:
-    """The rows of path through np.loadtxt, block by block; [] where the line loop must decide."""
-    rows: list[tuple[float, ...]] = []
+def _read_blocks(path) -> np.ndarray | None:
+    """The rows of path through np.loadtxt, block by block, as one (n, width) float64
+    array; None where the line loop must decide."""
+    blocks: list[np.ndarray] = []
     with open(path, errors="surrogateescape") as fh:
         lines = filter(str.strip, fh)  # numpy skips "\n" but reads "  " as a cell
         first = next(lines, "")
         if not any(map(_is_number, _split(first.strip()))):
             first = next(lines, "")  # past the header row, or no line at all
         if not first:
-            return []
+            return None
         width = len(_split(first.strip()))
         delimiter = "," if "," in first else None
         size = max(1, _BLOCK_CELLS // width)
@@ -168,12 +181,12 @@ def _read_blocks(path) -> list[tuple[float, ...]]:
             try:
                 table = np.loadtxt(block, delimiter=delimiter, comments=None, ndmin=2)
             except ValueError:
-                return []
+                return None
             if table.shape[1] != width or not np.isfinite(table).all():
-                return []
-            rows.extend(map(tuple, table.tolist()))
+                return None
+            blocks.append(table)
             block = list(islice(lines, size))
-    return rows
+    return np.concatenate(blocks)
 
 
 def _read_lines(path) -> list[tuple[float, ...]]:
@@ -211,14 +224,17 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> np.ndarray:
     v = trunc((raw - min) / (max - min) * X) clipped to [0, X - 1]: overflow to +-inf
     clamps, and a NaN (both differences overflow) is a DataError naming its row. Bounds
     the schema lacks are computed from ``rows`` and recorded there as floats for
-    test-time reuse; a constant column maps to 0 with a warning.
+    test-time reuse, each missing bound on its own; a column whose min is above its max
+    is a DataError, and a constant column maps to 0 with a warning. An array (what
+    ``load_csv`` returns) is read as it is, without a copy.
     """
-    rows = list(rows)
-    if not rows:
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    if not len(rows):
         return np.empty((0, len(schema.feature_indices())), np.int64)
     feat = schema.feature_indices()
     try:
-        table = np.array(rows, np.float64)
+        table = np.asarray(rows, np.float64)
     except ValueError as exc:  # ragged rows, or a cell that is not one number
         row = next((i for i, r in enumerate(rows) if len(r) != len(rows[0])), None)
         raise DataError(f"rows are not a table of numbers: {exc}" if row is None else
@@ -229,9 +245,11 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> np.ndarray:
     cols, table = [schema.columns[i] for i in feat], table[:, feat]
     at = np.arange(len(feat))  # argmin/argmax pick the first of 0.0 and -0.0, as min() does
     for col, (a, b) in zip(cols, table[[table.argmin(0), table.argmax(0)], at].T.tolist()):
-        if col.min is None or col.max is None:
-            col.min, col.max = a, b
-        if col.min == col.max:
+        a, b = (a if col.min is None else col.min), (b if col.max is None else col.max)
+        if a > b:  # checked before the bounds are recorded
+            raise DataError(f"column {col.name!r}: min {a!r} is above max {b!r}")
+        col.min, col.max = a, b
+        if a == b:
             warnings.warn(f"column {col.name!r} is constant; emitting 0")
     lo, hi = np.array([(col.min, col.max) for col in cols], np.float64).T
     with np.errstate(all="ignore"):  # overflow clamps below; constant columns are zeroed
@@ -249,8 +267,8 @@ def extract_parameter(rows, schema: ColumnSchema) -> list[int]:
     i = schema.parameter_index()
     if i is None:
         raise DataError("schema has no parameter-t column")
-    try:
-        cells = [r[i] for r in rows]
+    try:  # an array's t column is read once, as Python numbers
+        cells = rows[:, i].tolist() if isinstance(rows, np.ndarray) else [r[i] for r in rows]
     except IndexError:
         raise DataError(f"rows lack column {i + 1} ({schema.columns[i].name!r})") from None
     try:

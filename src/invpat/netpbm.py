@@ -26,7 +26,11 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     if not field[1]:  # a comment the pattern stopped at has no newline to end it
         raise FormatError(f"unterminated comment at byte {pos}" if data[pos:pos + 1] == b"#"
                           else f"expected {what} at byte {pos}")
-    return int(field[1]), pos
+    try:
+        return int(field[1]), pos
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise FormatError(f"{what} of {len(field[1])} digits at byte {field.start(1)} "
+                          "is too long") from None
 
 
 def load_pnm(path) -> RasterImage:

@@ -282,6 +282,24 @@ class TestNormalize:
         vals = [o[0] for o in out]
         assert vals == sorted(vals)
 
+    @pytest.mark.parametrize("bounds, want, recorded", [
+        ({"min": 0}, [(5,), (9,), (7,)], (0, 10.0)),
+        ({"max": 20.0}, [(0,), (3,), (1,)], (5.0, 20.0)),
+    ])
+    def test_one_given_bound_is_kept(self, bounds, want, recorded):
+        """Only the missing bound is taken from the rows and recorded."""
+        schema = ColumnSchema([ColumnSpec("a", "feature", **bounds)])
+        assert vectors(normalize_columns([(5.0,), (10.0,), (7.0,)], schema, 10)) == want
+        assert (schema.columns[0].min, schema.columns[0].max) == recorded
+
+    @pytest.mark.parametrize("bounds", [{"min": 8.0, "max": 2.0}, {"min": 10.0}, {"max": 1.0}])
+    def test_min_above_max_is_data_error_naming_the_column(self, bounds):
+        schema = ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("b", "feature", **bounds)])
+        with pytest.raises(DataError, match=r"^column 'b': min \S+ is above max \S+$"):
+            normalize_columns([(0.0, 2.0), (1.0, 8.0)], schema, 10)
+        assert (schema.columns[1].min, schema.columns[1].max) == (
+            bounds.get("min"), bounds.get("max"))  # nothing recorded for the column
+
     def test_parameter_extraction(self):
         schema = ColumnSchema([ColumnSpec("a", "feature"),
                                ColumnSpec("t", "parameter-t")])
@@ -332,9 +350,11 @@ def per_cell_normalize(rows, schema, X):
     feat = schema.feature_indices()
     for i in feat:
         col = schema.columns[i]
-        if col.min is None or col.max is None:
-            values = [r[i] for r in rows]
-            col.min, col.max = min(values), max(values)
+        values = [r[i] for r in rows]
+        col.min = min(values) if col.min is None else col.min
+        col.max = max(values) if col.max is None else col.max
+        if col.min > col.max:
+            raise DataError(f"column {col.name!r}: min {col.min!r} is above max {col.max!r}")
         if col.min == col.max:
             warnings.warn(f"column {col.name!r} is constant; emitting 0")
     out = []
@@ -360,15 +380,17 @@ ROLES = st.sampled_from(["feature", "feature", "parameter-t", "id", "ignore"])
 
 @st.composite
 def normalize_cases(draw):
-    """(columns, row batches): random roles and schema bounds (min > max and
-    min == max included), constant columns, and batches for repeated calls."""
+    """(columns, row batches): random roles and schema bounds (one bound alone,
+    min > max and min == max included), constant columns, and batches for
+    repeated calls."""
     roles = draw(st.lists(ROLES, min_size=1, max_size=5).filter(
         lambda r: "feature" in r and r.count("parameter-t") <= 1))
     cells = draw(st.sampled_from([TENTHS, CELLS]))
     columns = []
     for i, role in enumerate(roles):
         bounds = draw(st.one_of(st.just((None, None)), st.tuples(cells, cells),
-                                cells.map(lambda v: (v, v))))
+                                cells.map(lambda v: (v, v)), st.tuples(cells, st.none()),
+                                st.tuples(st.none(), cells)))
         columns.append(ColumnSpec(f"c{i}", role, *bounds))
     constant = draw(st.lists(st.none() | cells, min_size=len(roles), max_size=len(roles)))
     batches = []
@@ -395,6 +417,11 @@ def test_normalize_matches_per_cell_loop(case, X):
     for rows in batches:  # a later batch reuses the bounds an earlier one recorded
         try:
             want, want_warnings = warned(per_cell_normalize, rows, want_schema, X)
+        except DataError as exc:  # a column's min above its max
+            with pytest.raises(DataError) as got:
+                warned(normalize_columns, rows, schema, X)
+            assert str(got.value) == str(exc)
+            return
         except (OverflowError, ValueError):  # the loop's int() met +-inf or NaN
             try:
                 got = warned(normalize_columns, rows, schema, X)[0]
@@ -416,10 +443,12 @@ def test_normalize_matches_per_cell_loop(case, X):
 
 @pytest.mark.parametrize("X", [2, 16, 256, 10**6])
 def test_normalize_matches_per_cell_loop_on_every_tenth(X):
-    """Every (min, max, raw) of tenths in [-2, 2], one column per bounds pair:
-    about 0.5% of them sit where precomputing X / (max - min) rounds differently."""
+    """Every (min, max, raw) of tenths in [-2, 2] with min <= max, one column per
+    bounds pair: about 0.5% of them sit where precomputing X / (max - min) rounds
+    differently."""
     tenths = [k / 10 for k in range(-20, 21)]
-    columns = [ColumnSpec(f"c{lo}:{hi}", "feature", lo, hi) for lo in tenths for hi in tenths]
+    columns = [ColumnSpec(f"c{lo}:{hi}", "feature", lo, hi)
+               for lo in tenths for hi in tenths if lo <= hi]
     rows = [(raw,) * len(columns) for raw in tenths]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the min == max columns
@@ -495,6 +524,33 @@ class TestNormalizeFaults:
         assert main(["train", str(train), "--schema", schema]) == 2
         assert "not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        b"{", b"[]", b'{"columns": 5}', b'{"columns": [{"role": "feature"}]}',
+        b'{"columns": [5]}', b'{"columns": "ab"}', b"\xff{}", b""])
+    def test_cli_malformed_schema_file_is_data_error(self, tmp_path, capsys, text):
+        schema, train = tmp_path / "s.json", tmp_path / "train.csv"
+        schema.write_bytes(text)
+        train.write_text("1\n2\n")
+        assert main(["train", str(train), "--schema", str(schema)]) == 2
+        assert f"invpat: {schema}: " in capsys.readouterr().err
+
+    def test_cli_one_given_bound_is_saved(self, tmp_path, capsys):
+        schema = self.schema_file(tmp_path, [("a", "feature"), ("t", "parameter-t")], min=0)
+        train, model = tmp_path / "train.csv", tmp_path / "p.ipat"
+        train.write_text("5,1\n10,2\n7,3\n")
+        assert main(["train", str(train), "--schema", schema, "--x", "10",
+                     "--model", str(model)]) == 0
+        col = load_model(model).schema.columns[0]
+        assert (col.min, col.max) == (0, 10.0)
+
+    def test_cli_min_above_max_is_data_error(self, tmp_path, capsys):
+        schema = self.schema_file(tmp_path, [("a", "feature")], min=8.0, max=2.0)
+        train = tmp_path / "train.csv"
+        train.write_text("2\n8\n")
+        assert main(["train", str(train), "--schema", schema]) == 2
+        assert (f"invpat: {train}: column 'a': min 8.0 is above max 2.0"
+                in capsys.readouterr().err)
+
     def test_cli_far_out_row_clamps(self, tmp_path, capsys):
         schema = self.schema_file(tmp_path, [("a", "feature"), ("t", "parameter-t")])
         train, test, model = tmp_path / "train.csv", tmp_path / "test.csv", tmp_path / "p.ipat"
@@ -526,19 +582,19 @@ class TestCsv:
     def test_comma_and_whitespace(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1,2,3\n4,5,6\n")
-        assert load_csv(p) == [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]
+        assert load_csv(p).tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         p.write_text("1 2 3\n4 5 6\n")
-        assert load_csv(p) == [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]
+        assert load_csv(p).tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
 
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("a,b\n1,2\n")
-        assert load_csv(p) == [(1.0, 2.0)]
+        assert load_csv(p).tolist() == [[1.0, 2.0]]
 
     def test_header_needs_every_token_non_numeric(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("unit,cycle,s1\n1,2,3\n")
-        assert load_csv(p) == [(1.0, 2.0, 3.0)]
+        assert load_csv(p).tolist() == [[1.0, 2.0, 3.0]]
         p.write_text("1,zap\n2,3\n")
         with pytest.raises(DataError, match="line 1"):
             load_csv(p)
@@ -585,13 +641,14 @@ class TestCsv:
     def test_header_after_blank_lines(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("\n \nunit cycle\n1 2\n")
-        assert load_csv(p) == [(1.0, 2.0)]
+        assert load_csv(p).tolist() == [[1.0, 2.0]]
 
     def test_plain_tables_take_the_block_path(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("a,b\n" + "".join(f"{i},-{i}.5\n" for i in range(5000)))
         rows = io_persist._read_blocks(p)
-        assert len(rows) == 5000 and rows == io_persist._read_lines(p) == load_csv(p)
+        assert rows.shape == (5000, 2) and np.array_equal(load_csv(p), rows)
+        assert list(map(tuple, rows.tolist())) == io_persist._read_lines(p)
 
     @pytest.mark.parametrize("odd, message", [
         ("1_0", None),
@@ -607,8 +664,9 @@ class TestCsv:
         p.write_text("x,y,z\n\n" + "\n".join(lines) + "\n")
         assert 4500 > io_persist._BLOCK_CELLS // 3  # the odd line is past the first block
         if message is None:
-            rows = load_csv(p)
-            assert rows[4500] == (1.0, float(odd), 3.0) and rows == io_persist._read_lines(p)
+            rows = load_csv(p).tolist()
+            assert rows[4500] == [1.0, float(odd), 3.0]
+            assert list(map(tuple, rows)) == io_persist._read_lines(p)
         else:
             with pytest.raises(DataError, match=message):
                 load_csv(p)
@@ -654,12 +712,19 @@ def csv_texts(draw):
 
 
 def csv_outcome(read, path):
-    """read(path) as comparable data: reprs keep -0.0 apart from 0.0."""
+    """read(path) as comparable data: reprs keep -0.0 apart from 0.0. load_csv must
+    give a 2-D C-contiguous float64 array, the line loop tuples of Python floats."""
     try:
         rows = read(path)
     except DataError as exc:
         return "error", str(exc)
-    assert all(type(r) is tuple and all(type(v) is float for v in r) for r in rows)
+    if read is load_csv:
+        assert isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype == np.float64
+        assert rows.flags.c_contiguous
+        rows = rows.tolist()
+    else:
+        assert all(type(r) is tuple for r in rows)
+    assert all(type(v) is float for r in rows for v in r)
     return "rows", [tuple(map(repr, r)) for r in rows]
 
 
@@ -756,6 +821,12 @@ class TestPnm:
         (b"P5 1 1 255x\x07", "expected single whitespace after maxval at byte 10"),
         (b"P6\n2 2\n255\n\x00\x00\x00", "truncated payload at byte 14: need 12 sample bytes, have 3"),
         (b"P5 2 1 255\n", "truncated payload at byte 11: need 2 sample bytes, have 0"),
+        pytest.param(b"P6 " + b"1" * 5000 + b" 1 255\n",
+                     "width of 5000 digits at byte 3 is too long", id="long width"),
+        pytest.param(b"P5 1\n#c\n" + b"0" * 4301 + b" 255\n",
+                     "height of 4301 digits at byte 8 is too long", id="long height"),
+        pytest.param(b"P5 1 1 " + b"9" * 9999 + b"\n",
+                     "maxval of 9999 digits at byte 7 is too long", id="long maxval"),
     ])
     def test_header_error_names_its_byte(self, tmp_path, data, message):
         p = tmp_path / "a.pnm"
@@ -763,6 +834,13 @@ class TestPnm:
         with pytest.raises(FormatError) as err:
             load_pnm(p)
         assert str(err.value) == message
+
+    def test_cli_overlong_header_field_is_data_error(self, tmp_path, capsys):
+        """A field past int()'s digit limit once escaped as ValueError, exit 3."""
+        p = tmp_path / "big.ppm"
+        p.write_bytes(b"P6 " + b"1" * 5000 + b" 1 255\n")
+        assert main(["detect", str(p), str(p), str(p)]) == 2
+        assert "width of 5000 digits at byte 3 is too long" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ws", [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
     def test_each_whitespace_byte_separates_fields(self, tmp_path, ws):
