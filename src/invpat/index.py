@@ -26,6 +26,14 @@ Classes inserted since the snapshot vote through the same scan over their
 columns; this tail is merged once it outgrows an eighth. A categorical model
 stores each class's categories instead, and scores a batch of category sets
 against every class by one ``np.add.reduceat`` over the gathered columns.
+
+A table of 8-bit rows, an image's pixels, finds its winners through inverse
+patterns (``Model.winners``): per channel, a table from each sample value to
+the classes within R of it, one bit per class packed into uint64 words, ANDed
+across the channels; the winner is the lowest set bit. The tables are built
+once per (N, R, mask) and kept in one slot on the ``Model``, so a stream of
+query frames reuses them; pixel training starts from them, each row read as
+one Python int, and grows them one class at a time.
 """
 
 from __future__ import annotations
@@ -145,6 +153,18 @@ def _radius(radius, default: int) -> int:
     return int(r)
 
 
+def _live(nonempty: np.ndarray, run, samples: np.ndarray) -> np.ndarray:
+    """Whether each uint8 sample value has a live class in one channel, given
+    the channel's ``nonempty`` row and its ``run`` from ``Model._patterns``.
+    A one-run channel is one range test, ``samples - lo <= span`` in uint8: a
+    value below lo wraps past 255 - lo, which is at least the span; any other
+    channel reads its row."""
+    if run is None:
+        return np.take(nonempty, samples)
+    lo, span = run
+    return samples - lo <= span
+
+
 class ClassHistogram:
     """Vote counts per class id for one query.
 
@@ -212,7 +232,7 @@ class Model:
         self._tally = np.min_scalar_type(self.K)  # the smallest vote dtype holding K
         # (snapshot size nf, ids, offsets)
         self._state = (0, memoryview(np.empty(0, np.uint8)), _offsets(self._protos, self.X))
-        self._tables = None  # vision's ((N, radius, mask), inverse-pattern tables), one slot
+        self._tables = None  # ((N, radius, mask), inverse patterns): ``_patterns``' one slot
 
     # -- the store ----------------------------------------------------------
 
@@ -271,6 +291,31 @@ class Model:
         """
         n = self.recognized(self.classify(x))
         return (n, False) if n is not None else (self.insert_class(x), True)
+
+    def _train_rows(self, colors: np.ndarray) -> int:
+        """One ``train_step`` per row of a (n, K) table of 8-bit samples, through
+        ``_patterns``' tables at R; returns the classes created. The samples are
+        checked against X first and the new classes stored by one ``_append``."""
+        if colors.size and colors.max() >= self.X:
+            raise ValidationError(f"feature value {colors.max()} outside [0, {self.X})")
+        r, n = self.R, self.N
+        patterns = [[int.from_bytes(row.tobytes(), "little") for row in table]  # bit n is class n
+                    for table in self._patterns(r, None)[0]]
+        new = []
+        for color in colors.tolist():
+            hit = -1
+            for bits, v in zip(patterns, color):
+                hit &= bits[v]
+            if not hit:
+                n += 1
+                new.append(color)
+                bit = 1 << n
+                for bits, v in zip(patterns, color):
+                    for u in range(max(v - r, 0), min(v + r, 255) + 1):
+                        bits[u] |= bit
+        if new:
+            self._append(new)
+        return len(new)
 
     # -- voting kernel ------------------------------------------------------
 
@@ -353,6 +398,105 @@ class Model:
     def classify_exact_fast(self, x, radius: int | None = None) -> int | None:
         """Return the smallest fully matching class id, or None."""
         return self.recognized(self.classify(x, radius))
+
+    # -- inverse patterns ---------------------------------------------------
+
+    def _patterns(self, r: int, masked
+                  ) -> tuple[list[np.ndarray], np.ndarray, list[int], list]:
+        """(tables, nonempty, order, runs). Per channel c a (256, W) table of
+        little-endian uint64 words: bit n of row v is set when class n lies within
+        r of sample value v and is not masked (bit 0, "no class", never is).
+        ``nonempty[c, v]`` says whether that row has a bit set, and ``order`` lists
+        the channels by their count of non-empty rows, fewest first, leaving out
+        those with all 256 rows non-empty, which keep every pixel. ``runs[c]`` is
+        ``(lo, hi - lo)`` as uint8 when channel c's non-empty rows are the one run
+        lo..hi, else None (no such row, or a hole between two). Built once per
+        (N, r, mask) and published in ``self._tables`` in one assignment, so
+        concurrent readers never see half of it; an insert grows N, which
+        invalidates it."""
+        rows, mask = self._rows(), frozenset(masked or ())
+        n, slot = len(rows), self._tables
+        if slot is not None and slot[0] == (n, r, mask):
+            return slot[1]
+        protos = np.zeros((n + 1, self.K), np.int64)  # row 0: "no class"
+        protos[1:] = rows
+        live = ~np.isin(np.arange(n + 1), [0, *mask])
+        values = np.arange(256)[:, None]
+        tables, nonempty, runs = [], np.zeros((self.K, 256), bool), []
+        for c in range(self.K):
+            hits = (np.abs(values - protos[:, c]) <= r) & live
+            nonempty[c] = hits.any(axis=1)
+            at = np.flatnonzero(nonempty[c])
+            one = len(at) and at[-1] - at[0] == len(at) - 1
+            runs.append((np.uint8(at[0]), np.uint8(at[-1] - at[0])) if one else None)
+            packed = np.packbits(hits, axis=1, bitorder="little")
+            words = np.zeros((256, 8 * -(-(n + 1) // 64)), np.uint8)  # W whole words
+            words[:, :packed.shape[1]] = packed
+            tables.append(words.view("<u8"))
+        counts = nonempty.sum(axis=1)
+        order = [c for c in np.argsort(counts, kind="stable").tolist() if counts[c] < 256]
+        patterns = tables, nonempty, order, runs
+        self._tables = ((n, r, mask), patterns)
+        return patterns
+
+    def winners(self, rows, radius: int | None = None, masked=None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """(at, ids): the ascending indices of the rows of 8-bit samples that fully
+        match an unmasked class, and each such row's smallest one.
+
+        ``rows`` is an (n, K) integer table with samples in [0, min(X, 256)): a
+        uint8 table is taken as it is when X >= 256, any other is checked by
+        ``_int_table``. Full match means Chebyshev distance <= R from a stored
+        prototype, i.e. a vote count of K under classification. The rows are
+        intersected channel by channel, the channel with the fewest non-empty
+        table rows first (smallest first, Culpepper & Moffat), keeping those
+        whose sample value has some live class in that channel (``_live``):
+        when the channel's live values form one run, one wrapped uint8 compare
+        against it, a range predicate with no gather; otherwise one ``np.take``
+        of its non-empty rows. A channel with all 256 rows non-empty is not
+        tested, as it keeps all. Once no row is left, the empty (at, ids) comes
+        back at once: no later channel, gather or scan runs. Only the rows left
+        at the end AND their K rows of the packed inverse-pattern tables (a
+        range-encoded bitmap index, Chan & Ioannidis); the winner is the lowest
+        set bit, ``64 * w + bitwise_count((x & -x) - 1)`` for the first nonzero
+        word x at index w.
+        """
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.uint8 and self.X >= 256):
+            rows = _int_table(rows, "samples", min(self.X, 256))
+        if rows.ndim != 2 or rows.shape[1] != self.K:
+            raise ValidationError(f"expected (n, {self.K}) samples, got shape {rows.shape}")
+        tables, nonempty, order, runs = self._patterns(_radius(radius, self.R), masked)
+        colors = np.asarray(rows, np.uint8)  # the run test wraps in uint8
+        if order:
+            c = order[0]
+            at = np.flatnonzero(_live(nonempty[c], runs[c], colors[:, c]))
+            for c in order[1:]:  # flat reads: a strided column would be copied whole by np.take
+                if not len(at):
+                    break
+                at = at[_live(nonempty[c], runs[c], np.take(colors, self.K * at + c))]
+            if not len(at):  # an empty intersection stays empty: nothing to gather
+                return at, np.zeros(0, np.int64)
+            colors = np.take(colors, at, axis=0)  # the survivors' samples, in order
+        else:  # every channel keeps every row
+            at = np.arange(len(colors))
+        ids = np.zeros(len(at), np.int64)
+        words = tables[0].shape[1]
+        ones = np.ones(words, np.float32)
+        chunk = max(1, 32_768 // words)  # 256 KB: bigger gathers page-fault per call
+        for start in range(0, len(at), chunk):
+            block = colors[start:start + chunk]
+            hit = np.take(tables[0], block[:, 0], axis=0)
+            for c in range(1, self.K):
+                hit &= np.take(tables[c], block[:, c], axis=0)
+            nonzero = hit != 0
+            # rows with a set bit; numpy reduces a short last axis one row at a
+            # time, a matrix-vector product counts the nonzero words in one call
+            rows = np.flatnonzero(nonzero.astype(np.float32) @ ones)
+            w = np.take(nonzero, rows, axis=0).argmax(axis=1)
+            x = np.take(hit, rows * words + w)
+            ids[start + rows] = 64 * w + np.bitwise_count((x & -x) - 1)
+        full = ids != 0
+        return at[full], ids[full]
 
     # -- instrumentation ----------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 CSV loading handles comma- or whitespace-separated numeric tables with an
 optional header row and returns one (n, width) float64 array. numpy's C
-parser reads them in blocks of a few hundred lines; a file it refuses
-anywhere (a bad or non-finite cell, a change of width, a spelling only
-Python's float() accepts) is read again by the line loop, which decides
-every value and writes every message.
+parser reads the data lines in one call; a file it refuses anywhere (a bad
+or non-finite cell, a change of width, a spelling only Python's float()
+accepts) is read again by the line loop, which decides every value and
+writes every message.
 
 Feature normalization min-max scales every feature column to a common
 integer range [0, X) in one array pass over the table, recording the
@@ -39,7 +39,7 @@ import struct
 import warnings
 import zlib
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
@@ -145,27 +145,22 @@ def load_csv(path) -> np.ndarray:
     which no token parses as a number is treated as a header and skipped.
     Blank lines are skipped; messages number the file's physical lines.
 
-    The rows are parsed by numpy's C parser in blocks of a few hundred
-    lines. When a block fails to parse, changes width or holds a non-finite
-    cell, the whole file is read again by the line loop, which decides
-    every value the parser refuses (``1_0``, non-ASCII digits, ...) and
-    writes every message.
+    The rows are parsed by one call of numpy's C parser over the data lines.
+    When a line fails to parse, changes width or holds a non-finite cell, the
+    whole file is read again by the line loop, which decides every value the
+    parser refuses (``1_0``, non-ASCII digits, ...) and writes every message.
     """
-    table = _read_blocks(path)
+    table = _read_table(path)
     return np.array(_read_lines(path), np.float64) if table is None else table
-
-
-_BLOCK_CELLS = 1 << 13  # cells per np.loadtxt block: 64 KiB of float64, whatever the width
 
 
 def _split(line: str) -> list[str]:
     return line.split(",") if "," in line else line.split()
 
 
-def _read_blocks(path) -> np.ndarray | None:
-    """The rows of path through np.loadtxt, block by block, as one (n, width) float64
-    array; None where the line loop must decide."""
-    blocks: list[np.ndarray] = []
+def _read_table(path) -> np.ndarray | None:
+    """The rows of path through one np.loadtxt call over its data lines, as one
+    (n, width) float64 array; None where the line loop must decide."""
     with open(path, errors="surrogateescape") as fh:
         lines = filter(str.strip, fh)  # numpy skips "\n" but reads "  " as a cell
         first = next(lines, "")
@@ -174,23 +169,16 @@ def _read_blocks(path) -> np.ndarray | None:
         if not first:
             return None
         width = len(_split(first.strip()))
-        delimiter = "," if "," in first else None
-        size = max(1, _BLOCK_CELLS // width)
-        block = [first, *islice(lines, size - 1)]
-        while block:
-            try:
-                table = np.loadtxt(block, delimiter=delimiter, comments=None, ndmin=2)
-            except ValueError:
-                return None
-            if table.shape[1] != width or not np.isfinite(table).all():
-                return None
-            blocks.append(table)
-            block = list(islice(lines, size))
-    return np.concatenate(blocks)
+        try:
+            table = np.loadtxt(chain([first], lines), delimiter="," if "," in first else None,
+                               comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return table if table.shape[1] == width and np.isfinite(table).all() else None
 
 
 def _read_lines(path) -> list[tuple[float, ...]]:
-    """load_csv line by line: the oracle of the block reader and the writer of its messages."""
+    """load_csv line by line: the oracle of ``_read_table`` and the writer of its messages."""
     rows: list[tuple[float, ...]] = []
     # a byte the locale cannot decode stays in the line as a surrogate, so it is a bad cell
     with open(path, errors="surrogateescape") as fh:
@@ -224,9 +212,9 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> np.ndarray:
     v = trunc((raw - min) / (max - min) * X) clipped to [0, X - 1]: overflow to +-inf
     clamps, and a NaN (both differences overflow) is a DataError naming its row. Bounds
     the schema lacks are computed from ``rows`` and recorded there as floats for
-    test-time reuse, each missing bound on its own; a column whose min is above its max
-    is a DataError, and a constant column maps to 0 with a warning. An array (what
-    ``load_csv`` returns) is read as it is, without a copy.
+    test-time reuse, each missing bound on its own, once the whole table is accepted; a
+    column whose min is above its max is a DataError, and a constant column maps to 0
+    with a warning. An array (what ``load_csv`` returns) is read as it is, without a copy.
     """
     if not isinstance(rows, np.ndarray):
         rows = list(rows)
@@ -244,20 +232,23 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> np.ndarray:
         raise DataError(f"rows lack column {feat[-1] + 1} ({schema.columns[feat[-1]].name!r})")
     cols, table = [schema.columns[i] for i in feat], table[:, feat]
     at = np.arange(len(feat))  # argmin/argmax pick the first of 0.0 and -0.0, as min() does
-    for col, (a, b) in zip(cols, table[[table.argmin(0), table.argmax(0)], at].T.tolist()):
-        a, b = (a if col.min is None else col.min), (b if col.max is None else col.max)
-        if a > b:  # checked before the bounds are recorded
+    lows, highs = table[[table.argmin(0), table.argmax(0)], at].tolist()
+    bounds = [(a if col.min is None else col.min, b if col.max is None else col.max)
+              for col, a, b in zip(cols, lows, highs)]
+    for col, (a, b) in zip(cols, bounds):
+        if a > b:
             raise DataError(f"column {col.name!r}: min {a!r} is above max {b!r}")
-        col.min, col.max = a, b
-        if a == b:
-            warnings.warn(f"column {col.name!r} is constant; emitting 0")
-    lo, hi = np.array([(col.min, col.max) for col in cols], np.float64).T
+    lo, hi = np.array(bounds, np.float64).T
     with np.errstate(all="ignore"):  # overflow clamps below; constant columns are zeroed
         table = (table - lo) / (hi - lo) * X  # replaces the raw values: one table alive
     table[:, lo == hi] = 0
     nan = np.isnan(table).any(axis=1)
     if nan.any():
         raise DataError(f"row {nan.argmax()}: scales to NaN (raw - min and max - min overflow)")
+    for col, (a, b) in zip(cols, bounds):  # recorded once the table is accepted
+        col.min, col.max = a, b
+        if a == b:
+            warnings.warn(f"column {col.name!r} is constant; emitting 0")
     return np.clip(table, 0, X - 1, out=table).astype(np.int64)
 
 

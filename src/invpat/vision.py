@@ -8,25 +8,13 @@ pixel classes that fire on the background, groups the surviving pixels
 by a vectorised union-find over their row runs (a row's pixels with column
 gaps up to the cluster distance), joining the runs that come within that
 distance, and recognizes each cluster's class histogram at a categorical
-second level. Both find a pixel's winning class through inverse patterns:
-per channel, a table from each sample value to the classes within R of it,
-one bit per class packed into little-endian uint64 words, ANDed across the
-channels; the winner is the lowest set bit. Before any AND, the pixels are
-intersected channel by channel, fewest non-empty table rows first, so only
-the pixels whose every sample value has some live class gather their rows;
-a channel whose live values form one run lo..hi is tested by one wrapped
-uint8 compare, ``sample - lo <= hi - lo``, any other by a read of its table
-of non-empty values. A query frame of masked background usually keeps none,
-and the intersection stops at the first channel that leaves no pixel.
+second level. Both find a pixel's winning class by one ``Model.winners``
+call over the image's samples (its inverse patterns live in index.py).
 Detection reads the result sparse, as the matched pixels' flat indices and
 winners, from the winner kernel to the per-cluster histograms, and a frame
 with no matched pixel skips clustering; segmentation scatters it into a
 dense (height, width) map of winner ids and reads each pixel's label from
-that map. The tables, their non-empty rows, their runs and the channel
-order are built once per (model N, R, mask) and kept in one slot on the
-``Model``, so a stream of query frames reuses them. ``train_pixels`` starts
-from those tables (``_inverse_patterns``), each row read as one Python int,
-and grows them one class at a time.
+that map. ``train_pixels`` trains through the same inverse patterns.
 
 Masks are boolean numpy arrays of shape (height, width); ``train_pixels``
 reads a 0/1 integer mask as one.
@@ -39,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .index import CategoricalModel, ClassHistogram, Model, _int_table, _is_int, _radius, _setting
+from .index import CategoricalModel, ClassHistogram, Model, _int_table, _is_int, _setting
 from .levels import UNLABELED, LabelTable, histogram_to_metapattern
 
 
@@ -120,7 +108,7 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
     """Train the model on the masked pixels in row-major order; returns classes created.
 
     The result is that of one ``model.train_step`` per masked pixel, reached
-    through the inverse patterns that detection reads, ``_inverse_patterns``'
+    through the inverse patterns that detection reads, ``Model._patterns``'
     tables at R with each row read as one Python int: per channel, bit n of
     sample value v's int is set when class n lies within R of v. A pixel's
     full match is the lowest set bit of its K ints ANDed; a miss becomes
@@ -129,132 +117,7 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
     are stored together at the end, so a failing call stores nothing."""
     if np.shape(mask) != (img.height, img.width):
         raise ValidationError("mask shape does not match image")
-    colors = _colors(model, img)[np.asarray(mask, bool).ravel()]
-    if colors.size and colors.max() >= model.X:
-        raise ValidationError(f"feature value {colors.max()} outside [0, {model.X})")
-    r, n = model.R, model.N
-    patterns = [[int.from_bytes(row.tobytes(), "little") for row in table]  # bit n is class n
-                for table in _inverse_patterns(model, r, None)[0]]
-    new = []
-    for color in colors.tolist():
-        hit = -1
-        for bits, v in zip(patterns, color):
-            hit &= bits[v]
-        if not hit:
-            n += 1
-            new.append(color)
-            bit = 1 << n
-            for bits, v in zip(patterns, color):
-                for u in range(max(v - r, 0), min(v + r, 255) + 1):
-                    bits[u] |= bit
-    if new:
-        model._append(new)
-    return len(new)
-
-
-def _inverse_patterns(model: Model, r: int, masked
-                      ) -> tuple[list[np.ndarray], np.ndarray, list[int], list]:
-    """(tables, nonempty, order, runs). Per channel c a (256, W) table of
-    little-endian uint64 words: bit n of row v is set when class n lies within
-    r of sample value v and is not masked (bit 0, "no class", never is).
-    ``nonempty[c, v]`` says whether that row has a bit set, and ``order`` lists
-    the channels by their count of non-empty rows, fewest first, leaving out
-    those with all 256 rows non-empty, which keep every pixel. ``runs[c]`` is
-    ``(lo, hi - lo)`` as uint8 when channel c's non-empty rows are the one run
-    lo..hi, else None (no such row, or a hole between two). Built once per
-    (N, r, mask) and published in ``model._tables`` in one assignment, so
-    concurrent readers never see half of it; an insert grows N, which
-    invalidates it."""
-    rows, mask = model._rows(), frozenset(masked or ())
-    n, slot = len(rows), model._tables
-    if slot is not None and slot[0] == (n, r, mask):
-        return slot[1]
-    protos = np.zeros((n + 1, model.K), np.int64)  # row 0: "no class"
-    protos[1:] = rows
-    live = ~np.isin(np.arange(n + 1), [0, *mask])
-    values = np.arange(256)[:, None]
-    tables, nonempty, runs = [], np.zeros((model.K, 256), bool), []
-    for c in range(model.K):
-        hits = (np.abs(values - protos[:, c]) <= r) & live
-        nonempty[c] = hits.any(axis=1)
-        at = np.flatnonzero(nonempty[c])
-        one = len(at) and at[-1] - at[0] == len(at) - 1
-        runs.append((np.uint8(at[0]), np.uint8(at[-1] - at[0])) if one else None)
-        packed = np.packbits(hits, axis=1, bitorder="little")
-        words = np.zeros((256, 8 * -(-(n + 1) // 64)), np.uint8)  # W whole words
-        words[:, :packed.shape[1]] = packed
-        tables.append(words.view("<u8"))
-    counts = nonempty.sum(axis=1)
-    order = [c for c in np.argsort(counts, kind="stable").tolist() if counts[c] < 256]
-    patterns = tables, nonempty, order, runs
-    model._tables = ((n, r, mask), patterns)
-    return patterns
-
-
-def _live(nonempty: np.ndarray, run, samples: np.ndarray) -> np.ndarray:
-    """Whether each uint8 sample value has a live class in one channel, given
-    the channel's ``nonempty`` row and its ``run`` from ``_inverse_patterns``.
-    A one-run channel is one range test, ``samples - lo <= span`` in uint8: a
-    value below lo wraps past 255 - lo, which is at least the span; any other
-    channel reads its row."""
-    if run is None:
-        return np.take(nonempty, samples)
-    lo, span = run
-    return samples - lo <= span
-
-
-def _sparse_winners(model: Model, colors: np.ndarray, radius: int | None = None,
-                    masked=None) -> tuple[np.ndarray, np.ndarray]:
-    """(at, ids): the ascending indices of the rows of 8-bit samples that fully
-    match an unmasked class, and each such row's smallest one.
-
-    Full match means Chebyshev distance <= R from a stored prototype, i.e.
-    a vote count of K under classification. The rows are intersected channel
-    by channel, the channel with the fewest non-empty table rows first
-    (smallest first, Culpepper & Moffat), keeping those whose sample value has
-    some live class in that channel (``_live``): when the channel's live
-    values form one run, one wrapped uint8 compare against it, a range
-    predicate with no gather; otherwise one ``np.take`` of its non-empty rows.
-    A channel with all 256 rows non-empty is not tested, as it keeps all. Once
-    no row is left, the empty (at, ids) comes back at once: no later channel,
-    gather or scan runs. Only the rows left at the end AND their K rows of
-    the packed inverse-pattern tables (a range-encoded bitmap index, Chan &
-    Ioannidis); the winner is the lowest set bit,
-    ``64 * w + bitwise_count((x & -x) - 1)`` for the first nonzero word x at
-    index w.
-    """
-    tables, nonempty, order, runs = _inverse_patterns(model, _radius(radius, model.R), masked)
-    colors = np.asarray(colors, np.uint8)  # the run test wraps in uint8
-    if order:
-        c = order[0]
-        at = np.flatnonzero(_live(nonempty[c], runs[c], colors[:, c]))
-        for c in order[1:]:  # flat reads: a strided column would be copied whole by np.take
-            if not len(at):
-                break
-            at = at[_live(nonempty[c], runs[c], np.take(colors, model.K * at + c))]
-        if not len(at):  # an empty intersection stays empty: nothing to gather
-            return at, np.zeros(0, np.int64)
-        colors = np.take(colors, at, axis=0)  # the survivors' samples, in order
-    else:  # every channel keeps every row
-        at = np.arange(len(colors))
-    ids = np.zeros(len(at), np.int64)
-    words = tables[0].shape[1]
-    ones = np.ones(words, np.float32)
-    chunk = max(1, 32_768 // words)  # 256 KB: bigger gathers page-fault per call
-    for start in range(0, len(at), chunk):
-        block = colors[start:start + chunk]
-        hit = np.take(tables[0], block[:, 0], axis=0)
-        for c in range(1, model.K):
-            hit &= np.take(tables[c], block[:, c], axis=0)
-        nonzero = hit != 0
-        # rows with a set bit; numpy reduces a short last axis one row at a
-        # time, a matrix-vector product counts the nonzero words in one call
-        rows = np.flatnonzero(nonzero.astype(np.float32) @ ones)
-        w = np.take(nonzero, rows, axis=0).argmax(axis=1)
-        x = np.take(hit, rows * words + w)
-        ids[start + rows] = 64 * w + np.bitwise_count((x & -x) - 1)
-    full = ids != 0
-    return at[full], ids[full]
+    return model._train_rows(_colors(model, img)[np.asarray(mask, bool).ravel()])
 
 
 def _colors(model: Model, img: RasterImage) -> np.ndarray:
@@ -272,7 +135,7 @@ def build_class_mask(model: Model, background: RasterImage, freq_threshold: int)
     (``index._setting``).
     """
     freq_threshold = _setting(freq_threshold, "frequency threshold", None)
-    _, ids = _sparse_winners(model, _colors(model, background))
+    _, ids = model.winners(_colors(model, background))
     counts = np.bincount(ids, minlength=model.N + 1)
     return set((np.flatnonzero(counts[1:] > freq_threshold) + 1).tolist())
 
@@ -281,7 +144,7 @@ def select_pixel_classes(model: Model, img: RasterImage,
                          masked: set[int] | frozenset[int]) -> dict[tuple[int, int], int]:
     """(row, col) -> smallest unmasked fully matching class, for all pixels
     that have one."""
-    at, ids = _sparse_winners(model, _colors(model, img), masked=masked)
+    at, ids = model.winners(_colors(model, img), masked=masked)
     rows, cols = np.divmod(at, img.width)
     return dict(zip(zip(rows.tolist(), cols.tolist()), ids.tolist()))
 
@@ -410,7 +273,7 @@ def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = 
 def _cluster_votes(model: Model, img: RasterImage, masked, d: int) -> np.ndarray:
     """(k, N + 1) pixel-class counts of the k clusters of the image's selected
     pixels, one row per cluster in ``cluster_pixels`` order."""
-    at, ids = _sparse_winners(model, _colors(model, img), masked=masked)
+    at, ids = model.winners(_colors(model, img), masked=masked)
     width = model.N + 1
     if not len(at):  # no pixel matched, so no cluster; the distance is still checked
         _setting(d, "cluster distance")
@@ -513,7 +376,7 @@ def segment_image(model: Model, table: LabelTable, img: RasterImage,
     A pixel gets the label of its winning inner class when it fully
     matches one; everything else stays "unlabeled".
     """
-    at, ids = _sparse_winners(model, _colors(model, img), radius)
+    at, ids = model.winners(_colors(model, img), radius)
     wins = np.zeros(img.height * img.width, np.int64)  # 0: no winner
     wins[at] = ids  # a 1-D scatter: ``.flat[at] = ids`` on a 2-D map is ~5x slower
     labels = np.empty(model.N + 1, dtype=object)

@@ -440,6 +440,19 @@ class TestDetectSegment:
                            "--out", str(tmp_path / "labels.ppm"))
         assert code == 2 and "gray.pgm" in err and "channels" in err
 
+    def test_segment_sample_past_the_model_x_is_data_error(self, capsys, tmp_path):
+        """A pixel of 70 was labeled by an X=64 model whose classify refuses it."""
+        m = Model(3, 64, 10)
+        m.labels = LabelTable()
+        m.labels.attach(m.insert_class((63, 63, 63)), "top")
+        save_model(m, tmp_path / "m.ipat")
+        image = tmp_path / "i.ppm"
+        save_pnm(RasterImage(np.full((2, 2, 3), 70, np.uint8)), image)
+        code, _, err = run(capsys, "segment", str(image), "--model", str(tmp_path / "m.ipat"),
+                           "--out", str(tmp_path / "labels.ppm"))
+        assert code == 2 and "i.ppm" in err and "outside [0, 64)" in err
+        assert not (tmp_path / "labels.ppm").exists()
+
     def test_segment_negative_radius_is_usage_error(self, capsys, tmp_path):
         model = segment_model(tmp_path)
         image = tmp_path / "i.ppm"

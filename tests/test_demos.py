@@ -25,6 +25,10 @@ def test_demo_exits_0(name):
     assert proc.returncode == 0, proc.stderr
     if name == "01_toy_voting":
         assert "winner: 3 with 2 votes" in proc.stdout.splitlines()
+    if name == "05_segmentation":
+        lines = proc.stdout.splitlines()
+        assert "R= 0: inner classes N= 2654, labeled 7.8%, correct 7.8%" in lines
+        assert "R=26: inner classes N=    8, labeled 99.9%, correct 99.9%" in lines
     if name == "06_detection":
         lines = proc.stdout.splitlines()
         assert "background frame: no object" in lines

@@ -7,7 +7,6 @@ import struct
 import tempfile
 import warnings
 import zlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -299,6 +298,19 @@ class TestNormalize:
             normalize_columns([(0.0, 2.0), (1.0, 8.0)], schema, 10)
         assert (schema.columns[1].min, schema.columns[1].max) == (
             bounds.get("min"), bounds.get("max"))  # nothing recorded for the column
+
+    @pytest.mark.parametrize("b_bounds, rows, message", [
+        ({"min": 10}, [(1.0, 2.0), (3.0, 8.0)], "column 'b': min 10 is above max 8.0"),
+        ({}, [(-1e308, 0.0), (1e308, 1.0)], "row 1: scales to NaN"),
+    ])
+    def test_rejected_table_records_no_bound(self, b_bounds, rows, message):
+        """Column a's bounds stay unset when the table fails at column b or at a
+        NaN row: they were recorded before either check."""
+        schema = ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("b", "feature", **b_bounds)])
+        before = schema.to_dict()
+        with pytest.raises(DataError, match=message):
+            normalize_columns(rows, schema, 10)
+        assert schema.to_dict() == before
 
     def test_parameter_extraction(self):
         schema = ColumnSchema([ColumnSpec("a", "feature"),
@@ -646,7 +658,7 @@ class TestCsv:
     def test_plain_tables_take_the_block_path(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("a,b\n" + "".join(f"{i},-{i}.5\n" for i in range(5000)))
-        rows = io_persist._read_blocks(p)
+        rows = io_persist._read_table(p)
         assert rows.shape == (5000, 2) and np.array_equal(load_csv(p), rows)
         assert list(map(tuple, rows.tolist())) == io_persist._read_lines(p)
 
@@ -662,7 +674,6 @@ class TestCsv:
         lines[4500] = f"1,{odd},3"
         p = tmp_path / "a.csv"
         p.write_text("x,y,z\n\n" + "\n".join(lines) + "\n")
-        assert 4500 > io_persist._BLOCK_CELLS // 3  # the odd line is past the first block
         if message is None:
             rows = load_csv(p).tolist()
             assert rows[4500] == [1.0, float(odd), 3.0]
@@ -729,19 +740,18 @@ def csv_outcome(read, path):
 
 
 @settings(max_examples=400, deadline=None)
-@given(csv_texts(), st.sampled_from([1, 3, 8, io_persist._BLOCK_CELLS]))
-@example("1,2\n3,4\n# note\n5,6\n", 2)  # a comment-like line in a later block
-@example("a b\n\n1 2\n3 4#\n", 2)  # a cell that a comment character ends
-@example("1_0,-0\r\n\u0661,2\r\n", 8)  # float() reads these; loadtxt does not
-def test_load_csv_matches_the_line_loop(text, block_cells):
-    """The block reader gives the line loop's rows or its message, in blocks of
-    any size, so an odd line past the first block is found too."""
+@given(csv_texts())
+@example("1,2\n3,4\n# note\n5,6\n")  # a comment-like line after the first lines
+@example("a b\n\n1 2\n3 4#\n")  # a cell that a comment character ends
+@example("1_0,-0\r\n\u0661,2\r\n")  # float() reads these; loadtxt does not
+def test_load_csv_matches_the_line_loop(text):
+    """The one-call reader gives the line loop's rows or its message, wherever
+    the odd line stands."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.csv")
         with open(path, "wb") as fh:
             fh.write(text.encode(errors="surrogateescape"))
-        with mock.patch.object(io_persist, "_BLOCK_CELLS", block_cells):
-            got = csv_outcome(load_csv, path)
+        got = csv_outcome(load_csv, path)
         assert got == csv_outcome(io_persist._read_lines, path)
 
 

@@ -33,12 +33,10 @@ from invpat import (
     train_detector,
     train_pixels,
 )
-from invpat import vision
+from invpat import index, vision
 from invpat.vision import (
     _cluster_votes,
     _components,
-    _inverse_patterns,
-    _sparse_winners,
 )
 from test_index import overlap_counts
 
@@ -203,7 +201,7 @@ class TestTrainPixels:
             assert train_pixels(fast, frame, mask) == sum(new for _, new in steps)
             assert fast.prototypes == loop.prototypes
             # a pixel's id is its smallest full match then, and no later class is smaller
-            at, ids = _sparse_winners(fast, frame.pixels[mask].astype(np.int64))
+            at, ids = fast.winners(frame.pixels[mask].astype(np.int64))
             assert (at.tolist(), ids.tolist()) == sparse([n for n, _ in steps])
 
     def test_masked_slot_creates_no_class(self):
@@ -836,7 +834,7 @@ def test_winners_match_row_unique(channels, radius):
     uniq, inverse = np.unique(px.reshape(-1, channels), axis=0, return_inverse=True)
     check_winners(m, uniq, None, masked)
     want = np.array(brute_winners(m, uniq, radius, masked))[inverse.ravel()].tolist()
-    at, ids = _sparse_winners(m, vision._colors(m, RasterImage(px)), None, masked)
+    at, ids = m.winners(vision._colors(m, RasterImage(px)), None, masked)
     assert (at.tolist(), ids.tolist()) == sparse(want)
 
 
@@ -918,7 +916,7 @@ class TestTrainDetector:
         both parameters are still checked on it."""
         background, object_frame = detection_scene(*PIPELINE_SCENE)
         level1, level2, masked = trained_detector(background, object_frame, 2)
-        at, ids = _sparse_winners(level1, background.pixels.reshape(-1, 3), masked=masked)
+        at, ids = level1.winners(background.pixels.reshape(-1, 3), masked=masked)
         assert at.size == ids.size == 0 and level1.N > 0
         assert _cluster_votes(level1, background, masked, 1).shape == (0, level1.N + 1)
         with pytest.raises(ConfigError, match="cluster distance"):
@@ -1023,16 +1021,16 @@ def brute_winners(model, colors, radius, masked):
 
 
 def sparse(winners):
-    """Per-row winners (0 = none) as ``_sparse_winners`` lists them: the rows
+    """Per-row winners (0 = none) as ``Model.winners`` lists them: the rows
     with a winner, ascending, and their winners."""
     return [i for i, n in enumerate(winners) if n], [n for n in winners if n]
 
 
 def check_winners(model, colors, radius, masked):
-    """``_sparse_winners`` against the brute-force winners; returns its
+    """``Model.winners`` against the brute-force winners; returns its
     (at, ids) as lists."""
     want = brute_winners(model, colors, model.R if radius is None else radius, masked or ())
-    at, ids = _sparse_winners(model, colors, radius, masked)
+    at, ids = model.winners(colors, radius, masked)
     assert (at.tolist(), ids.tolist()) == sparse(want)
     return at.tolist(), ids.tolist()
 
@@ -1056,7 +1054,7 @@ def test_winners_oracle(channels, radius, masking, classes, x_range):
     colors = rng.integers(0, 256, size=(60, channels)).astype(np.uint8)
     colors[:10] = np.clip(m.prototypes[:10], 0, 255) if m.N else 0
     check_winners(m, colors, radius, masked)
-    at, ids = _sparse_winners(m, colors[:0], radius, masked)
+    at, ids = m.winners(colors[:0], radius, masked)
     assert at.shape == ids.shape == (0,)
 
 
@@ -1089,7 +1087,7 @@ def test_winners_word_edges(channels, classes):
     seen = set()
     for masked in (set(), {63, 64}, ids - EDGES, ids):
         seen.update(check_winners(m, colors, None, masked)[1])
-        none_at, none_ids = _sparse_winners(m, colors[:0], None, masked)
+        none_at, none_ids = m.winners(colors[:0], None, masked)
         assert none_at.shape == none_ids.shape == (0,)
     assert ids & EDGES <= seen  # each edge bit present wins somewhere
 
@@ -1107,7 +1105,7 @@ def check_runs(nonempty, runs):
             assert (int(run[0]), int(run[1])) == (live[0], live[-1] - live[0])
         else:
             assert run is None
-        assert np.array_equal(vision._live(row, run, values), row)
+        assert np.array_equal(index._live(row, run, values), row)
 
 
 def sparse_case(channels, radius, x_range, dead, narrow, classes, masking, seed):
@@ -1161,6 +1159,7 @@ def sparse_cases(draw):
 @example((3, 0, 256, None, 0, 40, "none", 0))  # samples below the first channel's run wrap
 @example((3, 0, 256, None, 1, 10, "none", 0))  # channel 1 first, two runs, samples in the hole
 @example((3, 20, 256, None, 1, 40, "none", 0))  # a one-run second channel drops some survivors
+@example((1, 0, 256, None, 0, 40, "some", 0))  # K=1 at R=0: 40 keys in 8 values, half masked
 def test_sparse_winners_oracle(case):
     """(at, ids) lists, ascending, the rows with a brute-force winner and
     those winners, whichever channel the intersection starts with, also for
@@ -1171,10 +1170,10 @@ def test_sparse_winners_oracle(case):
     radius = case[1]
     want = np.array(brute_winners(m, colors, radius, masked), np.int64)
     for rows in (colors, colors[:0]):
-        at, ids = _sparse_winners(m, rows, radius, masked)
+        at, ids = m.winners(rows, radius, masked)
         assert at.tolist() == np.flatnonzero(want[:len(rows)]).tolist()
         assert ids.tolist() == want[at].tolist()
-    _, nonempty, order, runs = _inverse_patterns(m, radius, masked)
+    _, nonempty, order, runs = m._patterns(radius, masked)
     check_runs(nonempty, runs)
     counts = nonempty.sum(axis=1)
     assert counts[order].tolist() == sorted(n for n in counts.tolist() if n < 256)
@@ -1182,6 +1181,100 @@ def test_sparse_winners_oracle(case):
         assert counts[case[3]] == 0 == counts[order[0]]
     if case[1:3] == (255, 256) and case[5] and case[6] != "all":  # some live class at R=255
         assert order == []
+
+
+def classify_winner(model, row, radius, masked):
+    """The smallest unmasked full match of one row (0 = none), read from
+    ``recognized(classify(row, radius))`` with the masked classes' votes zeroed."""
+    votes = model.classify(row, radius).votes.copy()
+    votes[sorted(masked)] = 0
+    return model.recognized(ClassHistogram(votes)) or 0
+
+
+@st.composite
+def winners_cases(draw):
+    """(K, X, R, prototypes, masked, rows, radius, dtype): a model of up to 12
+    prototypes, some masked, rows of samples in [0, min(X, 256)) (random ones,
+    then the prototypes moved by up to 2), an optional radius override and the
+    rows' dtype."""
+    K, X = draw(st.sampled_from([1, 3])), draw(st.sampled_from([2, 64, 256]))
+    top = min(X, 256) - 1
+    protos = draw(st.lists(st.lists(st.integers(0, X - 1), min_size=K, max_size=K),
+                           max_size=12))
+    masked = {n for n, bit in enumerate(draw(st.lists(
+        st.booleans(), min_size=len(protos), max_size=len(protos))), start=1) if bit}
+    rows = draw(st.lists(st.lists(st.integers(0, top), min_size=K, max_size=K), max_size=20))
+    for p in protos:
+        rows.append([min(max(v + draw(st.integers(-2, 2)), 0), top) for v in p])
+    return (K, X, draw(st.integers(0, X - 1)), protos, masked, rows,
+            draw(st.none() | st.integers(0, X)), draw(st.sampled_from(["uint8", "int64"])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(winners_cases())
+# R=0, where a full match is an equal key: the smaller of two equal prototypes wins
+@example((3, 256, 0, [[5, 6, 7], [9, 9, 9], [5, 6, 7]], set(), [[5, 6, 7], [5, 6, 8]],
+          None, "uint8"))
+@example((3, 256, 0, [[5, 6, 7], [5, 6, 7]], {1}, [[5, 6, 7]], None, "int64"))  # masked smaller
+@example((3, 256, 0, [[0, 0, 0], [255, 255, 255]], set(),  # the keys 0 and 2**24 - 1
+          [[0, 0, 0], [255, 255, 255], [0, 0, 1], [255, 255, 254]], None, "uint8"))
+@example((1, 256, 0, [[0], [255], [7], [7]], {3}, [[7], [0], [255], [8]], None, "int64"))  # K=1
+@example((3, 64, 10, [], set(), [[1, 2, 3]], None, "uint8"))  # an empty model
+def test_model_winners_match_classify(case):
+    """``Model.winners`` lists, ascending, the rows whose smallest unmasked full
+    match by ``classify`` exists, and those matches, for uint8 and int64 rows."""
+    K, X, R, protos, masked, rows, radius, dtype = case
+    m = Model(K, X, R)
+    m.insert_classes(protos)
+    table = np.array(rows, dtype).reshape(-1, K)
+    want = [classify_winner(m, row, radius, masked) for row in table.tolist()]
+    at, ids = m.winners(table, radius, masked)
+    assert (at.tolist(), ids.tolist()) == sparse(want)
+
+
+class TestWinnersInput:
+    """``Model.winners`` takes an (n, K) table of samples in [0, min(X, 256)),
+    as ``classify`` takes a row in [0, X)."""
+
+    def test_sample_past_x_rejected(self):
+        """A pixel of 70 was labeled by an X=64 model that ``classify`` refuses it to."""
+        m = Model(3, 64, 10)
+        table = LabelTable()
+        table.attach(m.insert_class((63, 63, 63)), "top")
+        with pytest.raises(ValidationError, match=r"outside \[0, 64\)"):
+            m.classify([70, 70, 70])
+        for call in (lambda: m.winners(np.full((1, 3), 70, np.uint8)),
+                     lambda: segment_image(m, table, img(np.full((1, 1, 3), 70)))):
+            with pytest.raises(ValidationError, match=r"samples holds a value outside \[0, 64\)"):
+                call()
+        assert segment_image(m, table, img(np.full((1, 1, 3), 60))).tolist() == [["top"]]
+
+    @pytest.mark.parametrize("rows", [[[300, 0, 0]], np.array([[300, 0, 0]]), [[-1, 0, 0]],
+                                      np.array([[1.5, 0, 0]]), [[True, 0, 0]]])
+    def test_rows_not_8_bit_integers_rejected(self, rows):
+        """300 was wrapped to 44, the class below, and a float truncated."""
+        m = Model(3, 256, 0)
+        m.insert_class((44, 0, 0))
+        m.insert_class((1, 0, 0))
+        with pytest.raises(ValidationError, match="samples"):
+            m.winners(rows)
+
+    @pytest.mark.parametrize("shape", [(3,), (0,), (2, 2), (2, 4), (1, 1, 3)])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_rows_not_n_by_k_rejected(self, shape, dtype):
+        with pytest.raises(ValidationError, match=r"expected \(n, 3\) samples"):
+            Model(3, 256, 0).winners(np.zeros(shape, dtype))
+
+    def test_uint8_rows_at_x_256_skip_the_scan(self, monkeypatch):
+        m = Model(3, 256, 0)
+        m.insert_class((1, 2, 3))
+
+        def scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(index, "_int_table", scan)
+        at, ids = m.winners(np.array([[0, 0, 0], [1, 2, 3]], np.uint8))
+        assert (at.tolist(), ids.tolist()) == ([1], [1])
 
 
 def histogram_rows(clusters, width):
@@ -1264,7 +1357,7 @@ class TestInversePatternCache:
             want.append((sparse(winners), histogram_rows(clusters, self.model.N + 1).tolist()))
 
         def kernel_winners(model, masked):
-            at, ids = _sparse_winners(model, self.colors, None, masked)
+            at, ids = model.winners(self.colors, None, masked)
             return at.tolist(), ids.tolist()
 
         def reader(model, start, results, i):
