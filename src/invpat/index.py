@@ -292,7 +292,7 @@ class Model:
         n = self.recognized(self.classify(x))
         return (n, False) if n is not None else (self.insert_class(x), True)
 
-    def _train_rows(self, colors: np.ndarray) -> int:
+    def _train_samples(self, colors: np.ndarray) -> int:
         """One ``train_step`` per row of a (n, K) table of 8-bit samples, through
         ``_patterns``' tables at R; returns the classes created. The samples are
         checked against X first and the new classes stored by one ``_append``."""

@@ -117,7 +117,7 @@ def train_pixels(model: Model, img: RasterImage, mask: np.ndarray) -> int:
     are stored together at the end, so a failing call stores nothing."""
     if np.shape(mask) != (img.height, img.width):
         raise ValidationError("mask shape does not match image")
-    return model._train_rows(_colors(model, img)[np.asarray(mask, bool).ravel()])
+    return model._train_samples(_colors(model, img)[np.asarray(mask, bool).ravel()])
 
 
 def _colors(model: Model, img: RasterImage) -> np.ndarray:
