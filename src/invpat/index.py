@@ -79,15 +79,21 @@ def _vector(x, K: int, X: int) -> tuple[int, ...]:
     return tuple(x) if exact else tuple(map(int, x))
 
 
-def _int_table(values, name: str, X: int | None = None) -> np.ndarray:
+def _int_table(values, name: str, X: int | None = None, width: int | None = None) -> np.ndarray:
     """values (a column, or a table of rows) as int64, each in [0, X) when X is
-    given; a scalar, a ragged table and a bool, float or other non-integer are rejected."""
+    given; a scalar, a ragged table and a bool, float or other non-integer are
+    rejected. Given ``width`` it must be an (n, width) table, an empty column
+    reading as (0, width): the one shape rule of integer tables."""
     try:
         table = np.asarray(values)  # an int64 array passes through without a copy
     except ValueError:  # ragged
         table = np.array(None)
     if table.ndim == 0:
         raise ValidationError(f"{name} is not a column or a table of equal rows")
+    if width is not None:
+        table = table.reshape(0, width) if table.shape == (0,) else table
+        if table.ndim != 2 or table.shape[1] != width:
+            raise ValidationError(f"{name} is not an (n, {width}) table, got shape {table.shape}")
     if table.size == 0:
         return table.astype(np.int64)
     if table.dtype.kind not in "iu" or X is None and not np.can_cast(table.dtype, np.int64):
@@ -276,11 +282,8 @@ class Model:
         """Store each row of a (rows, K) integer table as a new class, in order,
         and return their ids, as a loop of ``insert_class`` would. The whole
         table is validated first, so a bad one stores nothing."""
-        table = _int_table(rows, "prototype table", self.X)
-        if table.shape != (0,) and (table.ndim != 2 or table.shape[1] != self.K):
-            raise ValidationError(f"expected a table of {self.K}-feature rows, "
-                                  f"got shape {table.shape}")
-        first = self._append(table.reshape(-1, self.K))
+        table = _int_table(rows, "prototype table", self.X, self.K)
+        first = self._append(table)
         return list(range(first, first + len(table)))
 
     def train_step(self, x) -> tuple[int, bool]:
@@ -513,12 +516,6 @@ class Model:
         return int(self._votes(x, radius).sum())
 
 
-def _columns(meta: np.ndarray):
-    """The stored ids' columns of a (k, width) boolean matrix. ``np.take``
-    clips an id past the matrix to the last column, which must then be False."""
-    return lambda cats: np.take(meta, cats, axis=1, mode="clip")
-
-
 class CategoricalModel:
     """Binary-feature model: classes vote once per present category.
 
@@ -533,10 +530,10 @@ class CategoricalModel:
     ``_score``, scores k category sets against every class at once by one
     ``np.add.reduceat`` over the stored ids marked present (document-at-a-time
     scoring, Turtle & Flood). ``_overlaps`` marks them by gathering the ids'
-    columns of a (k, width) boolean matrix; ``classify`` runs the kernel on
-    one row, so each call costs time and memory in the store and the query,
-    never in K. Categories are stored as intp, so training rejects a larger
-    one. ``stored`` (each class's set) and ``postings`` (each category's
+    columns of a (k, width) boolean matrix; ``classify`` marks one row, so
+    each call costs time and memory in the store and the query, never in K.
+    Categories are stored as intp, so training rejects a larger one.
+    ``stored`` (each class's set) and ``postings`` (each category's
     ascending class ids) are views built on read. The store has two writers:
     assigning ``stored``, the one assignable view, rebuilds it in bulk, and
     ``insert_class`` appends one class; N and ``postings`` are read-only.
@@ -635,37 +632,36 @@ class CategoricalModel:
 
     def _overlaps(self, meta: np.ndarray) -> np.ndarray:
         """``_score`` of a (k, width) boolean matrix whose row i holds category c
-        when ``meta[i, c]``. Each row is checked as ``_check`` checks one
-        category set, and the first bad row raises that row's error; in grow
-        mode, categories past K hold no class."""
+        when ``meta[i, c]``: the one place the stored ids' columns are
+        gathered. Each row is checked as ``_check`` checks one category set,
+        and the first bad row raises that row's error; in grow mode,
+        categories past K hold no class."""
         bad = meta[:, 0]
         if meta.shape[1] > self.K + 1 and not self.grow:
             bad = bad | meta[:, self.K + 1:].any(axis=1)
         if np.count_nonzero(bad):
             self._check(np.flatnonzero(meta[bad.argmax()]).tolist(), training=False)
-        if meta.shape[1] <= self.K:  # a stored id may lie past the matrix
-            meta = np.concatenate([meta, np.zeros((len(meta), 1), bool)], axis=1)
-        return self._score(_columns(meta))
+        # one False column past the matrix, for np.take to clip a larger stored id to
+        meta = np.concatenate([meta, np.zeros((len(meta), 1), bool)], axis=1)
+        return self._score(lambda cats: np.take(meta, cats, axis=1, mode="clip"))
 
     # -- classification and training ------------------------------------------
 
     def classify(self, present) -> ClassHistogram:
         """Vote histogram: votes[n] = |stored set of n ∩ present|, the kernel on
-        one row. The row is a boolean one up to the largest present category
-        while it takes no more memory than the stored ids, else ``np.isin``
-        marks the ids; either way a call costs time and memory in the store
-        and the query, not in K."""
+        one row. The row is a boolean one up to the largest present category,
+        scored by ``_overlaps``, while it takes no more memory than the stored
+        ids, else ``np.isin`` marks the ids; either way a call costs time and
+        memory in the store and the query, not in K."""
         present = self._check(present, training=False)
         high = min(self.K, _MAX_CATEGORY)  # no class holds a larger category
         present = [k for k in present if k <= high]
-        # a False column past the largest category, for np.take to clip a larger stored id to;
-        # int(), as a numpy category may sit at its type's maximum
-        width = int(max(present, default=0)) + 2
+        width = int(max(present, default=0)) + 1  # int(): a numpy category may sit at its maximum
         if width > self._cats[:self._offsets[self._n]].nbytes:
             return ClassHistogram(self._score(lambda cats: np.isin(cats, present)[None])[0])
         row = np.zeros((1, width), bool)
         row[0, present] = True
-        return ClassHistogram(self._score(_columns(row))[0])
+        return ClassHistogram(self._overlaps(row)[0])
 
     def recognized(self, hist: ClassHistogram) -> int | None:
         """The winner of ``hist`` when it has ``recognition_threshold`` votes, else None."""

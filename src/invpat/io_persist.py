@@ -224,10 +224,14 @@ def normalize_columns(rows, schema: ColumnSchema, X: int) -> np.ndarray:
     try:
         table = np.asarray(rows, np.float64)
     except ValueError as exc:  # ragged rows, or a cell that is not one number
-        row = next((i for i, r in enumerate(rows) if len(r) != len(rows[0])), None)
+        sized = all(hasattr(r, "__len__") for r in rows)  # a number among rows has no width
+        row = (next((i for i, r in enumerate(rows) if len(r) != len(rows[0])), None)
+               if sized else None)
         raise DataError(f"rows are not a table of numbers: {exc}" if row is None else
                         f"row {row}: {len(rows[row])} cells where row 0 has {len(rows[0])}"
                         ) from None
+    if table.ndim != 2:  # a row of numbers, or rows of rows
+        raise DataError(f"rows are not a table of numbers: got shape {table.shape}")
     if feat[-1] >= table.shape[1]:
         raise DataError(f"rows lack column {feat[-1] + 1} ({schema.columns[feat[-1]].name!r})")
     cols, table = [schema.columns[i] for i in feat], table[:, feat]
@@ -358,7 +362,7 @@ def _param_table(table) -> np.ndarray:
     if isinstance(table, np.ndarray):
         return table
     rows = [(v, t, count) for v, pairs in table for t, count in pairs]
-    return _int_table(rows or np.empty((0, 3), np.int64), "a param_index table")
+    return _int_table(rows, "a param_index table", width=3)
 
 
 def _restore(body: dict):

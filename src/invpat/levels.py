@@ -43,10 +43,16 @@ class LabelTable:
         return isinstance(other, LabelTable) and self._labels == other._labels
 
 
+def _present(votes: np.ndarray, threshold: int) -> np.ndarray:
+    """The meta-pattern rule of a vote vector or a (k, width) vote matrix: a
+    class is present when its votes reach the threshold, checked by ``_setting``."""
+    threshold = _setting(threshold, "meta-pattern threshold")
+    return votes >= threshold
+
+
 def histogram_to_metapattern(h: ClassHistogram, threshold: int) -> frozenset[int]:
     """Present categories of the next level: ids with count >= threshold."""
-    threshold = _setting(threshold, "threshold")
-    return frozenset(np.flatnonzero(h.votes >= threshold).tolist())
+    return frozenset(np.flatnonzero(_present(h.votes, threshold)).tolist())
 
 
 def signature_common(h1: ClassHistogram, h2: ClassHistogram, th1: int, th2: int) -> int:

@@ -76,10 +76,7 @@ class ParamIndex:
     def __init__(self, tables, X: int):
         """Index over ``tables[k]``: dimension k's (v, t, count) rows of integers,
         sorted by (v, t) without repeats; value v was seen ``count`` times with t."""
-        tables = [_int_table(tab, f"table {k}") for k, tab in enumerate(tables)]
-        if any(tab.shape != (0,) and (tab.ndim != 2 or tab.shape[1] != 3) for tab in tables):
-            raise ValidationError("table rows must be (v, t, count) triples")
-        tables = [tab.reshape(-1, 3) for tab in tables]
+        tables = [_int_table(tab, f"table {k}", width=3) for k, tab in enumerate(tables)]
         if not tables:
             raise ConfigError("ParamIndex needs K >= 1 tables, got none")
         X = _setting(X, "X")
@@ -140,14 +137,13 @@ def build_param_index(rows, X: int) -> ParamIndex:
         raise ValidationError("rows must be (feature vector, t) pairs") from None
     if len(lengths) > 1:
         raise ValidationError("feature vectors differ in length")
-    X = _setting(X, "X")
-    t = _int_table(ts, "t")
-    table = _int_table(xs, "feature vectors", X)
-    for values, name, ndim in ((t, "t", 1), (table, "feature vectors", 2)):
-        if values.ndim != ndim:
-            raise ValidationError(f"{name} holds a cell that is not one integer")
-    if not table.shape[1]:
+    X, K = _setting(X, "X"), lengths.pop()
+    if not K:
         raise ConfigError("ParamIndex needs K >= 1 features, got none")
+    t = _int_table(ts, "t")
+    if t.ndim != 1:
+        raise ValidationError("t holds a cell that is not one integer")
+    table = _int_table(xs, "feature vectors", X, K)
     t_values, t_rank = np.unique(t, return_inverse=True)
     T = len(t_values)
     if X * T >= 2**63:  # a key v * T + rank is below X * T: one per (v, t) pair of a dimension

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .index import CategoricalModel, ClassHistogram, Model, _int_table, _is_int, _setting
-from .levels import UNLABELED, LabelTable, histogram_to_metapattern
+from .levels import UNLABELED, LabelTable, _present, histogram_to_metapattern
 
 
 @dataclass
@@ -167,7 +167,8 @@ def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray,
 
     Returns (labels, k): point i lies in cluster ``labels[i]`` of k, numbered in
     the order of the clusters' first points. A distance of at least the row
-    and the column span joins every point. Otherwise the points are cut into
+    span leaves the columns alone to decide: the points sorted by column split
+    where a gap exceeds d. Otherwise the points are cut into
     runs, consecutive points of one row with column gaps <= d, and the runs
     are joined instead of the points (He, Chao & Suzuki's run-based labeling):
     two runs at most d rows apart are adjacent exactly when their column
@@ -190,9 +191,17 @@ def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> tuple[np.ndarray,
     n = len(rows)
     if n == 0:
         return np.zeros(0, np.int64), 0
-    if d >= max(int(rows[-1]) - int(rows[0]), int(cols.max()) - int(cols.min())):
-        return np.zeros(n, np.int64), 1
-    reach = np.uint64(d)  # below the span of two int64 values, so it fits
+    reach = np.uint64(min(d, 2**64 - 1))  # no gap of two int64 values exceeds 2**64 - 1
+    if d >= int(rows[-1]) - int(rows[0]):  # every row within d: the columns alone decide
+        order = np.argsort(cols, kind="stable")
+        starts = np.flatnonzero(np.concatenate(
+            [[True], np.diff(cols[order].view(np.uint64) ^ _TOP) > reach]))
+        labels = np.empty(n, np.int64)
+        labels[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+        firsts = np.minimum.reduceat(order, starts)  # each column group's first point
+        rank = np.empty(len(starts), np.int64)
+        rank[np.argsort(firsts)] = np.arange(len(starts))
+        return rank[labels], len(starts)
     breaks = (np.diff(rows) != 0) | (np.diff(cols).view(np.uint64) > reach)
     bounds = np.flatnonzero(np.concatenate([[True], breaks, [True]]))  # run starts, then n
     starts, runs = bounds[:-1], len(bounds) - 1
@@ -243,11 +252,12 @@ def cluster_pixels(pixels, d: int, classes: dict[tuple[int, int], int] | None = 
     pixels' row runs (``_components``). They come back ordered by their
     topmost-leftmost member; when ``classes`` maps coordinates to pixel class
     ids, each cluster carries its member-class histogram, and every pixel must
-    map to an integer id >= 1. Each pixel is a (row, col) pair of int64 integers.
+    map to an integer id >= 1. Each pixel is a (row, col) pair of int64
+    integers: a tuple, a list or a row of an (n, 2) integer array.
     """
-    table = _int_table(list(set(pixels)) or np.zeros((0, 2), np.int64), "pixel coordinates")
-    if table.shape[1:] != (2,):
-        raise ValidationError("pixel coordinates are not (row, col) pairs")
+    if not isinstance(pixels, (set, frozenset)):  # a pair may be a list or an array row
+        pixels = map(tuple, _int_table(list(pixels), "pixel coordinates", width=2).tolist())
+    table = _int_table(list(set(pixels)), "pixel coordinates", width=2)
     rows, cols = table[np.lexsort(table.T[::-1])].T  # row-major
     points = list(zip(rows.tolist(), cols.tolist()))
     ids = None if classes is None else [classes.get(p) for p in points]
@@ -308,18 +318,18 @@ def recognize_clusters(level2: CategoricalModel, clusters: list[PixelCluster],
 def _recognize(level2: CategoricalModel, votes: np.ndarray, threshold: int
                ) -> tuple[int, int] | None:
     """``recognize_clusters`` over a (k, width) matrix of the clusters' class
-    votes, one row per cluster: the rows' meta-patterns, ``votes >= threshold``,
+    votes, one row per cluster: the rows' meta-patterns (``levels._present``)
     are scored against level 2 by one call of its kernel
     (``CategoricalModel._overlaps``), each row is read as a ``ClassHistogram``,
     and a row ``level2.recognized`` accepts adds its best overlap to its
-    winner, so both rules, the threshold and the tie-break, have one owner. A
-    row with a meta-pattern level 2 rejects raises its error, the first such
-    row in cluster order. The threshold is checked even when there is no cluster."""
-    threshold = _setting(threshold, "meta threshold")
+    winner, so each rule, the threshold, the recognition and the tie-break,
+    has one owner. A row level 2 rejects raises its error, the first such row
+    in cluster order. The threshold is checked even when there is no cluster."""
+    meta = _present(votes, threshold)
     if not len(votes):
         return None
     activities = np.zeros(level2.N + 1, np.int64)
-    for h in map(ClassHistogram, level2._overlaps(votes >= threshold)):
+    for h in map(ClassHistogram, level2._overlaps(meta)):
         if (n := level2.recognized(h)) is not None:
             activities[n] += h.max_count
     winner = ClassHistogram(activities)

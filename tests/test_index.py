@@ -1,11 +1,14 @@
 """Core index tests: construction, voting, instant training, fast path."""
 
+import os
 import sys
+import tempfile
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from invpat import (
     CategoricalModel,
@@ -569,6 +572,121 @@ class TestLargeCategories:
             assign(m)
         assert (m.K, m.N, m.postings, m.stored) == (5, 1, {2: [1], 3: [1]}, [frozenset({2, 3})])
         assert m.classify({2**63, 2}).counts == {1: 1}
+
+
+# small categories, 0 (always rejected) and wide ones: a query holding a wide
+# one is wider than 8 bytes per stored id, so classify marks it by np.isin
+CATEGORY = st.one_of(st.integers(0, 6), st.sampled_from([40, 300, 10**6]))
+CATEGORY_SET = st.frozensets(CATEGORY, max_size=4)
+
+
+class CategoricalMachine(RuleBasedStateMachine):
+    """Every step of a ``CategoricalModel`` against brute-force set overlap.
+    The oracle is the list of stored sets and K; a step it calls invalid must
+    raise ValidationError and leave the model as it was."""
+
+    @initialize(K=st.sampled_from([3, 6, 10**6]), threshold=st.integers(1, 3), grow=st.booleans())
+    def start(self, K, threshold, grow):
+        self.model = CategoricalModel(K, threshold, grow=grow)
+        self.K, self.threshold, self.grow, self.sets = K, threshold, grow, []
+
+    def valid(self, cats) -> bool:
+        """Whether a category set passes the model's check."""
+        return min(cats, default=1) >= 1 and (self.grow or max(cats, default=0) <= self.K)
+
+    def widen(self, cats):
+        """The K training on a valid set leaves: grow mode widens it."""
+        if self.grow:
+            self.K = max([self.K, *cats])
+
+    def overlaps(self, cats) -> list[int]:
+        return [0] + [len(s & cats) for s in self.sets]
+
+    @rule(cats=CATEGORY_SET)
+    def insert_class(self, cats):
+        if not (cats and self.valid(cats)):
+            with pytest.raises(ValidationError):
+                self.model.insert_class(cats)
+            return
+        assert self.model.insert_class(cats) == len(self.sets) + 1
+        self.widen(cats)
+        self.sets.append(cats)
+
+    @rule(cats=CATEGORY_SET)
+    def train_step(self, cats):
+        votes = self.overlaps(cats)
+        best = max(votes)
+        if not self.valid(cats) or best < self.threshold and not cats:
+            with pytest.raises(ValidationError):
+                self.model.train_step(cats)
+            return
+        self.widen(cats)
+        if best >= self.threshold:
+            assert self.model.train_step(cats) == (votes.index(best), False)
+        else:
+            assert self.model.train_step(cats) == (len(self.sets) + 1, True)
+            self.sets.append(cats)
+
+    @rule(sets=st.lists(CATEGORY_SET, max_size=5))
+    def assign_stored(self, sets):
+        cats = frozenset().union(*sets)
+        if not self.valid(cats):
+            with pytest.raises(ValidationError):
+                self.model.stored = sets
+            return
+        self.model.stored = sets
+        self.widen(cats)
+        self.sets = list(sets)
+
+    @rule(cats=st.frozensets(CATEGORY, max_size=5))
+    def classify(self, cats):
+        if not self.valid(cats):
+            with pytest.raises(ValidationError):
+                self.model.classify(cats)
+            return
+        h = self.model.classify(cats)
+        votes = self.overlaps(cats)
+        assert h.votes.tolist() == votes
+        best = max(votes)
+        assert self.model.recognized(h) == (votes.index(best) if best >= self.threshold
+                                            else None)
+
+    @rule(data=st.data(), width=st.integers(1, 9), k=st.integers(0, 4))
+    def overlaps_of_a_batch(self, data, width, k):
+        """``_overlaps`` on a (k, width) boolean matrix, as ``_recognize`` scores
+        a frame's meta-patterns: stored ids past the matrix mark nothing."""
+        meta = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=width,
+                                                    max_size=width), min_size=k, max_size=k)),
+                        bool).reshape(k, width)
+        rows = [frozenset(np.flatnonzero(row).tolist()) for row in meta]
+        bad = [cats for cats in rows if not self.valid(cats)]
+        if bad:  # the first bad row raises its own error
+            first = 0 if 0 in bad[0] else max(bad[0])
+            with pytest.raises(ValidationError, match=f"category index {first} "):
+                self.model._overlaps(meta)
+            return
+        got = self.model._overlaps(meta)
+        assert got.shape == (k, len(self.sets) + 1)
+        assert got.tolist() == [self.overlaps(cats) for cats in rows]
+
+    @rule()
+    def save_and_load(self):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "m.ipat")
+            save_model(self.model, path)
+            self.model = load_model(path)
+        assert (self.model.recognition_threshold, self.model.grow) == (self.threshold, self.grow)
+
+    @invariant()
+    def store_matches_the_oracle(self):
+        m = self.model
+        assert (m.N, m.K, m.stored) == (len(self.sets), self.K, self.sets)
+        assert m.postings == postings_of(self.sets)
+
+
+CategoricalMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=25,
+                                                deadline=None)
+TestCategoricalMachine = CategoricalMachine.TestCase
 
 
 class TestIntegerValidation:

@@ -487,6 +487,14 @@ class TestNormalizeFaults:
         assert vectors(normalize_columns([(1e10, -1e10), (5e-301, 1e-300)], schema, 16)) == [
             (15, 0), (8, 15)]
 
+    @pytest.mark.parametrize("rows", [[1.0, 2.0, 3.0], np.array([1.0, 2.0]), [[[1.0, 2.0]]],
+                                      [1.0, [2.0, 3.0]], [[1.0, 2.0], 3.0]])
+    def test_rows_not_a_table_are_a_data_error(self, rows):
+        """One row of numbers ended in IndexError, a number among rows in TypeError."""
+        schema = ColumnSchema([ColumnSpec("a", "feature"), ColumnSpec("b", "feature")])
+        with pytest.raises(DataError, match="rows are not a table of numbers"):
+            normalize_columns(rows, schema, 16)
+
     def test_nan_is_data_error_naming_the_row(self):
         schema = ColumnSchema([ColumnSpec("a", "feature")])
         with pytest.raises(DataError, match="row 1"):

@@ -3,6 +3,7 @@ segmentation."""
 
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -394,6 +395,25 @@ class TestClustering:
         with pytest.raises(ValidationError, match="pixel coordinates"):
             cluster_pixels(pixels, 1)
 
+    def test_pairs_as_lists_and_array_rows_cluster_as_tuples(self):
+        """An (n, 2) array and a list of [row, col] lists raised TypeError from
+        set(); repeated pairs count once, as in a set of tuples."""
+        table = np.random.default_rng(131).integers(0, 20, size=(60, 2))
+        pixels = set(map(tuple, table.tolist()))
+        classes = {p: 1 + sum(p) % 5 for p in pixels}
+        want = view(cluster_pixels(pixels, 2, classes))
+        for given in (table, table.astype(np.uint8), table.tolist(), list(table.astype(np.int16)),
+                      [tuple(p) for p in table.tolist()], (list(p) for p in table.tolist())):
+            assert view(cluster_pixels(given, 2, classes)) == want
+        assert cluster_pixels(np.zeros((0, 2), np.int64), 1) == []
+
+    @pytest.mark.parametrize("pixels", [[[0, 1, 2]], np.zeros((2, 3), np.int64), [[0, 1], [2]],
+                                        [[0.5, 1]], np.array([[True, False]]), [[0], [1]],
+                                        np.zeros((2, 2, 2), np.int64)])
+    def test_lists_and_arrays_not_of_pairs_rejected(self, pixels):
+        with pytest.raises(ValidationError, match="pixel coordinates"):
+            cluster_pixels(pixels, 1)
+
     def test_numpy_integer_coordinates_accepted(self):
         pixels = {(np.int64(0), np.uint8(1)), (0, 2)}
         assert view(cluster_pixels(pixels, 1, dict.fromkeys(pixels, 3))) == [
@@ -606,6 +626,22 @@ def test_components_match_flood_fill(case):
     rows, cols = np.array(points, np.int64).reshape(-1, 2).T
     labels, k = _components(rows, cols, d)
     assert (labels.tolist(), k) == flood_fill_labels(points, d)
+
+
+def test_components_past_the_row_span_cluster_the_columns_alone():
+    """A distance past the row span but short of the column span paired every
+    run with every row in reach: 800 rows in 4 columns peaked at 26 MiB. The
+    columns alone decide now, in memory linear in the points."""
+    points = [(r, (r % 4) * 2**52) for r in range(800)]
+    rows, cols = np.array(points, np.int64).T
+    tracemalloc.start()
+    try:
+        labels, k = _components(rows, cols, 2**50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
+    assert (labels.tolist(), k) == flood_fill_labels(points, 2**50)
 
 
 class TestRecognizeClusters:
